@@ -19,12 +19,9 @@ from .process import (
     EventLog,
     ProcessEvaluator,
     backward_chl_trajectory,
+    compose,
     drift,
-    eval_backward_chl,
-    eval_backward_shl,
-    eval_disk_hl,
-    eval_forward_chl,
-    eval_forward_shl,
+    orbit,
     restrict_log,
     sample_events,
 )
@@ -38,7 +35,6 @@ from .verify import (
     farfield_expansion_check,
     mc_coupling_convergence,
     mc_growth_check,
-    mean_shift_target,
     quad_mean_shift,
     quad_squared_deriv,
     quad_squared_shift,

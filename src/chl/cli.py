@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ren.add_argument("--input", type=Path, default=None, help="existing events.jsonl")
     p_ren.add_argument("--samples", type=int, default=None, help="points per slit (default 16)")
     p_ren.add_argument("--forward", action="store_true",
-                       help="use the direct forward construction (cross-check)")
+                       help="draw the forward cluster (same law, different picture)")
     return parser
 
 

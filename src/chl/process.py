@@ -16,7 +16,9 @@ The same log can drive every process variant:
   disk-process conjugation.  Pointwise it is the same map as
   ``backward-chl``, which makes it the sharpest available oracle.
 
-Evaluation at time ``s`` is cadlag: an event at exactly ``s`` is included.
+Each variant is :func:`compose` over a selection of the log's abscissae in
+one of two orders.  Evaluation at time ``s`` is cadlag: an event at exactly
+``s`` is included.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable
 
 from .conformal import (
     CylinderParams,
@@ -44,11 +46,8 @@ __all__ = [
     "KINDS",
     "sample_events",
     "restrict_log",
-    "eval_forward_chl",
-    "eval_backward_chl",
-    "eval_forward_shl",
-    "eval_backward_shl",
-    "eval_disk_hl",
+    "compose",
+    "orbit",
     "backward_chl_trajectory",
     "drift",
 ]
@@ -102,17 +101,32 @@ class EventLog:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "EventLog":
-        """Parse the JSONL form; validates the header delta against N, lambda."""
+        """Parse the JSONL form, rejecting what ``sample_events`` cannot produce.
+
+        Raises ``ValueError`` for a header with missing fields or a delta
+        inconsistent with N and lambda, and for event times that are not
+        finite, sorted and in ``(0, horizon]`` or abscissae outside
+        ``[-pi*N, pi*N)``.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty event log stream")
-        head = json.loads(lines[0])
-        params = CylinderParams(head["N"], head["lambda"], head["delta"])
-        events = []
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            events.append(Event(rec["t"], rec["x"]))
-        return cls(params, head["horizon"], head["seed"], tuple(events))
+        try:
+            head = json.loads(lines[0])
+            params = CylinderParams(head["N"], head["lambda"], head["delta"])
+            horizon, seed = head["horizon"], head["seed"]
+            events = tuple(Event(r["t"], r["x"]) for r in map(json.loads, lines[1:]))
+            if not (math.isfinite(horizon) and horizon > 0.0 and isinstance(seed, int)):
+                raise ValueError(f"bad horizon {horizon!r} or seed {seed!r}")
+            half, last = params.half_period, 0.0
+            for k, e in enumerate(events, start=1):
+                if not (last <= e.time <= horizon and e.time > 0.0 and -half <= e.x < half):
+                    raise ValueError(f"event {k} {(e.time, e.x)} is unsorted or outside "
+                                     f"(0, {horizon!r}] x [-pi N, pi N)")
+                last = e.time
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed event log: {exc!r}") from exc
+        return cls(params, horizon, seed, events)
 
 
 def _g17(x: float) -> str:
@@ -191,60 +205,56 @@ class ProcessEvaluator:
             raise ValueError(f"{self.kind} does not take a truncation window")
 
     def at(self, z: complex, s: float) -> complex:
+        """Value of this process variant at ``z`` and time ``s``."""
         return _EVALUATORS[self.kind](self, z, s)
 
 
-def _events_up_to(log: EventLog, s: float) -> Sequence[Event]:
-    """Events with time <= s (cadlag convention: time == s included)."""
-    times = [e.time for e in log.events]
-    return log.events[: bisect.bisect_right(times, s)]
+def compose(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) -> complex:
+    """Apply ``slit(first, x, .)`` for each ``x`` of ``xs`` in order: ``xs[0]`` innermost.
+
+    ``slit`` is ``cyl_slit`` with ``first`` the cylinder params, or
+    ``halfplane_slit`` with ``first`` the slit length.  Every process variant,
+    Monte Carlo replica and cluster trace is this one loop.
+    """
+    w = complex(z)
+    for x in xs:
+        w = slit(first, x, w)
+    return w
 
 
-def _require(ev: ProcessEvaluator, kind: str) -> None:
-    if ev.kind != kind:
-        raise ValueError(f"evaluator kind is {ev.kind!r}, expected {kind!r}")
+def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) -> list[complex]:
+    """Trajectory form of :func:`compose`: ``z``, then the image after each map."""
+    out = [complex(z)]
+    for x in xs:
+        out.append(slit(first, x, out[-1]))
+    return out
+
+
+def _xs_up_to(ev: ProcessEvaluator, s: float) -> list[float]:
+    """Abscissae of events with time <= s (cadlag), inside the SHL window if any."""
+    events = ev.log.events[: bisect.bisect_right(ev.log.times, s)]
+    w = ev.window_w
+    return [e.x for e in events if w is None or abs(e.x) <= w]
 
 
 def eval_forward_chl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
     """Forward cylinder process: S_{x_1} o ... o S_{x_n}(z), earliest outermost."""
-    _require(ev, "forward-chl")
-    p = ev.log.params
-    w = complex(z)
-    for e in reversed(_events_up_to(ev.log, s)):
-        w = cyl_slit(p, e.x, w)
-    return w
+    return compose(cyl_slit, ev.log.params, _xs_up_to(ev, s)[::-1], z)
 
 
 def eval_backward_chl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
     """Backward cylinder process: S_{x_n} o ... o S_{x_1}(z), newest outermost."""
-    _require(ev, "backward-chl")
-    p = ev.log.params
-    w = complex(z)
-    for e in _events_up_to(ev.log, s):
-        w = cyl_slit(p, e.x, w)
-    return w
+    return compose(cyl_slit, ev.log.params, _xs_up_to(ev, s), z)
 
 
 def eval_backward_shl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
     """Backward half-plane process over in-window events, newest outermost."""
-    _require(ev, "backward-shl")
-    lam = ev.log.params.lam
-    w = complex(z)
-    for e in _events_up_to(ev.log, s):
-        if abs(e.x) <= ev.window_w:
-            w = halfplane_slit(lam, e.x, w)
-    return w
+    return compose(halfplane_slit, ev.log.params.lam, _xs_up_to(ev, s), z)
 
 
 def eval_forward_shl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
     """Forward half-plane process over in-window events, earliest outermost."""
-    _require(ev, "forward-shl")
-    lam = ev.log.params.lam
-    w = complex(z)
-    for e in reversed(_events_up_to(ev.log, s)):
-        if abs(e.x) <= ev.window_w:
-            w = halfplane_slit(lam, e.x, w)
-    return w
+    return compose(halfplane_slit, ev.log.params.lam, _xs_up_to(ev, s)[::-1], z)
 
 
 def eval_disk_hl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
@@ -255,18 +265,19 @@ def eval_disk_hl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
     chart is applied before and after the disk composition.  As a cylinder
     point the result equals ``eval_backward_chl``; the representative may
     differ by a period when the orbit crosses the seam, since the final
-    principal log cannot see the winding of the lifted composition.
+    principal log cannot see the winding of the lifted composition.  Its loop
+    stays separate from :func:`compose`, so it remains an independent oracle.
     """
-    _require(ev, "disk-hl")
     p = ev.log.params
     n = p.radius_n
     zeta = cmath.exp(-1j * complex(z) / n)
-    for e in _events_up_to(ev.log, s):
-        rot = cmath.exp(1j * e.x / n)
+    for x in _xs_up_to(ev, s):
+        rot = cmath.exp(1j * x / n)
         zeta = _disk_slit_origin(p, rot * zeta) / rot
     return map_f_inv(n, zeta)
 
 
+# benchmarks/tracer.py binds these names (and the functions above) to time them.
 _EVALUATORS = {
     "forward-chl": eval_forward_chl,
     "backward-chl": eval_backward_chl,
@@ -283,12 +294,7 @@ def backward_chl_trajectory(log: EventLog, z: complex) -> list[tuple[float, comp
     trajectory costs one map application per event.  Between events the
     process is constant, making this grid exact for running suprema.
     """
-    w = complex(z)
-    out = [(0.0, w)]
-    for e in log.events:
-        w = cyl_slit(log.params, e.x, w)
-        out.append((e.time, w))
-    return out
+    return list(zip((0.0,) + log.times, orbit(cyl_slit, log.params, log.xs, z)))
 
 
 def drift(params: CylinderParams, t: float) -> complex:

@@ -1,13 +1,11 @@
 """Trace attached particles through the evolving cluster map and export figures.
 
-The cluster is built incrementally in the backward picture: at each event the
-existing point sets are pushed through the new slit map and the new particle
-enters as the freshly sampled segment ``[x, x + i*lam]``.  After n events,
-particle k has been moved by the maps of events k+1..n (newest outermost),
-which is exactly the backward process's cluster; pathwise it coincides with
-the forward cluster built from the reversed event order, and at fixed time
-forward and backward clusters share one law.  A direct forward construction
-is kept for cross-checking.
+Particle k enters as the segment ``[x_k, x_k + i*lam]``.  In the backward
+cluster (the default) it is then moved by the maps of events k+1..n, newest
+outermost; in the forward cluster by the maps of events 1..k-1, earliest
+outermost.  At fixed time the two clusters share one law but are different
+pictures of it; pathwise the backward cluster is the forward cluster of the
+reversed event order.
 
 Exports are an SVG figure (screen coordinates, seam-aware polylines) and a
 flat CSV of the sampled points.
@@ -18,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conformal import CylinderParams, _reduce, cyl_slit
-from .process import EventLog
+from .process import EventLog, compose
 
 __all__ = ["ParticleTrace", "RenderStyle", "trace_cluster", "export_svg", "export_csv"]
 
@@ -67,31 +65,22 @@ def trace_cluster(
 ) -> list[ParticleTrace]:
     """Final positions of every particle's sampled polyline.
 
-    Backward (default): incremental, one map application per existing point
-    per event, O(n^2 * samples) total.  Forward: particle k is the image of
-    its slit segment under the k-1 earlier maps composed earliest-outermost;
-    same leading cost, no sharing between particles.
+    Backward (default): particle k's segment is composed with the maps of
+    the later events, newest outermost.  Forward: with the maps of the
+    earlier events, earliest outermost.  Either way O(n^2 * samples) map
+    applications in total.
     """
     if samples_per_slit < 2:
         raise ValueError("samples_per_slit must be at least 2")
     params = log.params
-    events = log.events
-    if forward:
-        traces = []
-        for k, e in enumerate(events):
-            pts = _slit_segment(params, e.x, samples_per_slit)
-            for j in range(k - 1, -1, -1):  # earliest event ends up outermost
-                pts = [cyl_slit(params, events[j].x, p) for p in pts]
-            traces.append(_finalize(params, k, e.time, pts))
-        return traces
-    live: list[list[complex]] = []
-    for e in events:
-        for pts in live:
-            pts[:] = [cyl_slit(params, e.x, p) for p in pts]
-        live.append(_slit_segment(params, e.x, samples_per_slit))
-    return [
-        _finalize(params, k, events[k].time, pts) for k, pts in enumerate(live)
-    ]
+    xs = log.xs
+    traces = []
+    for k, e in enumerate(log.events):
+        maps = xs[:k][::-1] if forward else xs[k + 1:]
+        pts = _slit_segment(params, e.x, samples_per_slit)
+        pts = [compose(cyl_slit, params, maps, p) for p in pts]
+        traces.append(_finalize(params, k, e.time, pts))
+    return traces
 
 
 def _seam_runs(params: CylinderParams, pts: tuple[complex, ...]) -> list[list[complex]]:

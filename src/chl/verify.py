@@ -17,6 +17,7 @@ Three kinds of evidence are produced, mirroring the strength of each claim:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,15 +32,7 @@ from .conformal import (
     cylinder_dist,
     halfplane_slit,
 )
-from .process import (
-    ProcessEvaluator,
-    drift,
-    eval_backward_chl,
-    eval_disk_hl,
-    eval_forward_shl,
-    restrict_log,
-    sample_events,
-)
+from .process import ProcessEvaluator, compose, drift, orbit, restrict_log, sample_events
 from .quadrature import QuadratureResult, adaptive_quadrature
 from .rng import SplitMix64, mix_seed
 
@@ -48,7 +41,6 @@ __all__ = [
     "McSummary",
     "CheckResult",
     "quad_mean_shift",
-    "mean_shift_target",
     "quad_squared_shift",
     "quad_squared_deriv",
     "slit_convergence_rate",
@@ -133,12 +125,6 @@ def _rate_fit(scales: Sequence[float], errors: Sequence[float], log_x: bool) -> 
 # ---------------------------------------------------------------------------
 
 
-def mean_shift_target(params: CylinderParams) -> complex:
-    """Closed form of the average slit-map shift: -2i pi N^2 log(1-delta^2)."""
-    n = params.radius_n
-    return complex(0.0, -2.0 * math.pi * n * n * math.log1p(-params.delta**2))
-
-
 def _feature_splits(params: CylinderParams, z: complex, a: float, b: float) -> list[float]:
     """Panel seeds around the sharp integrand feature at x = Re z (mod 2piN).
 
@@ -168,7 +154,7 @@ def quad_mean_shift(
 ) -> QuadratureResult:
     """Integral of S_x(z) - z over one period of attachment points x.
 
-    Equals ``mean_shift_target(params)`` for every z on the cylinder; this
+    Equals ``drift(params, 1.0)`` for every z on the cylinder; this
     z-independence is itself part of what the callers assert.
     """
     z = complex(z)
@@ -291,17 +277,29 @@ def shift_commutation_check(
     the composition S_{x_1} o ... o S_{x_n} by it must equal the composition
     with every attachment point moved by y.  This is an exact identity.
     """
+    inner_first = list(reversed(xs))
+    shifted = [x + y for x in inner_first]
     worst = 0.0
     for z in z_grid:
-        w = complex(z) - y
-        for x in reversed(xs):
-            w = cyl_slit(params, x, w)
-        conjugated = w + y
-        v = complex(z)
-        for x in reversed(xs):
-            v = cyl_slit(params, x + y, v)
-        worst = max(worst, abs(conjugated - v))
+        conjugated = compose(cyl_slit, params, inner_first, complex(z) - y) + y
+        worst = max(worst, abs(conjugated - compose(cyl_slit, params, shifted, z)))
     return worst
+
+
+def _fd2_sq_integral(params: CylinderParams, z: complex, step: float, tol: float) -> float:
+    """Integral over x in [0, pi*N] of |S_x''(z)|^2 by central differences of step ``step``."""
+    h2 = step * step
+
+    def fd2_sq(x: float) -> complex:
+        w = complex(z.real - x, z.imag)
+        second = (
+            cyl_slit(params, 0.0, w + step)
+            - 2.0 * cyl_slit(params, 0.0, w)
+            + cyl_slit(params, 0.0, w - step)
+        ) / h2
+        return complex(abs(second) ** 2)
+
+    return adaptive_quadrature(fd2_sq, 0.0, params.half_period, tol=tol).value.real
 
 
 def second_deriv_decay_check(
@@ -325,22 +323,11 @@ def second_deriv_decay_check(
     floor_scales = []
     for n in sorted(float(v) for v in n_list):
         params = CylinderParams(n, lam)
-        h2 = step * step
-
-        def fd2_sq(x: float, params=params, h2=h2) -> complex:
-            w = complex(z.real - x, z.imag)
-            second = (
-                cyl_slit(params, 0.0, w + step)
-                - 2.0 * cyl_slit(params, 0.0, w)
-                + cyl_slit(params, 0.0, w - step)
-            ) / h2
-            return complex(abs(second) ** 2)
-
-        res = adaptive_quadrature(fd2_sq, 0.0, params.half_period, tol=tol)
-        noise = 4.0 * 2.3e-16 * (abs(z) + params.half_period) / h2
-        if res.value.real < 10.0 * noise * noise * params.half_period:
+        value = _fd2_sq_integral(params, z, step, tol)
+        noise = 4.0 * 2.3e-16 * (abs(z) + params.half_period) / (step * step)
+        if value < 10.0 * noise * noise * params.half_period:
             floor_scales.append(n)
-        values.append((n, res.value.real))
+        values.append((n, value))
     grid = tuple(values)
     if len(values) - len(floor_scales) < 2:
         # everything sits at the finite-difference noise floor; report the
@@ -360,11 +347,7 @@ def second_deriv_decay_check(
 
 def _growth_replica(args: tuple) -> complex:
     params, t, z, seed = args
-    log = sample_events(params, t, seed)
-    w = complex(z)
-    for e in log.events:
-        w = cyl_slit(params, e.x, w)
-    return w
+    return compose(cyl_slit, params, sample_events(params, t, seed).xs, z)
 
 
 def _run_replicas(worker, jobs: list, threads: int) -> list:
@@ -402,15 +385,13 @@ def _coupling_replica(args: tuple) -> list[float]:
     for n in n_list:
         sub = restrict_log(master, math.pi * n)
         w_eff = math.pi * n if window is None else min(window, math.pi * n)
-        w_chl = complex(z)
-        w_shl = complex(z)
-        sup = 0.0
-        for e in sub.events:
-            w_chl = cyl_slit(sub.params, e.x, w_chl)
-            if abs(e.x) <= w_eff:
-                w_shl = halfplane_slit(lam, e.x, w_shl)
-            sup = max(sup, abs(w_chl - w_shl) ** 2)
-        sups.append(sup)
+        xs = sub.xs
+        inside = [abs(x) <= w_eff for x in xs]
+        chl = orbit(cyl_slit, sub.params, xs, z)
+        shl = orbit(halfplane_slit, lam, itertools.compress(xs, inside), z)
+        # the SHL orbit stands still on out-of-window events: align it by count
+        aligned = (shl[j] for j in itertools.accumulate(inside, initial=0))
+        sups.append(max(abs(c - h) ** 2 for c, h in zip(chl, aligned)))
     return sups
 
 
@@ -433,6 +414,8 @@ def coupling_sup_distances(
     times plus the horizon, which is exact because both processes are
     constant between events.  Returns a (replicas, len(n_list)) array.
     """
+    if replicas < 2:
+        raise ValueError(f"need at least 2 replicas for a spread, got {replicas}")
     n_list = [float(n) for n in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be ascending")
@@ -499,7 +482,7 @@ class CheckResult:
 
 def _check_mean_shift(tol: float, threads: int) -> CheckResult:
     params = CylinderParams(2.0, 1.0)
-    target = mean_shift_target(params)
+    target = drift(params, 1.0)
     worst = 0.0
     converged = True
     for z in (1j, 5.0 + 0.1j, 0.25 + 0j):
@@ -681,8 +664,7 @@ def _check_disk_conjugation(tol: float, threads: int) -> CheckResult:
                 0.6 * params.half_period * (2.0 * rng.next_float() - 1.0),
                 0.05 + 3.0 * rng.next_float(),
             )
-            a = eval_backward_chl(bwd, z, log.horizon_t)
-            b = eval_disk_hl(dsk, z, log.horizon_t)
+            a, b = bwd.at(z, log.horizon_t), dsk.at(z, log.horizon_t)
             worst = max(worst, cylinder_dist(params, a, b))
     passed = worst <= 1e-9
     return CheckResult(
@@ -718,14 +700,9 @@ def _check_forward_backward_law(tol: float, threads: int) -> CheckResult:
     fwd, bwd = [], []
     for r in range(1000):
         log_f = sample_events(params, t, mix_seed(4242, r))
-        ev_f = ProcessEvaluator(log_f, "forward-shl", window)
-        fwd.append(eval_forward_shl(ev_f, z, t).imag)
+        fwd.append(ProcessEvaluator(log_f, "forward-shl", window).at(z, t).imag)
         log_b = sample_events(params, t, mix_seed(4242, 1_000_000 + r))
-        w = complex(z)
-        for e in log_b.events:
-            if abs(e.x) <= window:
-                w = halfplane_slit(params.lam, e.x, w)
-        bwd.append(w.imag)
+        bwd.append(ProcessEvaluator(log_b, "backward-shl", window).at(z, t).imag)
     d, p = ks_two_sample(fwd, bwd)
     passed = p > 0.01
     return CheckResult(
@@ -746,23 +723,9 @@ def _check_second_deriv(tol: float, threads: int) -> CheckResult:
     ns = [8.0, 16.0, 32.0]
     fixed = second_deriv_decay_check(1.0, 1j, ns)
     fixed_vals = [v for _, v in fixed.grid]
-    step = 2.0**-8
-    scaled_vals = []
-    for n in ns:
-        params = CylinderParams(n, 1.0)
-
-        def fd2_sq(x: float, params=params, n=n) -> complex:
-            w = complex(-x, n)
-            second = (
-                cyl_slit(params, 0.0, w + step)
-                - 2.0 * cyl_slit(params, 0.0, w)
-                + cyl_slit(params, 0.0, w - step)
-            ) / (step * step)
-            return complex(abs(second) ** 2)
-
-        scaled_vals.append(
-            adaptive_quadrature(fd2_sq, 0.0, params.half_period, tol=1e-10).value.real
-        )
+    scaled_vals = [
+        _fd2_sq_integral(CylinderParams(n, 1.0), complex(0.0, n), 2.0**-8, 1e-10) for n in ns
+    ]
     scaled_fit = _rate_fit(ns, scaled_vals, log_x=True)
     bounded = max(fixed_vals) / min(fixed_vals) <= 1.5
     decays = scaled_fit.slope < 0.0 and scaled_fit.r_squared >= 0.9

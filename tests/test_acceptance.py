@@ -14,20 +14,12 @@ import numpy as np
 
 from chl.cli import main
 from chl.conformal import CylinderParams, cylinder_dist
-from chl.process import (
-    Event,
-    EventLog,
-    ProcessEvaluator,
-    drift,
-    eval_backward_chl,
-    eval_disk_hl,
-)
+from chl.process import Event, EventLog, ProcessEvaluator, drift
 from chl.rng import SplitMix64
 from chl.verify import (
     coupling_sup_distances,
     farfield_expansion_check,
     mc_growth_check,
-    mean_shift_target,
     quad_mean_shift,
     quad_squared_deriv,
     quad_squared_shift,
@@ -52,7 +44,7 @@ def test_criterion_01_drift_identity_exact():
         params = CylinderParams(n, lam)
         z = complex(params.half_period * (2 * rng.next_float() - 1), 10.0 * rng.next_float())
         res = quad_mean_shift(params, z, tol=1e-10)
-        target = mean_shift_target(params)
+        target = drift(params, 1.0)
         worst = max(worst, abs(res.value - target) / abs(target))
         assert res.converged
     elapsed = time.perf_counter() - start
@@ -120,8 +112,8 @@ def test_criterion_04_disk_conjugation_identity():
                 0.7 * params.half_period * (2.0 * rng.next_float() - 1.0),
                 0.05 + 3.0 * rng.next_float(),
             )
-            a = eval_backward_chl(bwd, z, 1.0)
-            b = eval_disk_hl(dsk, z, 1.0)
+            a = bwd.at(z, 1.0)
+            b = dsk.at(z, 1.0)
             worst = max(worst, cylinder_dist(params, a, b))
     elapsed = time.perf_counter() - start
     report(

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
+
+import pytest
 
 from chl.cli import main
 from chl.process import EventLog
@@ -100,6 +103,17 @@ class TestConverge:
         assert all(f >= 0.6 for f in summary["coupling"]["paired_decrease_fraction"])
         assert summary["slit_rate"]["r_squared"] >= 0.95
 
+    @pytest.mark.parametrize("replicas", ["0", "1"])
+    def test_too_few_replicas_exit_2(self, tmp_path, capsys, replicas):
+        # one replica has no spread (the CI would be nan); zero has no samples
+        assert main(["converge", "--replicas", replicas, "--n-list", "4,8",
+                     "--out", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "c" / "coupling.csv").exists()
+
+
+_HEAD = {"N": 10.0, "lambda": 1.0, "delta": math.tanh(0.05), "horizon": 3.0, "seed": 7}
+
 
 class TestRender:
     def test_round_trip_via_saved_log(self, tmp_path):
@@ -116,6 +130,24 @@ class TestRender:
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["render", "--input", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("head, events", [
+        ({k: v for k, v in _HEAD.items() if k != "delta"}, [(1.0, 0.5)]),  # missing field
+        (_HEAD, [(float("nan"), 0.5)]),  # non-finite time
+        (_HEAD, [(1.0, 99.0)]),  # x outside [-pi N, pi N) at N = 10
+        (_HEAD, [(1.0, math.pi * 10.0)]),  # right end of the domain is excluded
+        (_HEAD, [(2.0, 0.5), (1.0, -0.5)]),  # unsorted times
+        (_HEAD, [(0.0, 0.5)]),  # time not positive
+        (_HEAD, [(3.5, 0.5)]),  # time beyond the horizon
+    ], ids=["no-delta", "nan-time", "x-outside", "x-right-end", "unsorted", "t-zero",
+            "t-past-horizon"])
+    def test_invalid_input_log_exit_2(self, tmp_path, capsys, head, events):
+        lines = [json.dumps(head)] + [json.dumps({"t": t, "x": x}) for t, x in events]
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["render", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "o" / "cluster.csv").exists()
 
     def test_empty_log_writes_csv_only(self, tmp_path):
         out = tmp_path / "e"

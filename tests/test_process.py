@@ -18,12 +18,9 @@ from chl.process import (
     EventLog,
     ProcessEvaluator,
     backward_chl_trajectory,
+    compose,
     drift,
-    eval_backward_chl,
-    eval_backward_shl,
-    eval_disk_hl,
-    eval_forward_chl,
-    eval_forward_shl,
+    orbit,
     restrict_log,
     sample_events,
 )
@@ -122,6 +119,40 @@ class TestRestrict:
             restrict_log(log, 5 * math.pi)
 
 
+class TestCompose:
+    """The composition primitive against inline scalar loops, compared with ==."""
+
+    def test_compose_applies_first_abscissa_innermost(self):
+        p = CylinderParams(2.0, 1.0)
+        xs = [-1.2, 0.4, 2.8]
+        z = 0.5 + 1.5j
+        assert compose(cyl_slit, p, xs, z) == cyl_slit(
+            p, xs[2], cyl_slit(p, xs[1], cyl_slit(p, xs[0], z))
+        )
+        assert compose(halfplane_slit, 1.0, xs, z) == halfplane_slit(
+            1.0, xs[2], halfplane_slit(1.0, xs[1], halfplane_slit(1.0, xs[0], z))
+        )
+        assert compose(cyl_slit, p, [], 2) == 2 + 0j
+
+    def test_orbit_lists_every_partial_composition(self):
+        p = CylinderParams(3.0, 0.8)
+        xs = [7.5, 1.0, -4.0, 0.25]
+        z = -2 + 0.7j
+        want = [z]
+        for x in xs:
+            want.append(cyl_slit(p, x, want[-1]))
+        assert orbit(cyl_slit, p, xs, z) == want
+        assert orbit(cyl_slit, p, [], z) == [z]
+
+    def test_trajectory_equals_inline_loop(self):
+        log = sample_events(CylinderParams(2.0, 1.0), 1.0, 31337)
+        w, want = 1j, [(0.0, 1j)]
+        for e in log.events:
+            w = cyl_slit(log.params, e.x, w)
+            want.append((e.time, w))
+        assert backward_chl_trajectory(log, 1j) == want
+
+
 class TestEvaluatorValidation:
     def test_window_rules(self):
         log = sample_events(CylinderParams(2.0, 1.0), 0.5, 3)
@@ -135,38 +166,33 @@ class TestEvaluatorValidation:
             ProcessEvaluator(log, "sideways")
         ProcessEvaluator(log, "forward-shl", log.params.half_period)
 
-    def test_kind_mismatch(self):
-        log = sample_events(CylinderParams(2.0, 1.0), 0.5, 3)
-        ev = ProcessEvaluator(log, "forward-chl")
-        with pytest.raises(ValueError):
-            eval_backward_chl(ev, 1j, 0.5)
-
     def test_at_dispatches_by_kind(self):
         log = sample_events(CylinderParams(2.0, 1.0), 0.5, 3)
-        z, s = 0.4 + 0.9j, 0.5
-        assert ProcessEvaluator(log, "forward-chl").at(z, s) == eval_forward_chl(
-            ProcessEvaluator(log, "forward-chl"), z, s
-        )
-        w = log.params.half_period
-        assert ProcessEvaluator(log, "backward-shl", w).at(z, s) == eval_backward_shl(
-            ProcessEvaluator(log, "backward-shl", w), z, s
-        )
-        assert ProcessEvaluator(log, "disk-hl").at(z, s) == eval_disk_hl(
-            ProcessEvaluator(log, "disk-hl"), z, s
-        )
+        p, z, s = log.params, 0.4 + 0.9j, 0.5
+        assert len(log) >= 2
+        w = z
+        for x in reversed(log.xs):  # earliest outermost
+            w = cyl_slit(p, x, w)
+        assert ProcessEvaluator(log, "forward-chl").at(z, s) == w
+        w = z
+        for x in log.xs:  # every event is inside the full-strip window
+            w = halfplane_slit(p.lam, x, w)
+        assert ProcessEvaluator(log, "backward-shl", p.half_period).at(z, s) == w
+        bwd = ProcessEvaluator(log, "backward-chl").at(z, s)
+        assert cylinder_dist(p, ProcessEvaluator(log, "disk-hl").at(z, s), bwd) <= 1e-12
 
 
 class TestForwardChl:
     def test_empty_log_identity(self):
         log = make_log(CylinderParams(2.0, 1.0), [])
         ev = ProcessEvaluator(log, "forward-chl")
-        assert eval_forward_chl(ev, 2 + 3j, 5.0) == 2 + 3j
+        assert ev.at(2 + 3j, 5.0) == 2 + 3j
 
     def test_single_event_tip(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(1.0, 2.0)])
         ev = ProcessEvaluator(log, "forward-chl")
-        assert eval_forward_chl(ev, 2.0 + 0j, 1.0) == pytest.approx(2.0 + 1j)
+        assert ev.at(2.0 + 0j, 1.0) == pytest.approx(2.0 + 1j)
 
     def test_two_event_composition_oracle(self):
         p = CylinderParams(2.0, 1.0)
@@ -175,16 +201,16 @@ class TestForwardChl:
         ev = ProcessEvaluator(log, "forward-chl")
         z = 0.5 + 1.5j
         want = cyl_slit(p, x1, cyl_slit(p, x2, z))  # earliest outermost
-        assert eval_forward_chl(ev, z, 1.0) == pytest.approx(want)
+        assert ev.at(z, 1.0) == pytest.approx(want)
 
     def test_cadlag_at_event_times(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.5, 0.0)])
         ev = ProcessEvaluator(log, "forward-chl")
         z = 0.01 + 0.01j  # near the new slit, so the jump is visible
-        at = eval_forward_chl(ev, z, 0.5)
-        just_after = eval_forward_chl(ev, z, 0.5 + 1e-12)
-        just_before = eval_forward_chl(ev, z, 0.5 - 1e-12)
+        at = ev.at(z, 0.5)
+        just_after = ev.at(z, 0.5 + 1e-12)
+        just_before = ev.at(z, 0.5 - 1e-12)
         assert at == just_after
         assert abs(at - just_before) > 0.1
 
@@ -192,7 +218,7 @@ class TestForwardChl:
 class TestBackwardChl:
     def test_empty_log_identity(self):
         ev = ProcessEvaluator(make_log(CylinderParams(2.0, 1.0), []), "backward-chl")
-        assert eval_backward_chl(ev, 0.3 + 2j, 4.0) == 0.3 + 2j
+        assert ev.at(0.3 + 2j, 4.0) == 0.3 + 2j
 
     def test_single_event_matches_forward(self):
         p = CylinderParams(2.0, 1.0)
@@ -200,7 +226,7 @@ class TestBackwardChl:
         f = ProcessEvaluator(log, "forward-chl")
         b = ProcessEvaluator(log, "backward-chl")
         z = 1 + 1j
-        assert eval_forward_chl(f, z, 1.0) == eval_backward_chl(b, z, 1.0)
+        assert f.at(z, 1.0) == b.at(z, 1.0)
 
     def test_reverse_composition_oracle(self):
         p = CylinderParams(3.0, 0.8)
@@ -212,7 +238,7 @@ class TestBackwardChl:
         w = z
         for _, x in pairs:  # oldest first, newest ends up outermost
             w = cyl_slit(p, x, w)
-        assert eval_backward_chl(ev, z, 1.0) == pytest.approx(w)
+        assert ev.at(z, 1.0) == pytest.approx(w)
 
     def test_trajectory_matches_pointwise_eval(self):
         p = CylinderParams(2.0, 1.0)
@@ -222,7 +248,7 @@ class TestBackwardChl:
         assert len(traj) == len(log) + 1
         assert traj[0] == (0.0, 1j)
         for (t_k, w_k) in traj[1:]:
-            assert eval_backward_chl(ev, 1j, t_k) == pytest.approx(w_k)
+            assert ev.at(1j, t_k) == pytest.approx(w_k)
 
 
 class TestShl:
@@ -230,14 +256,14 @@ class TestShl:
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.2, 3.0), (0.5, -4.0)])
         ev = ProcessEvaluator(log, "backward-shl", 1.0)
-        assert eval_backward_shl(ev, 1j, 1.0) == 1j  # both events outside |x| <= 1
+        assert ev.at(1j, 1.0) == 1j  # both events outside |x| <= 1
 
     def test_single_in_window_event(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.2, 1.5)])
         ev = ProcessEvaluator(log, "backward-shl", 2.0)
         z = 0.3 + 0.4j
-        assert eval_backward_shl(ev, z, 1.0) == halfplane_slit(1.0, 1.5, z)
+        assert ev.at(z, 1.0) == halfplane_slit(1.0, 1.5, z)
 
     def test_window_beyond_domain_changes_nothing(self):
         p = CylinderParams(2.0, 1.0)
@@ -245,12 +271,12 @@ class TestShl:
         narrow = ProcessEvaluator(log, "backward-shl", p.half_period)
         wide = ProcessEvaluator(log, "backward-shl", p.period)
         z = 1 + 1j
-        assert eval_backward_shl(narrow, z, 0.7) == eval_backward_shl(wide, z, 0.7)
+        assert narrow.at(z, 0.7) == wide.at(z, 0.7)
 
     def test_forward_empty_identity(self):
         p = CylinderParams(2.0, 1.0)
         ev = ProcessEvaluator(make_log(p, []), "forward-shl", p.half_period)
-        assert eval_forward_shl(ev, 2 - 0.5j + 1j, 1.0) == 2 + 0.5j
+        assert ev.at(2 - 0.5j + 1j, 1.0) == 2 + 0.5j
 
     def test_forward_two_event_oracle(self):
         p = CylinderParams(2.0, 1.0)
@@ -259,7 +285,7 @@ class TestShl:
         ev = ProcessEvaluator(log, "forward-shl", p.half_period)
         z = 1j
         want = halfplane_slit(1.0, x1, halfplane_slit(1.0, x2, z))
-        assert eval_forward_shl(ev, z, 1.0) == pytest.approx(want)
+        assert ev.at(z, 1.0) == pytest.approx(want)
 
 
 class TestDiskConjugation:
@@ -268,10 +294,10 @@ class TestDiskConjugation:
         empty = make_log(p, [])
         ev = ProcessEvaluator(empty, "disk-hl")
         z = 0.4 + 1.1j
-        assert cylinder_dist(p, eval_disk_hl(ev, z, 1.0), z) <= 1e-12
+        assert cylinder_dist(p, ev.at(z, 1.0), z) <= 1e-12
         one = make_log(p, [(0.3, 1.7)])
         ev1 = ProcessEvaluator(one, "disk-hl")
-        assert cylinder_dist(p, eval_disk_hl(ev1, z, 1.0), cyl_slit(p, 1.7, z)) <= 1e-11
+        assert cylinder_dist(p, ev1.at(z, 1.0), cyl_slit(p, 1.7, z)) <= 1e-11
 
     def test_far_field_agreement(self):
         # exercises the tail expansions of both coordinate systems at heights
@@ -282,7 +308,7 @@ class TestDiskConjugation:
         d = ProcessEvaluator(log, "disk-hl")
         for y in (70.0, 650.0):  # y/N = 35 and 325, beyond both switch points
             z = complex(0.5, y)
-            assert cylinder_dist(p, eval_backward_chl(b, z, 1.0), eval_disk_hl(d, z, 1.0)) <= 1e-9
+            assert cylinder_dist(p, b.at(z, 1.0), d.at(z, 1.0)) <= 1e-9
 
     def test_equals_backward_chl_on_random_logs(self):
         # the module's strongest oracle: same composition, different coordinates
@@ -298,8 +324,8 @@ class TestDiskConjugation:
                     0.6 * p.half_period * (2 * rng.next_float() - 1),
                     0.05 + 3.0 * rng.next_float(),
                 )
-                a = eval_backward_chl(b, z, log.horizon_t)
-                c = eval_disk_hl(d, z, log.horizon_t)
+                a = b.at(z, log.horizon_t)
+                c = d.at(z, log.horizon_t)
                 assert cylinder_dist(p, a, c) <= 1e-9
 
 
@@ -355,7 +381,7 @@ class TestClusterMapGeometry:
             for i in range(20)
             for j in range(10)
         ]
-        images = [eval_backward_chl(ev, z, 1.0) for z in grid]
+        images = [ev.at(z, 1.0) for z in grid]
         assert all(w.imag >= 0.0 for w in images)
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):

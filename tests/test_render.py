@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from chl.conformal import CylinderParams, cyl_slit, cylinder_dist
+from chl.conformal import CylinderParams, cyl_slit, cylinder_dist, reduce_to_fundamental
 from chl.process import Event, EventLog, sample_events
 from chl.render import RenderStyle, export_csv, export_svg, trace_cluster
 
@@ -59,6 +59,34 @@ class TestTraceCluster:
         for b, f in zip(back, reversed(fwd)):
             for pb, pf in zip(b.points, f.points):
                 assert cylinder_dist(p, pb, pf) <= 1e-9
+
+    def test_both_modes_equal_inline_loops(self):
+        p = CylinderParams(3.0, 0.8)
+        log = sample_events(p, 18.0 / p.period, 4711)
+        xs = log.xs
+
+        def segment(x):
+            return [complex(x, p.lam * k / 3) for k in range(4)]
+
+        live = []  # backward: push every existing particle through each new map
+        for x in xs:
+            for pts in live:
+                pts[:] = [cyl_slit(p, x, q) for q in pts]
+            live.append(segment(x))
+        fwd = []  # forward: earlier maps, earliest outermost
+        for k, x in enumerate(xs):
+            pts = segment(x)
+            for j in range(k - 1, -1, -1):
+                pts = [cyl_slit(p, xs[j], q) for q in pts]
+            fwd.append(pts)
+
+        def reduced(pts):
+            return tuple(complex(reduce_to_fundamental(p, q.real), q.imag) for q in pts)
+
+        assert [t.points for t in trace_cluster(log, 4)] == [reduced(q) for q in live]
+        assert [t.points for t in trace_cluster(log, 4, forward=True)] == [
+            reduced(q) for q in fwd
+        ]
 
     def test_no_negative_imaginary_parts(self):
         p = CylinderParams(10.0, 1.0)

@@ -7,16 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from chl.conformal import CylinderParams
-from chl.process import drift
-from chl.rng import SplitMix64
+from chl.conformal import CylinderParams, cyl_slit, halfplane_slit
+from chl.process import drift, restrict_log, sample_events
+from chl.rng import SplitMix64, mix_seed
 from chl.verify import (
     coupling_sup_distances,
     farfield_expansion_check,
     ks_two_sample,
     mc_coupling_convergence,
     mc_growth_check,
-    mean_shift_target,
     quad_mean_shift,
     quad_squared_deriv,
     quad_squared_shift,
@@ -30,7 +29,7 @@ from chl.verify import (
 class TestMeanShift:
     def test_matches_closed_form(self):
         p = CylinderParams(2.0, 1.0)
-        want = mean_shift_target(p)
+        want = drift(p, 1.0)
         assert want == pytest.approx(-8j * math.pi * math.log1p(-math.tanh(0.25) ** 2))
         res = quad_mean_shift(p, 1j)
         assert res.converged
@@ -38,7 +37,7 @@ class TestMeanShift:
 
     def test_z_independence(self):
         p = CylinderParams(2.0, 1.0)
-        want = mean_shift_target(p)
+        want = drift(p, 1.0)
         for z in (5 + 0.1j, -3 + 2j, 0.25 + 0j, 1e6j):
             res = quad_mean_shift(p, z)
             assert abs(res.value - want) / abs(want) <= 1e-8, f"z={z}"
@@ -252,6 +251,9 @@ class TestCoupling:
             coupling_sup_distances(1.0, 1j, 0.5, [8.0, 4.0], 200, 1)
         with pytest.raises(ValueError):
             coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0, 16.0], 200, 1, window=0.5)
+        for replicas in (0, 1):  # no spread to report below two replicas
+            with pytest.raises(ValueError):
+                coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0], replicas, 1)
 
     def test_window_knob(self):
         # a window at least pi*N_max changes nothing; a narrow window hurts
@@ -266,6 +268,60 @@ class TestCoupling:
         seq = coupling_sup_distances(1.0, 1j, 0.4, [4.0, 8.0], 128, 77, threads=1)
         par = coupling_sup_distances(1.0, 1j, 0.4, [4.0, 8.0], 128, 77, threads=2)
         assert np.array_equal(seq, par)
+
+
+class TestInlineCompositionOracles:
+    """Checks built on the composition primitive against inline scalar loops, with ==."""
+
+    def test_shift_commutation(self):
+        p = CylinderParams(2.5, 0.9)
+        xs, y = [0.5, -2.0, 3.1, 1.0], 1.7
+        z_grid = [1j, 1 + 2j, -2 + 0.5j]
+        worst = 0.0
+        for z in z_grid:
+            a = z - y
+            for x in reversed(xs):
+                a = cyl_slit(p, x, a)
+            b = z
+            for x in reversed(xs):
+                b = cyl_slit(p, x + y, b)
+            worst = max(worst, abs(a + y - b))
+        assert shift_commutation_check(p, xs, y, z_grid) == worst
+
+    def test_mc_growth_replicas(self):
+        p, z, t = CylinderParams(4.0, 1.0), 1j, 0.5
+        values = []
+        for r in range(100):
+            w = z
+            for e in sample_events(p, t, mix_seed(5, r)).events:
+                w = cyl_slit(p, e.x, w)
+            values.append(w)
+        arr = np.array(values)
+        s = mc_growth_check(p, z, t, replicas=100, seed=5)
+        assert s.mean == complex(np.mean(arr))
+        assert (s.std_re, s.std_im) == (np.std(arr.real, ddof=1), np.std(arr.imag, ddof=1))
+
+    @pytest.mark.parametrize("window", [None, 2.0])
+    def test_coupling_sup_distances(self, window):
+        n_list, lam, z, t, seed = [2.0, 4.0], 1.0, 1j, 0.5, 31
+        want = []
+        for r in range(20):
+            master = sample_events(CylinderParams(n_list[-1], lam), t, mix_seed(seed, r))
+            row = []
+            for n in n_list:
+                sub = restrict_log(master, math.pi * n)
+                w_eff = math.pi * n if window is None else min(window, math.pi * n)
+                a = b = z
+                sup = 0.0
+                for e in sub.events:
+                    a = cyl_slit(sub.params, e.x, a)
+                    if abs(e.x) <= w_eff:
+                        b = halfplane_slit(lam, e.x, b)
+                    sup = max(sup, abs(a - b) ** 2)
+                row.append(sup)
+            want.append(row)
+        got = coupling_sup_distances(lam, z, t, n_list, 20, seed, window=window)
+        assert np.array_equal(got, np.array(want))
 
 
 class TestSecondDerivative:
