@@ -19,10 +19,11 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .conformal import CylinderParams
 from .process import EventLog, backward_chl_trajectory, sample_events
-from .render import RenderStyle, export_csv, export_svg, trace_cluster
+from .render import export_csv, export_svg, trace_cluster
 from .verify import (
     CHECK_NAMES,
     CheckResult,
@@ -34,22 +35,73 @@ from .verify import (
 __all__ = ["main", "build_parser"]
 
 
-def _parse_complex(text: str) -> complex:
-    """Parse a complex literal like '0+1i', '2.5-0.25i' or '3'."""
-    try:
-        return complex(text.replace("i", "j").replace(" ", ""))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid complex literal {text!r}") from exc
+_NUMBER = (int, float)
 
 
-def _parse_n_list(text: str) -> list[float]:
+def _checked(value, types: tuple):
+    """``value`` if its JSON type is one of ``types``; a bool is not a number."""
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise argparse.ArgumentTypeError(f"expected {names}, got {value!r}")
+    return value
+
+
+def _positive(value) -> int:
+    if int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return int(value)
+
+
+def _complex(value) -> complex:
+    """A literal like '0+1i', '2.5-0.25i' or '3', a number, or config.json's {re, im}."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid N list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty N list")
-    return values
+        if isinstance(value, str):
+            return complex(value.replace("i", "j").replace(" ", ""))
+        if isinstance(value, dict) and set(value) <= {"re", "im"}:
+            return complex(*(_checked(value.get(k, 0.0), _NUMBER) for k in ("re", "im")))
+        return complex(value)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"invalid complex point {value!r}") from None
+
+
+def _radii(value) -> list[float]:
+    """Radii like '4,8,16,32', or a list of numbers."""
+    if isinstance(value, str):
+        return [float(v) for v in value.split(",") if v.strip()]
+    return [float(_checked(v, _NUMBER)) for v in value]
+
+
+class _Option(NamedTuple):
+    flag: str
+    parse: Callable  # flag text, or a config value of a type in ``accepts``, -> value
+    accepts: tuple  # the JSON types of a config value (elements, for "append")
+    help: str
+    action: str = "store"  # "append": a repeatable flag, a JSON list in a config
+
+
+_OPTIONS = {
+    "n": _Option("--n", float, _NUMBER, "cylinder radius N"),
+    "lam": _Option("--lambda", float, _NUMBER, "slit length"),
+    "t": _Option("--t", float, _NUMBER, "time horizon"),
+    "seed": _Option("--seed", int, (int,),
+                    "base seed, else env CHL_SEED (verify's checks pin their own)"),
+    "out": _Option("--out", Path, (str,), "output directory"),
+    "threads": _Option("--threads", _positive, (int,),
+                       "Monte Carlo workers, capped at the CPU count; no effect on results"),
+    "probe": _Option("--probe", _complex, (str, int, float, dict),
+                     "complex probe point 'a+bi', default i (simulate: repeatable)", "append"),
+    "trajectory": _Option("--trajectory", bool, (bool,), "write probe trajectories", "store_true"),
+    "only": _Option("--only", str, (str,),
+                    f"run only this check (repeatable); known: {', '.join(CHECK_NAMES)}",
+                    "append"),
+    "tol": _Option("--tol", float, _NUMBER, "quadrature tolerance"),
+    "n_list": _Option("--n-list", _radii, (list,), "ascending radii, e.g. 4,8,16,32"),
+    "replicas": _Option("--replicas", int, (int,), "Monte Carlo replicas"),
+    "window": _Option("--window", float, _NUMBER, "SHL truncation half-width (default pi*N)"),
+    "input": _Option("--input", Path, (str,), "existing events.jsonl"),
+    "samples": _Option("--samples", int, (int,), "points per slit (default 16)"),
+    "forward": _Option("--forward", bool, (bool,), "draw the forward cluster", "store_true"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,87 +110,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cylinder growth-process laboratory: simulate, verify, converge, render.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, default=None, help="JSON config file (flags win)")
-        p.add_argument("--n", type=float, default=None, help="cylinder radius N")
-        p.add_argument("--lambda", dest="lam", type=float, default=None, help="slit length")
-        p.add_argument("--t", type=float, default=None, help="time horizon")
-        p.add_argument("--seed", type=int, default=None, help="base seed (else env CHL_SEED)")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker processes for MC")
-
-    p_sim = sub.add_parser("simulate", help="sample an event log and optional trajectories")
-    common(p_sim)
-    p_sim.add_argument("--probe", action="append", type=_parse_complex, default=None,
-                       help="complex probe point 'a+bi' (repeatable)")
-    p_sim.add_argument("--trajectory", action="store_true",
-                       help="write probe trajectories at every event time")
-
-    p_ver = sub.add_parser("verify", help="run the numerical verification suite")
-    common(p_ver)
-    p_ver.add_argument("--only", action="append", default=None,
-                       help=f"run only this check (repeatable); known: {', '.join(CHECK_NAMES)}")
-    p_ver.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
-
-    p_con = sub.add_parser("converge", help="coupling decay and slit-map rate studies")
-    common(p_con)
-    p_con.add_argument("--n-list", type=_parse_n_list, default=None, help="radii, e.g. 4,8,16,32")
-    p_con.add_argument("--replicas", type=int, default=None)
-    p_con.add_argument("--probe", action="append", type=_parse_complex, default=None,
-                       help="evaluation point (default i)")
-    p_con.add_argument("--window", type=float, default=None,
-                       help="SHL truncation half-width (default: pi*N per radius)")
-
-    p_ren = sub.add_parser("render", help="trace the cluster and export SVG + CSV")
-    common(p_ren)
-    p_ren.add_argument("--input", type=Path, default=None, help="existing events.jsonl")
-    p_ren.add_argument("--samples", type=int, default=None, help="points per slit (default 16)")
-    p_ren.add_argument("--forward", action="store_true",
-                       help="draw the forward cluster (same law, different picture)")
+    for command, (_, help_text, defaults) in _COMMANDS.items():
+        # no abbreviations: a removed flag must not resolve to a longer flag it prefixes
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", type=Path,
+                       help="JSON config file whose keys are option names (flags win)")
+        for key in defaults:
+            opt = _OPTIONS[key]
+            p.add_argument(opt.flag, dest=key, action=opt.action, default=None, help=opt.help,
+                           **({} if opt.action == "store_true" else {"type": opt.parse}))
     return parser
 
 
-def _coerce_probe(value) -> complex:
-    """Accept a probe from any config layer: complex, number, 'a+bi', {re, im}."""
-    if isinstance(value, complex):
-        return value
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        return _parse_complex(value)
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        return complex(value.get("re", 0.0), value.get("im", 0.0))
-    raise ValueError(f"cannot interpret probe {value!r}")
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags into one plain dict."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge defaults < config file (values type-checked, then parsed like flags) < flags."""
+    defaults = _COMMANDS[args.command][2]
     cfg = dict(defaults)
-    if getattr(args, "config", None):
+    try:
+        loaded = json.loads(args.config.read_text()) if args.config else {}
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config {args.config}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config {args.config} is not a JSON object")
+    for key, value in loaded.items():
+        if key not in defaults:
+            raise ValueError(f"unknown config key {key!r}; options: {', '.join(defaults)}")
+        opt = _OPTIONS[key]
         try:
-            cfg.update(json.loads(Path(args.config).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config {args.config}: {exc}")  # -> exit 2
+            if value is None and defaults[key] is None:  # null: an unset option
+                cfg[key] = None
+            elif opt.action == "append":
+                cfg[key] = [opt.parse(_checked(v, opt.accepts)) for v in _checked(value, (list,))]
+            else:
+                cfg[key] = opt.parse(_checked(value, opt.accepts))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:  # identity: seed 0 is a real value
+        value = getattr(args, key)
+        if value is not None:  # identity: seed 0 is a real value
             cfg[key] = value
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         cfg["seed"] = int(os.environ.get("CHL_SEED", "42"))
-    if cfg.get("threads") is None:
-        cfg["threads"] = os.cpu_count() or 1
-    if cfg.get("probe"):
-        cfg["probe"] = [_coerce_probe(v) for v in cfg["probe"]]
     return cfg
 
 
-def _echo_config(cfg: dict, out_dir: Path) -> None:
-    # the output path itself is excluded so reruns into different directories
-    # stay byte-identical; everything needed to reproduce the artifacts remains
-    out_dir.mkdir(parents=True, exist_ok=True)
-    blob = {k: _jsonable(v) for k, v in sorted(cfg.items()) if k != "out"}
-    (out_dir / "config.json").write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
+def _echo_config(cfg: dict) -> None:
+    # neither out nor threads can change an artifact, and echoing them breaks byte-identity
+    cfg["out"].mkdir(parents=True, exist_ok=True)
+    blob = {k: _jsonable(v) for k, v in cfg.items() if k not in ("out", "threads")}
+    (cfg["out"] / "config.json").write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
 
 
 def _jsonable(value):
@@ -153,13 +173,7 @@ def _jsonable(value):
     return value
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "n": 10.0, "lam": 1.0, "t": 1.0, "seed": None, "out": Path("out"),
-        "threads": None, "probe": [], "trajectory": False,
-    })
-    out_dir = Path(cfg["out"])
-    _echo_config(cfg, out_dir)
+def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     params = CylinderParams(cfg["n"], cfg["lam"])
     log = sample_events(params, cfg["t"], cfg["seed"])
     (out_dir / "events.jsonl").write_text(log.to_jsonl())
@@ -191,18 +205,8 @@ def _result_blob(results: list[CheckResult]) -> dict:
     }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "out": Path("out"), "only": None, "tol": 1e-10, "threads": None, "seed": None,
-        "n": None, "lam": None, "t": None,
-    })
-    out_dir = Path(cfg["out"])
-    _echo_config(cfg, out_dir)
-    try:
-        results = run_suite(only=cfg["only"], tol=cfg["tol"], threads=cfg["threads"])
-    except ValueError as exc:
-        print(f"chl verify: {exc}", file=sys.stderr)
-        return 2
+def _cmd_verify(cfg: dict, out_dir: Path) -> int:
+    results = run_suite(only=cfg["only"], tol=cfg["tol"], threads=cfg["threads"])
     blob = _result_blob(results)
     (out_dir / "report.json").write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
     for r in results:
@@ -213,14 +217,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if blob["all_passed"] else 1
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "out": Path("out"), "lam": 1.0, "t": 0.5, "seed": None, "threads": None,
-        "replicas": 500, "n_list": [4.0, 8.0, 16.0, 32.0], "probe": [], "n": None,
-        "window": None,
-    })
-    out_dir = Path(cfg["out"])
-    _echo_config(cfg, out_dir)
+def _cmd_converge(cfg: dict, out_dir: Path) -> int:
+    if len(cfg["n_list"]) < 2 or len(cfg["probe"]) > 1:
+        raise ValueError("converge compares at least 2 radii at one probe point")
     z = (cfg["probe"] or [1j])[0]
     sups = coupling_sup_distances(
         cfg["lam"], z, cfg["t"], cfg["n_list"], cfg["replicas"], cfg["seed"],
@@ -251,15 +250,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "out": Path("out"), "n": 10.0, "lam": 1.0, "t": 3.0, "seed": None,
-        "threads": None, "input": None, "samples": 16, "forward": False,
-    })
-    out_dir = Path(cfg["out"])
-    _echo_config(cfg, out_dir)
+def _cmd_render(cfg: dict, out_dir: Path) -> int:
     if cfg["input"] is not None:
-        path = Path(cfg["input"])
+        path = cfg["input"]
         if not path.exists():
             print(f"chl render: input {path} not found", file=sys.stderr)
             return 2
@@ -269,7 +262,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     traces = trace_cluster(log, samples_per_slit=cfg["samples"], forward=cfg["forward"])
     (out_dir / "cluster.csv").write_bytes(export_csv(traces))
     if traces:
-        svg = export_svg(traces, log.params, RenderStyle())
+        svg = export_svg(traces, log.params)
         (out_dir / "cluster.svg").write_bytes(svg)
         print(f"render: {len(traces)} particles -> {out_dir / 'cluster.svg'}")
     else:
@@ -277,19 +270,33 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+# command: (run, help, {option: default} for each option the command reads)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "converge": _cmd_converge,
-    "render": _cmd_render,
+    "simulate": (_cmd_simulate, "sample an event log and optional trajectories", {
+        "n": 10.0, "lam": 1.0, "t": 1.0, "seed": None, "out": Path("out"),
+        "probe": [], "trajectory": False,
+    }),
+    "verify": (_cmd_verify, "run the numerical verification suite", {
+        "seed": None, "out": Path("out"), "threads": os.cpu_count() or 1,
+        "only": None, "tol": 1e-10,
+    }),
+    "converge": (_cmd_converge, "coupling decay and slit-map rate studies", {
+        "lam": 1.0, "t": 0.5, "seed": None, "out": Path("out"), "threads": os.cpu_count() or 1,
+        "n_list": [4.0, 8.0, 16.0, 32.0], "replicas": 500, "probe": [], "window": None,
+    }),
+    "render": (_cmd_render, "trace the cluster and export SVG + CSV", {
+        "n": 10.0, "lam": 1.0, "t": 3.0, "seed": None, "out": Path("out"),
+        "input": None, "samples": 16, "forward": False,
+    }),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _resolve(args)
+        _echo_config(cfg)
+        return _COMMANDS[args.command][0](cfg, cfg["out"])
     except ValueError as exc:
         print(f"chl {args.command}: {exc}", file=sys.stderr)
         return 2

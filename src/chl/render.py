@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from .conformal import CylinderParams, _reduce, cyl_slit
 from .process import EventLog, compose
 
-__all__ = ["ParticleTrace", "RenderStyle", "trace_cluster", "export_svg", "export_csv"]
+__all__ = ["ParticleTrace", "trace_cluster", "export_svg", "export_csv"]
+
+_STROKE = "#1a3a6b"
+_STROKE_WIDTH = 0.35
+_BACKGROUND = "white"
+_WIDTH_PX = 900
 
 
 @dataclass(frozen=True)
@@ -34,14 +39,6 @@ class ParticleTrace:
     birth_time: float
     points: tuple[complex, ...]
     crosses_seam: bool
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    stroke: str = "#1a3a6b"
-    stroke_width: float = 0.35
-    background: str = "white"
-    width_px: int = 900
 
 
 def _finalize(params: CylinderParams, index: int, birth: float, pts: list[complex]) -> ParticleTrace:
@@ -95,37 +92,32 @@ def _seam_runs(params: CylinderParams, pts: tuple[complex, ...]) -> list[list[co
     return runs
 
 
-def export_svg(
-    traces: list[ParticleTrace],
-    params: CylinderParams,
-    style: RenderStyle | None = None,
-) -> bytes:
+def export_svg(traces: list[ParticleTrace], params: CylinderParams) -> bytes:
     """Render the traces as an SVG 1.1 document (y axis flipped to screen)."""
     if not traces:
         raise ValueError("export_svg requires at least one trace")
-    style = style or RenderStyle()
     half = params.half_period
     top = 1.1 * max(max(p.imag for p in t.points) for t in traces)
     top = max(top, params.lam)
     width = 2.0 * half
-    scale = style.width_px / width
+    scale = _WIDTH_PX / width
     height_px = top * scale
     # viewBox spans the fundamental domain [-pi N, pi N]; the imaginary axis
     # is flipped into screen coordinates when points are emitted
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width_px:.0f}" height="{height_px:.2f}" '
+        f'width="{_WIDTH_PX:.0f}" height="{height_px:.2f}" '
         f'viewBox="{-half:.6g} 0 {width:.6g} {top:.6g}">\n'
         f'<rect x="{-half:.6g}" y="0" width="{width:.6g}" height="{top:.6g}" '
-        f'fill="{style.background}"/>\n'
+        f'fill="{_BACKGROUND}"/>\n'
     ]
     for trace in traces:
         for run in _seam_runs(params, trace.points):
             coords = " ".join(f"{p.real:.6g},{top - p.imag:.6g}" for p in run)
             parts.append(
-                f'<polyline fill="none" stroke="{style.stroke}" '
-                f'stroke-width="{style.stroke_width:.6g}" points="{coords}"/>\n'
+                f'<polyline fill="none" stroke="{_STROKE}" '
+                f'stroke-width="{_STROKE_WIDTH:.6g}" points="{coords}"/>\n'
             )
     parts.append("</svg>\n")
     return "".join(parts).encode("utf-8")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -146,6 +147,15 @@ def _feature_splits(params: CylinderParams, z: complex, a: float, b: float) -> l
     return [s for s in splits if a < s < b]
 
 
+def _quad_over_x(params, z, integrand, tol, max_panels, domain=None) -> QuadratureResult:
+    """Integral of ``integrand(x)`` over ``domain`` (default one period), split at z's features."""
+    a, b = domain if domain is not None else (-params.half_period, params.half_period)
+    if not (-params.half_period - 1e-12 <= a < b <= params.half_period + 1e-12):
+        raise ValueError(f"domain [{a}, {b}] not inside [-pi N, pi N]")
+    return adaptive_quadrature(integrand, a, b, tol=tol, max_panels=max_panels,
+                               presplit=_feature_splits(params, z, a, b))
+
+
 def quad_mean_shift(
     params: CylinderParams,
     z: complex,
@@ -158,15 +168,7 @@ def quad_mean_shift(
     z-independence is itself part of what the callers assert.
     """
     z = complex(z)
-    a, b = -params.half_period, params.half_period
-    return adaptive_quadrature(
-        lambda x: cyl_slit(params, x, z) - z,
-        a,
-        b,
-        tol=tol,
-        max_panels=max_panels,
-        presplit=_feature_splits(params, z, a, b),
-    )
+    return _quad_over_x(params, z, lambda x: cyl_slit(params, x, z) - z, tol, max_panels)
 
 
 def quad_squared_shift(
@@ -182,17 +184,8 @@ def quad_squared_shift(
     [xi, pi*N] decays like 1/xi.
     """
     z = complex(z)
-    a, b = domain if domain is not None else (-params.half_period, params.half_period)
-    if not (-params.half_period - 1e-12 <= a < b <= params.half_period + 1e-12):
-        raise ValueError(f"domain [{a}, {b}] not inside [-pi N, pi N]")
-    return adaptive_quadrature(
-        lambda x: complex(abs(cyl_slit(params, x, z) - z) ** 2),
-        a,
-        b,
-        tol=tol,
-        max_panels=max_panels,
-        presplit=_feature_splits(params, z, a, b),
-    )
+    return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit(params, x, z) - z) ** 2),
+                        tol, max_panels, domain)
 
 
 def quad_squared_deriv(
@@ -205,15 +198,8 @@ def quad_squared_deriv(
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("quad_squared_deriv requires Im z > 0")
-    a, b = -params.half_period, params.half_period
-    return adaptive_quadrature(
-        lambda x: complex(abs(cyl_slit_deriv(params, x, z) - 1.0) ** 2),
-        a,
-        b,
-        tol=tol,
-        max_panels=max_panels,
-        presplit=_feature_splits(params, z, a, b),
-    )
+    return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit_deriv(params, x, z) - 1.0) ** 2),
+                        tol, max_panels)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +337,10 @@ def _growth_replica(args: tuple) -> complex:
 
 
 def _run_replicas(worker, jobs: list, threads: int) -> list:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    # a fork pool starts every worker at once: never more than the machine has
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1 and len(jobs) >= 64:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (8 * threads))))

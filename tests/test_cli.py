@@ -103,6 +103,28 @@ class TestConverge:
         assert all(f >= 0.6 for f in summary["coupling"]["paired_decrease_fraction"])
         assert summary["slit_rate"]["r_squared"] >= 0.95
 
+    @pytest.mark.parametrize("argv", [
+        ["--n-list", "4"],  # one radius: nothing to compare
+        ["--probe", "1i", "--probe", "2i"],  # converge reads one probe point
+    ], ids=["one-radius", "two-probes"])
+    def test_ignored_input_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "c"
+        assert main(["converge", "--replicas", "8", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (out / "coupling.csv").exists()
+
+    def test_artifacts_independent_of_threads(self, tmp_path):
+        # 64 replicas is where the worker pool starts
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            assert main(["converge", "--replicas", "64", "--n-list", "4,8", "--seed", "5",
+                         "--threads", str(threads), "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "config.json" in names
+        for name in names:
+            assert read(outs[0] / name) == read(outs[1] / name), name
+
     @pytest.mark.parametrize("replicas", ["0", "1"])
     def test_too_few_replicas_exit_2(self, tmp_path, capsys, replicas):
         # one replica has no spread (the CI would be nan); zero has no samples
@@ -215,3 +237,58 @@ class TestConfigFile:
         )
         assert proc.returncode == 0
         assert "events" in proc.stdout
+
+    @pytest.mark.parametrize("command, blob", [
+        ("simulate", [1, 2]),  # not a JSON object
+        ("simulate", {"bogus": 1}),  # unknown key
+        ("simulate", {"threads": 2}),  # an option simulate does not read
+        ("verify", {"n": 10.0}),  # nor does verify
+        ("simulate", {"n": "ten"}),  # string for a number
+        ("simulate", {"t": "0.5"}),  # even a numeric string
+        ("render", {"samples": 2.5}),  # float for an integer
+        ("simulate", {"seed": True}),  # bool for an integer
+        ("render", {"forward": 1}),  # int for a switch
+        ("simulate", {"probe": [{"re": 0.0, "im": "1"}]}),  # bad list element
+        ("simulate", {"probe": "1i"}),  # a repeatable option takes a list
+        ("converge", {"n_list": [4, "8"]}),  # bad radius
+        ("converge", {"threads": 0}),  # not a positive count
+        ("simulate", {"n": None}),  # null only for an option whose default is unset
+    ], ids=["non-object", "unknown", "dead-key", "dead-verify-key", "str-number",
+            "numeric-str", "float-int", "bool-int", "int-switch", "bad-probe",
+            "probe-not-list", "bad-radius", "zero-threads", "null-number"])
+    def test_ill_typed_config_exit_2(self, tmp_path, capsys, command, blob):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blob))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"chl {command}: ")
+        assert not out.exists()
+
+    def test_null_keeps_an_unset_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CHL_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"only": None, "seed": None}))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--only", "quad_mean_shift",
+                     "--out", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["only"] == ["quad_mean_shift"] and echo["seed"] == 42
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "10"],
+        ["verify", "--lambda", "1"],
+        ["verify", "--t", "1"],
+        ["converge", "--n", "10"],
+        ["simulate", "--threads", "2"],
+        ["render", "--threads", "2"],
+        ["converge", "--threads", "0"],
+        ["verify", "--threads", "-1"],
+    ])
+    def test_removed_or_invalid_flag_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()

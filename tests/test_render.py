@@ -6,7 +6,7 @@ import pytest
 
 from chl.conformal import CylinderParams, cyl_slit, cylinder_dist, reduce_to_fundamental
 from chl.process import Event, EventLog, sample_events
-from chl.render import RenderStyle, export_csv, export_svg, trace_cluster
+from chl.render import export_csv, export_svg, trace_cluster
 
 
 def make_log(params, pairs, horizon=10.0):
@@ -137,8 +137,8 @@ class TestExports:
     def test_svg_deterministic_bytes(self):
         p = CylinderParams(4.0, 1.0)
         log = sample_events(p, 20.0 / p.period, 777)
-        a = export_svg(trace_cluster(log, 6), p, RenderStyle())
-        b = export_svg(trace_cluster(log, 6), p, RenderStyle())
+        a = export_svg(trace_cluster(log, 6), p)
+        b = export_svg(trace_cluster(log, 6), p)
         assert a == b
 
     def test_csv_round_trip_17_digits(self):

@@ -9,6 +9,7 @@ import pytest
 
 from chl.conformal import CylinderParams, cyl_slit, halfplane_slit
 from chl.process import drift, restrict_log, sample_events
+from chl import verify
 from chl.rng import SplitMix64, mix_seed
 from chl.verify import (
     coupling_sup_distances,
@@ -268,6 +269,34 @@ class TestCoupling:
         seq = coupling_sup_distances(1.0, 1j, 0.4, [4.0, 8.0], 128, 77, threads=1)
         par = coupling_sup_distances(1.0, 1j, 0.4, [4.0, 8.0], 128, 77, threads=2)
         assert np.array_equal(seq, par)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a fork pool starts all of its workers at once; a fake pool records the size
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        jobs = list(range(64))
+        assert verify._run_replicas(abs, jobs, threads=5000) == jobs
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError):
+            verify._run_replicas(abs, list(range(64)), threads)
 
 
 class TestInlineCompositionOracles:
