@@ -33,7 +33,6 @@ from .verify import (
     McSummary,
     RateFit,
     farfield_expansion_check,
-    mc_coupling_convergence,
     mc_growth_check,
     quad_mean_shift,
     quad_squared_deriv,

@@ -7,15 +7,14 @@ table can be reproduced from it alone.  Options may come from a JSON config
 file (``--config``); explicit flags win.  The seed falls back to the
 ``CHL_SEED`` environment variable.
 
-Exit codes: 0 success / all checks passed, 1 check failure, 2 usage or
-input error.
+Exit codes: 0 success / all checks passed, 1 check failure, 2 usage,
+input or file-system error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +25,9 @@ from .process import EventLog, backward_chl_trajectory, sample_events
 from .render import export_csv, export_svg, trace_cluster
 from .verify import (
     CHECK_NAMES,
+    SLIT_RATE_GRID,
     CheckResult,
+    _summarize,
     coupling_sup_distances,
     slit_convergence_rate,
     run_suite,
@@ -225,22 +226,23 @@ def _cmd_converge(cfg: dict, out_dir: Path) -> int:
         cfg["lam"], z, cfg["t"], cfg["n_list"], cfg["replicas"], cfg["seed"],
         threads=cfg["threads"], window=cfg["window"],
     )
-    means = sups.mean(axis=0)
-    cis = 2.576 * sups.std(axis=0, ddof=1) / math.sqrt(cfg["replicas"])
+    summaries = _summarize(sups)
+    means = [s.mean.real for s in summaries]
+    cis = [s.ci99_halfwidth for s in summaries]
     lines = ["N,mean_square_distance,ci99_halfwidth"]
     for n, m, c in zip(cfg["n_list"], means, cis):
         lines.append(f"{n:.17g},{m:.17g},{c:.17g}")
     (out_dir / "coupling.csv").write_text("\n".join(lines) + "\n")
 
     paired = (sups[:, 1:] < sups[:, :-1]).mean(axis=0)
-    rate = slit_convergence_rate(cfg["lam"], 2e5j, [10.0, 20.0, 40.0, 80.0, 160.0])
+    rate = slit_convergence_rate(cfg["lam"], 2e5j, SLIT_RATE_GRID)
     lines = ["scale,error"] + [f"{s:.17g},{e:.17g}" for s, e in rate.grid]
     (out_dir / "rate_slit_convergence.csv").write_text("\n".join(lines) + "\n")
     summary = {
         "coupling": {
             "n_list": cfg["n_list"],
-            "means": [float(v) for v in means],
-            "ci99": [float(v) for v in cis],
+            "means": means,
+            "ci99": cis,
             "paired_decrease_fraction": [float(v) for v in paired],
         },
         "slit_rate": {"slope": rate.slope, "r_squared": rate.r_squared},
@@ -252,11 +254,7 @@ def _cmd_converge(cfg: dict, out_dir: Path) -> int:
 
 def _cmd_render(cfg: dict, out_dir: Path) -> int:
     if cfg["input"] is not None:
-        path = cfg["input"]
-        if not path.exists():
-            print(f"chl render: input {path} not found", file=sys.stderr)
-            return 2
-        log = EventLog.from_jsonl(path.read_text())
+        log = EventLog.from_jsonl(cfg["input"].read_text())
     else:
         log = sample_events(CylinderParams(cfg["n"], cfg["lam"]), cfg["t"], cfg["seed"])
     traces = trace_cluster(log, samples_per_slit=cfg["samples"], forward=cfg["forward"])
@@ -297,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve(args)
         _echo_config(cfg)
         return _COMMANDS[args.command][0](cfg, cfg["out"])
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"chl {args.command}: {exc}", file=sys.stderr)
         return 2
 

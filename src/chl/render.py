@@ -42,12 +42,8 @@ class ParticleTrace:
 
 
 def _finalize(params: CylinderParams, index: int, birth: float, pts: list[complex]) -> ParticleTrace:
-    reduced = [complex(_reduce(p.real, params.period), p.imag) for p in pts]
-    half = params.half_period
-    crosses = any(
-        abs(a.real - b.real) > half for a, b in zip(reduced, reduced[1:])
-    )
-    return ParticleTrace(index, birth, tuple(reduced), crosses)
+    reduced = tuple(complex(_reduce(p.real, params.period), p.imag) for p in pts)
+    return ParticleTrace(index, birth, reduced, len(_seam_runs(params, reduced)) > 1)
 
 
 def _slit_segment(params: CylinderParams, x: float, samples: int) -> list[complex]:

@@ -17,6 +17,7 @@ Three kinds of evidence are produced, mirroring the strength of each claim:
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import os
@@ -49,7 +50,6 @@ __all__ = [
     "shift_commutation_check",
     "mc_growth_check",
     "coupling_sup_distances",
-    "mc_coupling_convergence",
     "second_deriv_decay_check",
     "ks_two_sample",
     "run_suite",
@@ -66,7 +66,9 @@ class RateFit:
     ``grid`` holds the raw (scale, error) pairs; ``excluded`` lists scales
     dropped as floor-limited before fitting.  ``slope`` is d log(err) / d
     log(scale) for power-law fits and d log(err) / d scale for exponential
-    ones (the caller knows which it asked for).
+    ones (the caller knows which it asked for).  With fewer than two points
+    above their floors the fit is degenerate: slope 0, r^2 0, every scale
+    excluded.
     """
 
     grid: tuple[tuple[float, float], ...]
@@ -87,15 +89,19 @@ class McSummary:
     ci99_halfwidth: float
 
 
-def _summarize(samples: np.ndarray) -> McSummary:
-    values = np.asarray(samples, dtype=complex)
-    n = values.size
+def _summarize(samples: np.ndarray) -> list[McSummary]:
+    """One summary per column of a (replicas, k) array; a 1-D array is one column."""
+    values = np.asarray(samples)
+    if values.ndim == 1:
+        values = values[:, None]
+    n = values.shape[0]
     if n < 2:
         raise ValueError("need at least two replicas to summarize")
-    std_re = float(np.std(values.real, ddof=1))
-    std_im = float(np.std(values.imag, ddof=1))
-    ci = 2.576 * max(std_re, std_im) / math.sqrt(n)
-    return McSummary(n, complex(np.mean(values)), std_re, std_im, ci)
+    means = values.mean(axis=0).tolist()
+    stds_re = values.real.std(axis=0, ddof=1).tolist()
+    stds_im = values.imag.std(axis=0, ddof=1).tolist()
+    return [McSummary(n, complex(m), s_re, s_im, 2.576 * max(s_re, s_im) / math.sqrt(n))
+            for m, s_re, s_im in zip(means, stds_re, stds_im)]
 
 
 def _linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
@@ -109,12 +115,15 @@ def _linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float,
     return float(slope), float(intercept), r2
 
 
-def _rate_fit(scales: Sequence[float], errors: Sequence[float], log_x: bool) -> RateFit:
+def _rate_fit(scales: Sequence[float], errors: Sequence[float], log_x: bool,
+              floors: Sequence[float] | None = None) -> RateFit:
+    """The fit over the points above their ``floors`` (one per scale; default _RESIDUAL_FLOOR)."""
     grid = tuple((float(s), float(e)) for s, e in zip(scales, errors))
-    kept = [(s, e) for s, e in grid if e > _RESIDUAL_FLOOR]
-    excluded = tuple(s for s, e in grid if e <= _RESIDUAL_FLOOR)
+    floors = [_RESIDUAL_FLOOR] * len(grid) if floors is None else floors
+    kept = [(s, e) for (s, e), f in zip(grid, floors) if e > f]
+    excluded = tuple(s for (s, e), f in zip(grid, floors) if e <= f)
     if len(kept) < 2:
-        raise ValueError("fewer than two points above the residual floor")
+        return RateFit(grid, 0.0, 0.0, 0.0, tuple(s for s, _ in grid))
     xs = [math.log(s) if log_x else s for s, _ in kept]
     ys = [math.log(e) for _, e in kept]
     slope, intercept, r2 = _linear_fit(xs, ys)
@@ -305,25 +314,14 @@ def second_deriv_decay_check(
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("second_deriv_decay_check requires Im z > 0")
-    values = []
-    floor_scales = []
-    for n in sorted(float(v) for v in n_list):
+    ns = sorted(float(v) for v in n_list)
+    values, floors = [], []
+    for n in ns:
         params = CylinderParams(n, lam)
-        value = _fd2_sq_integral(params, z, step, tol)
+        values.append(_fd2_sq_integral(params, z, step, tol))
         noise = 4.0 * 2.3e-16 * (abs(z) + params.half_period) / (step * step)
-        if value < 10.0 * noise * noise * params.half_period:
-            floor_scales.append(n)
-        values.append((n, value))
-    grid = tuple(values)
-    if len(values) - len(floor_scales) < 2:
-        # everything sits at the finite-difference noise floor; report the
-        # raw values with a degenerate fit instead of pretending to a slope
-        return RateFit(grid, 0.0, 0.0, 0.0, tuple(floor_scales))
-    kept = [(n, v) for n, v in values if n not in floor_scales]
-    slope, intercept, r2 = _linear_fit(
-        [math.log(n) for n, _ in kept], [math.log(max(v, 1e-300)) for _, v in kept]
-    )
-    return RateFit(grid, slope, intercept, r2, tuple(floor_scales))
+        floors.append(10.0 * noise * noise * params.half_period)
+    return _rate_fit(ns, values, log_x=True, floors=floors)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +329,20 @@ def second_deriv_decay_check(
 # ---------------------------------------------------------------------------
 
 
-def _growth_replica(args: tuple) -> complex:
-    params, t, z, seed = args
+def _growth_replica(params: CylinderParams, t: float, z: complex, seed: int) -> complex:
     return compose(cyl_slit, params, sample_events(params, t, seed).xs, z)
 
 
-def _run_replicas(worker, jobs: list, threads: int) -> list:
+def _run_replicas(worker, seeds: list, threads: int) -> list:
+    """``worker(seed)`` for each replica seed, in order; pooled from 64 replicas."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     # a fork pool starts every worker at once: never more than the machine has
     threads = min(threads, os.cpu_count() or 1)
-    if threads > 1 and len(jobs) >= 64:
+    if threads > 1 and len(seeds) >= 64:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (8 * threads))))
-    return [worker(job) for job in jobs]
+            return list(pool.map(worker, seeds, chunksize=max(1, len(seeds) // (8 * threads))))
+    return [worker(seed) for seed in seeds]
 
 
 def mc_growth_check(
@@ -363,13 +361,14 @@ def mc_growth_check(
     if replicas < 100:
         raise ValueError("mc_growth_check needs at least 100 replicas")
     if t == 0.0:  # no arrivals: every replica is the identity at z
-        return _summarize(np.full(replicas, complex(z)))
-    jobs = [(params, t, z, mix_seed(seed, r)) for r in range(replicas)]
-    return _summarize(np.array(_run_replicas(_growth_replica, jobs, threads)))
+        return _summarize(np.full(replicas, complex(z)))[0]
+    seeds = [mix_seed(seed, r) for r in range(replicas)]
+    worker = functools.partial(_growth_replica, params, t, z)
+    return _summarize(np.array(_run_replicas(worker, seeds, threads)))[0]
 
 
-def _coupling_replica(args: tuple) -> list[float]:
-    master_params, lam, z, t, n_list, window, seed = args
+def _coupling_replica(master_params: CylinderParams, lam: float, z: complex, t: float,
+                      n_list: list[float], window: float | None, seed: int) -> list[float]:
     master = sample_events(master_params, t, seed)
     sups = []
     for n in n_list:
@@ -411,30 +410,11 @@ def coupling_sup_distances(
         raise ValueError("n_list must be ascending")
     if window is not None and window < lam:
         raise ValueError("truncation window must be >= slit length")
-    master_params = CylinderParams(n_list[-1], lam)
-    jobs = [
-        (master_params, lam, z, t, n_list, window, mix_seed(seed, r))
-        for r in range(replicas)
-    ]
-    return np.array(_run_replicas(_coupling_replica, jobs, threads))
-
-
-def mc_coupling_convergence(
-    lam: float,
-    z: complex,
-    t: float,
-    n_list: Sequence[float],
-    replicas: int,
-    seed: int,
-    threads: int = 1,
-) -> list[tuple[float, McSummary]]:
-    """Coupled mean-square distance to the truncated half-plane process per N."""
-    if replicas < 200:
-        raise ValueError("mc_coupling_convergence needs at least 200 replicas")
-    if len(n_list) < 3:
-        raise ValueError("n_list needs at least 3 radii")
-    sups = coupling_sup_distances(lam, z, t, n_list, replicas, seed, threads)
-    return [(float(n), _summarize(sups[:, j])) for j, n in enumerate(n_list)]
+    worker = functools.partial(
+        _coupling_replica, CylinderParams(n_list[-1], lam), lam, z, t, n_list, window
+    )
+    seeds = [mix_seed(seed, r) for r in range(replicas)]
+    return np.array(_run_replicas(worker, seeds, threads))
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
@@ -567,19 +547,20 @@ def _check_squared_deriv(tol: float, threads: int) -> CheckResult:
 # every N in the grid (at moderate fixed z the map converges one order faster
 # and the slope would honestly sit near -2).
 _RATE_PROBES = (1e6j, 3e4 + 1e6j, 2e5j, -1e4 + 5e5j, 8e5j)
+# The radii of every slit-rate study: this check's and ``chl converge``'s.
+SLIT_RATE_GRID = (10.0, 20.0, 40.0, 80.0, 160.0)
 
 
 def _check_slit_rate(tol: float, threads: int) -> CheckResult:
-    grid = [10.0, 20.0, 40.0, 80.0, 160.0]
     slopes = {}
     passed = True
     for z in _RATE_PROBES:
-        fit = slit_convergence_rate(1.0, z, grid)
+        fit = slit_convergence_rate(1.0, z, SLIT_RATE_GRID)
         slopes[str(z)] = (fit.slope, fit.r_squared)
         passed &= -1.4 <= fit.slope <= -0.6 and fit.r_squared >= 0.95
     return CheckResult(
         "slit_convergence_rate",
-        {"lambda": 1.0, "N_grid": grid},
+        {"lambda": 1.0, "N_grid": list(SLIT_RATE_GRID)},
         {"slopes": {k: v[0] for k, v in slopes.items()},
          "r_squared": {k: v[1] for k, v in slopes.items()}},
         "log-log slope in [-1.4, -0.6], r^2 >= 0.95",
@@ -739,9 +720,10 @@ def _check_second_deriv(tol: float, threads: int) -> CheckResult:
 
 def _check_coupling_decay(tol: float, threads: int) -> CheckResult:
     n_list = [4.0, 8.0, 16.0, 32.0]
-    pairs = mc_coupling_convergence(1.0, 1j, 0.5, n_list, replicas=500, seed=60622, threads=threads)
-    means = [s.mean.real for _, s in pairs]
-    cis = [s.ci99_halfwidth for _, s in pairs]
+    sups = coupling_sup_distances(1.0, 1j, 0.5, n_list, replicas=500, seed=60622, threads=threads)
+    summaries = _summarize(sups)
+    means = [s.mean.real for s in summaries]
+    cis = [s.ci99_halfwidth for s in summaries]
     violations = 0
     overlap_ok = True
     for k in range(len(means) - 1):

@@ -11,6 +11,7 @@ import pytest
 
 from chl.cli import main
 from chl.process import EventLog
+from chl.verify import _summarize, coupling_sup_distances
 
 
 def read(path):
@@ -35,6 +36,15 @@ class TestSimulate:
         assert main(args + ["--out", str(out2)]) == 0
         for name in ("events.jsonl", "trajectory.csv", "config.json"):
             assert read(out1 / name) == read(out2 / name), name
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        # a file-system error is an input error: one line and exit 2, no traceback
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--t", "0.2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert out.read_text() == ""  # untouched, and no events.jsonl anywhere
+        assert not list(tmp_path.rglob("events.jsonl"))
 
     def test_trajectory_row_count(self, tmp_path):
         out = tmp_path / "t"
@@ -103,6 +113,26 @@ class TestConverge:
         assert all(f >= 0.6 for f in summary["coupling"]["paired_decrease_fraction"])
         assert summary["slit_rate"]["r_squared"] >= 0.95
 
+    def test_columns_are_the_mc_summary(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["converge", "--replicas", "50", "--n-list", "4,8", "--seed", "9",
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "coupling.csv").read_text().splitlines()[1:]]
+        summaries = _summarize(coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0], 50, 9))
+        assert [float(r[1]) for r in rows] == [s.mean.real for s in summaries]
+        assert [float(r[2]) for r in rows] == [s.ci99_halfwidth for s in summaries]
+
+    def test_floor_limited_slit_rate_is_degenerate(self, tmp_path):
+        # at lambda 1e-6 every slit-rate error is below the residual floor:
+        # no line to fit, so the rate reads slope 0 and r^2 0 and the run completes
+        out = tmp_path / "c"
+        assert main(["converge", "--lambda", "1e-6", "--replicas", "8", "--n-list", "4,8",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "converge.json", "coupling.csv", "rate_slit_convergence.csv"]
+        summary = json.loads((out / "converge.json").read_text())
+        assert summary["slit_rate"] == {"slope": 0.0, "r_squared": 0.0}
+
     @pytest.mark.parametrize("argv", [
         ["--n-list", "4"],  # one radius: nothing to compare
         ["--probe", "1i", "--probe", "2i"],  # converge reads one probe point
@@ -149,9 +179,17 @@ class TestRender:
         assert read(r1 / "cluster.svg") == read(r2 / "cluster.svg")
         assert read(r1 / "cluster.csv") == read(r2 / "cluster.csv")
 
-    def test_missing_input_exit_2(self, tmp_path):
+    def test_missing_input_exit_2(self, tmp_path, capsys):
         assert main(["render", "--input", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        (tmp_path / "logs").mkdir()
+        assert main(["render", "--input", str(tmp_path / "logs"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "o" / "cluster.csv").exists()
 
     @pytest.mark.parametrize("head, events", [
         ({k: v for k, v in _HEAD.items() if k != "delta"}, [(1.0, 0.5)]),  # missing field

@@ -15,7 +15,6 @@ from chl.verify import (
     coupling_sup_distances,
     farfield_expansion_check,
     ks_two_sample,
-    mc_coupling_convergence,
     mc_growth_check,
     quad_mean_shift,
     quad_squared_deriv,
@@ -239,15 +238,11 @@ class TestCoupling:
         assert frac >= 0.6  # paired-seed comparison
 
     def test_tiny_horizon_near_zero(self):
-        pairs = mc_coupling_convergence(1.0, 1j, 1e-6, [4.0, 8.0, 16.0], 200, 99)
-        for _, summary in pairs:
+        sups = coupling_sup_distances(1.0, 1j, 1e-6, [4.0, 8.0, 16.0], 200, 99)
+        for summary in verify._summarize(sups):
             assert summary.mean.real <= 1e-6
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            mc_coupling_convergence(1.0, 1j, 0.5, [4.0, 8.0], 300, 1)
-        with pytest.raises(ValueError):
-            mc_coupling_convergence(1.0, 1j, 0.5, [4.0, 8.0, 16.0], 10, 1)
         with pytest.raises(ValueError):
             coupling_sup_distances(1.0, 1j, 0.5, [8.0, 4.0], 200, 1)
         with pytest.raises(ValueError):
@@ -366,6 +361,12 @@ class TestSecondDerivative:
     def test_small_slit(self):
         fit = second_deriv_decay_check(1e-4, 1j, [1.0, 2.0, 4.0], tol=1e-14)
         assert all(v <= 1e-8 for _, v in fit.grid)
+
+    def test_noise_floor_gives_degenerate_fit(self):
+        # every value sits at the finite-difference noise floor: no line to fit
+        fit = second_deriv_decay_check(1e-5, 1j, [1.0, 2.0, 4.0], tol=1e-14)
+        assert (fit.slope, fit.r_squared) == (0.0, 0.0)
+        assert fit.excluded == (1.0, 2.0, 4.0)
 
     def test_interior_required(self):
         with pytest.raises(ValueError):
