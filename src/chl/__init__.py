@@ -5,6 +5,7 @@ from .conformal import (
     cyl_phi_delta,
     cyl_slit,
     cyl_slit_deriv,
+    cyl_slit_many,
     cylinder_dist,
     delta_of,
     halfplane_slit,

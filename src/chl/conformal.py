@@ -49,6 +49,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "CylinderParams",
     "delta_of",
@@ -59,6 +61,7 @@ __all__ = [
     "halfplane_slit",
     "cyl_phi_delta",
     "cyl_slit",
+    "cyl_slit_many",
     "cyl_slit_deriv",
     "reduce_to_fundamental",
     "cylinder_dist",
@@ -215,6 +218,18 @@ def _reduce(x: float, period: float) -> float:
     return r
 
 
+def _reduce_many(u: np.ndarray, period: float) -> np.ndarray:
+    """``_reduce`` of every element; bit-identical to it.
+
+    ``fmod`` is exact, and so is the one fold by +-period after it (Sterbenz:
+    both operands lie within a factor 2), so the result is the unique exact
+    representative in [-period/2, period/2), the same one ``_reduce`` picks.
+    """
+    half = 0.5 * period
+    r = np.fmod(u, period)
+    return np.where(r >= half, r - period, np.where(r < -half, r + period, r))
+
+
 def reduce_to_fundamental(params: CylinderParams, x: float) -> float:
     """Representative of x modulo 2*pi*N in the fundamental domain [-pi*N, pi*N)."""
     if not math.isfinite(x):
@@ -297,6 +312,62 @@ def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
     u = z.real - x
     u_red = _reduce(u, params.period)
     return (x + (u - u_red)) + _cyl_slit_origin(params, u_red, z.imag)
+
+
+def cyl_slit_many(params: CylinderParams, x: float, z: np.ndarray) -> np.ndarray:
+    """``cyl_slit(params, x, .)`` of every point of the array ``z``, one numpy pass.
+
+    Each regime of the scalar path is a mask: the boundary path (with the
+    tip ``u == 0``), the far field ``Im z >= 30 N`` and the disk-coordinate
+    closed form with both square-root forms.  The reduction is exact, so the
+    restored multiple of the period is the scalar one; the transcendental
+    functions are numpy's, so results may differ from ``cyl_slit`` in the
+    last bits.  The ``|zeta| >= 1e130`` tail of ``_disk_slit_origin`` is left
+    out: interior points have ``Im z < 30 N``, so ``|zeta| < e^30``.
+    """
+    z = np.asarray(z, dtype=complex)
+    n = params.radius_n
+    d = params.delta
+    d2 = d * d
+    u = z.real - x
+    u_red = _reduce_many(u, params.period)
+    y = z.imag
+    w = np.empty_like(z)
+    w.real, w.imag = u_red, y
+    out = np.empty_like(z)
+
+    edge = y <= _BOUNDARY_RATIO * n
+    if edge.any():
+        # boundary path of _cyl_slit_origin, real arithmetic
+        ub = u_red[edge]
+        ob = np.full(ub.shape, complex(0.0, params.lam))  # the tip, u == 0
+        off = ub != 0.0
+        v = np.tan(0.5 * ub[off] / n)
+        rad = (1.0 - d2) - d2 / (v * v)
+        base = rad < 0.0
+        res = np.zeros(v.shape, dtype=complex)
+        res.real[~base] = 2.0 * n * np.arctan(v[~base] * np.sqrt(rad[~base]))
+        res.imag[base] = 2.0 * n * np.arctanh(np.sqrt(d2 - (1.0 - d2) * v[base] * v[base]))
+        ob[off] = res
+        out[edge] = ob
+
+    far = y >= _FAR_FIELD_RATIO * n
+    if far.any():
+        wf = w[far]
+        out[far] = wf - 1j * n * math.log1p(-d2) + 2j * n * d2 * np.exp(1j * wf / n)
+
+    mid = ~(edge | far)
+    zeta = np.exp(-1j * w[mid] / n)
+    dz1 = zeta - 1.0
+    s = np.empty_like(zeta)
+    fac = np.abs(dz1) >= 0.5 * d
+    zf, df = zeta[fac], dz1[fac]
+    s[fac] = df * np.sqrt(1.0 + 4.0 * d2 * zf / (df * df))
+    zn, dn = zeta[~fac], dz1[~fac]
+    s[~fac] = np.sqrt(dn * dn + 4.0 * d2 * zn)
+    top = zeta + 1.0 + s
+    out[mid] = 1j * n * np.log(top * top / (4.0 * zeta * (1.0 - d2)))
+    return (x + (u - u_red)) + out
 
 
 def cyl_slit_deriv(params: CylinderParams, x: float, z: complex) -> complex:

@@ -104,18 +104,19 @@ class EventLog:
         """Parse the JSONL form, rejecting what ``sample_events`` cannot produce.
 
         Raises ``ValueError`` for a header with missing fields or a delta
-        inconsistent with N and lambda, and for event times that are not
-        finite, sorted and in ``(0, horizon]`` or abscissae outside
-        ``[-pi*N, pi*N)``.
+        inconsistent with N and lambda, for a ``true``/``false`` in any
+        field, and for event times that are not finite, sorted and in
+        ``(0, horizon]`` or abscissae outside ``[-pi*N, pi*N)``.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty event log stream")
         try:
-            head = json.loads(lines[0])
+            records = [json.loads(ln, object_pairs_hook=_no_bools) for ln in lines]
+            head = records[0]
             params = CylinderParams(head["N"], head["lambda"], head["delta"])
             horizon, seed = head["horizon"], head["seed"]
-            events = tuple(Event(r["t"], r["x"]) for r in map(json.loads, lines[1:]))
+            events = tuple(Event(r["t"], r["x"]) for r in records[1:])
             if not (math.isfinite(horizon) and horizon > 0.0 and isinstance(seed, int)):
                 raise ValueError(f"bad horizon {horizon!r} or seed {seed!r}")
             half, last = params.half_period, 0.0
@@ -127,6 +128,14 @@ class EventLog:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed event log: {exc!r}") from exc
         return cls(params, horizon, seed, events)
+
+
+def _no_bools(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a bool is an int in Python, but never a number of a log."""
+    for key, value in pairs:
+        if isinstance(value, bool):
+            raise ValueError(f"field {key!r} is {value!r}, not a number")
+    return dict(pairs)
 
 
 def _g17(x: float) -> str:

@@ -4,8 +4,8 @@ Particle k enters as the segment ``[x_k, x_k + i*lam]``.  In the backward
 cluster (the default) it is then moved by the maps of events k+1..n, newest
 outermost; in the forward cluster by the maps of events 1..k-1, earliest
 outermost.  At fixed time the two clusters share one law but are different
-pictures of it; pathwise the backward cluster is the forward cluster of the
-reversed event order.
+pictures of it; pathwise the forward cluster is the backward cluster of the
+reversed event order, and is traced as such.
 
 Exports are an SVG figure (screen coordinates, seam-aware polylines) and a
 flat CSV of the sampled points.
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conformal import CylinderParams, _reduce, cyl_slit
-from .process import EventLog, compose
+import numpy as np
+
+from .conformal import CylinderParams, _reduce_many, cyl_slit_many
+from .process import EventLog
 
 __all__ = ["ParticleTrace", "trace_cluster", "export_svg", "export_csv"]
 
@@ -41,16 +43,6 @@ class ParticleTrace:
     crosses_seam: bool
 
 
-def _finalize(params: CylinderParams, index: int, birth: float, pts: list[complex]) -> ParticleTrace:
-    reduced = tuple(complex(_reduce(p.real, params.period), p.imag) for p in pts)
-    return ParticleTrace(index, birth, reduced, len(_seam_runs(params, reduced)) > 1)
-
-
-def _slit_segment(params: CylinderParams, x: float, samples: int) -> list[complex]:
-    steps = samples - 1
-    return [complex(x, params.lam * k / steps) for k in range(samples)]
-
-
 def trace_cluster(
     log: EventLog,
     samples_per_slit: int = 16,
@@ -60,19 +52,29 @@ def trace_cluster(
 
     Backward (default): particle k's segment is composed with the maps of
     the later events, newest outermost.  Forward: with the maps of the
-    earlier events, earliest outermost.  Either way O(n^2 * samples) map
-    applications in total.
+    earlier events, earliest outermost, which is the backward trace of the
+    reversed abscissae with the particle order reversed.  Lock-step: at
+    event k every particle already placed is pushed through map k in one
+    ``cyl_slit_many`` call, O(n^2 * samples) point-maps in total.
     """
     if samples_per_slit < 2:
         raise ValueError("samples_per_slit must be at least 2")
     params = log.params
-    xs = log.xs
+    xs = log.xs[::-1] if forward else log.xs
+    m = samples_per_slit
+    heights = params.lam * np.arange(m) / (m - 1)
+    rows = np.empty((len(xs), m), dtype=complex)
+    pts = rows.reshape(-1)  # a view: particle k is rows[k]
+    for k, x in enumerate(xs):
+        pts[: k * m] = cyl_slit_many(params, x, pts[: k * m])
+        rows[k].real, rows[k].imag = x, heights
+    rows.real = _reduce_many(rows.real, params.period)
+    if forward:
+        rows = rows[::-1]
     traces = []
-    for k, e in enumerate(log.events):
-        maps = xs[:k][::-1] if forward else xs[k + 1:]
-        pts = _slit_segment(params, e.x, samples_per_slit)
-        pts = [compose(cyl_slit, params, maps, p) for p in pts]
-        traces.append(_finalize(params, k, e.time, pts))
+    for k, (e, row) in enumerate(zip(log.events, rows)):
+        points = tuple(row.tolist())
+        traces.append(ParticleTrace(k, e.time, points, len(_seam_runs(params, points)) > 1))
     return traces
 
 

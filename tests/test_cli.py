@@ -199,8 +199,11 @@ class TestRender:
         (_HEAD, [(2.0, 0.5), (1.0, -0.5)]),  # unsorted times
         (_HEAD, [(0.0, 0.5)]),  # time not positive
         (_HEAD, [(3.5, 0.5)]),  # time beyond the horizon
+        ({**_HEAD, "seed": True}, [(1.0, 0.5)]),  # JSON booleans are not numbers
+        ({**_HEAD, "horizon": True}, [(1.0, 0.5)]),
+        (_HEAD, [(True, 0.5)]),
     ], ids=["no-delta", "nan-time", "x-outside", "x-right-end", "unsorted", "t-zero",
-            "t-past-horizon"])
+            "t-past-horizon", "bool-seed", "bool-horizon", "bool-time"])
     def test_invalid_input_log_exit_2(self, tmp_path, capsys, head, events):
         lines = [json.dumps(head)] + [json.dumps({"t": t, "x": x}) for t, x in events]
         path = tmp_path / "events.jsonl"

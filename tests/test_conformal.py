@@ -10,13 +10,17 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from chl.conformal import (
     CylinderParams,
+    _reduce,
+    _reduce_many,
     cyl_phi_delta,
     cyl_slit,
     cyl_slit_deriv,
+    cyl_slit_many,
     cylinder_dist,
     delta_of,
     halfplane_slit,
@@ -269,6 +273,113 @@ class TestCylSlit:
         assert abs(left - right) <= 1e-7
 
 
+# Per-regime samples for the batched kernel; each regime gets this many points.
+_MANY = 2000
+_EPS = float(np.finfo(float).eps)
+
+
+def _scalar_oracle(p: CylinderParams, x: float, z: np.ndarray) -> np.ndarray:
+    return np.array([cyl_slit(p, x, complex(q)) for q in z])
+
+
+def _regime_points(p: CylinderParams, regime: str, seed: int) -> tuple[float, np.ndarray]:
+    """(x, z): _MANY seeded points of one regime of the slit map at x."""
+    rng = np.random.default_rng(seed)
+    n, half, d = p.radius_n, p.half_period, p.delta
+    x = rng.uniform(-half, half)
+    base = 2.0 * n * math.asin(d)  # slit base on the boundary: |u| < base
+    if regime == "boundary-outside":
+        u = rng.uniform(base, half, _MANY) * rng.choice([-1.0, 1.0], _MANY)
+        return x, x + u + 0j
+    if regime == "boundary-inside":
+        return x, x + rng.uniform(-base, base, _MANY) + 0j
+    if regime == "interior":
+        u = rng.uniform(-half, half, _MANY)
+        y = n * np.exp(rng.uniform(math.log(1e-12), math.log(29.9), _MANY))
+        return x, (x + u) + 1j * y
+    if regime == "near-tip":
+        # zeta = exp(-i (z - x) / N) within delta/2 of 1: |z - x| < 0.45 N delta
+        r = 0.45 * n * d * np.sqrt(rng.uniform(1e-6, 1.0, _MANY))
+        return x, x + r * np.exp(1j * rng.uniform(1e-6, math.pi - 1e-6, _MANY))
+    if regime == "far":
+        u = rng.uniform(-half, half, _MANY)
+        return x, (x + u) + 1j * n * rng.uniform(30.0, 1000.0, _MANY)
+    if regime == "reduction-edges":
+        k = rng.integers(-1000, 1000, _MANY).astype(float)
+        u = np.concatenate([
+            np.full(_MANY // 4, half), np.full(_MANY // 4, -half),  # the seam, both sides
+            k[: _MANY // 4] * p.period,  # multiples of the period
+            rng.uniform(1e6, 1e7, _MANY // 4) * p.period * rng.choice([-1.0, 1.0], _MANY // 4),
+        ])
+        y = np.where(rng.uniform(0.0, 1.0, u.size) < 0.5, 0.0, n * rng.uniform(0.0, 29.9, u.size))
+        return 0.0, u + 1j * y  # x = 0, so u = Re z exactly
+    raise AssertionError(regime)
+
+
+@pytest.mark.filterwarnings("error")
+class TestCylSlitMany:
+    """The batched kernel against the scalar map, regime by regime."""
+
+    @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
+    @pytest.mark.parametrize("regime", ["boundary-outside", "boundary-inside", "interior",
+                                        "near-tip", "reduction-edges"])
+    def test_matches_scalar_within_rounding(self, n, regime):
+        p = CylinderParams(n, 1.0)
+        x, z = _regime_points(p, regime, seed=int(n) * 7 + len(regime))
+        assert z.size == _MANY
+        got = cyl_slit_many(p, x, z)
+        want = _scalar_oracle(p, x, z)
+        assert got.shape == z.shape
+        bound = 32.0 * _EPS * np.maximum(n, np.abs(want))
+        assert np.all(np.abs(got - want) <= bound)
+        # the map lifts points; within ~N*eps of the boundary the lift is
+        # below the rounding of Im S (the scalar map undershoots there too)
+        assert np.all(got.imag >= z.imag - bound)
+        lifted = z.imag >= 1e-6 * n
+        assert np.all(got.imag[lifted] >= z.imag[lifted])
+
+    @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
+    def test_regime_samples_hit_their_branch(self, n):
+        # the samples above exercise the branch they are named for
+        p = CylinderParams(n, 1.0)
+        d = p.delta
+        x, z = _regime_points(p, "near-tip", seed=1)
+        assert np.all(np.abs(np.exp(-1j * (z - x) / n) - 1.0) < 0.5 * d)
+        assert np.all(z.imag > 1e-15 * n)
+        x, z = _regime_points(p, "interior", seed=2)
+        factored = np.abs(np.exp(-1j * (z - x) / n) - 1.0) >= 0.5 * d
+        assert np.count_nonzero(factored) >= 0.9 * _MANY
+        for regime in ("boundary-outside", "boundary-inside"):
+            x, z = _regime_points(p, regime, seed=3)
+            on_slit = cyl_slit_many(p, x, z).imag > 0.0
+            assert np.all(on_slit) if regime == "boundary-inside" else not np.any(on_slit)
+
+    @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
+    def test_far_field_bit_equal(self, n):
+        p = CylinderParams(n, 1.0)
+        x, z = _regime_points(p, "far", seed=5)
+        assert np.all(cyl_slit_many(p, x, z) == _scalar_oracle(p, x, z))
+
+    @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
+    def test_tip_identity_exact(self, n):
+        p = CylinderParams(n, 1.0)
+        xs = np.random.default_rng(6).uniform(-p.half_period, p.half_period, _MANY)
+        for x in xs[:200]:
+            assert cyl_slit_many(p, x, np.array([complex(x, 0.0)]))[0] == complex(x, p.lam)
+        # u == 0 inside a mixed batch
+        z = np.concatenate([[complex(xs[0], 0.0)], xs[1:] + 0.5j])
+        assert cyl_slit_many(p, xs[0], z)[0] == complex(xs[0], p.lam)
+
+    def test_empty_and_shape(self):
+        p = CylinderParams(2.0, 1.0)
+        assert cyl_slit_many(p, 0.3, np.empty(0, dtype=complex)).shape == (0,)
+        z = np.array([[0.1 + 0.2j, 0.0], [2.0 + 100.0j, -1.0 + 1e-20j]])
+        got = cyl_slit_many(p, 0.3, z)
+        assert got.shape == (2, 2)
+        bound = 32.0 * _EPS * max(2.0, float(np.max(np.abs(got))))
+        assert np.all(np.abs(got - _scalar_oracle(p, 0.3, z.ravel()).reshape(2, 2)) <= bound)
+
+
 class TestCylSlitDeriv:
     def test_far_field_near_one(self):
         p = CylinderParams(5.0, 1.0)
@@ -330,3 +441,21 @@ class TestReduceToFundamental:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             reduce_to_fundamental(CylinderParams(1.0, 1.0), math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
+    def test_batched_reduction_bit_equal(self, n):
+        # fmod plus one fold is exact, so it picks _reduce's representative,
+        # including +pi*N -> -pi*N
+        period = CylinderParams(n, 1.0).period
+        rng = np.random.default_rng(19)
+        u = np.concatenate([
+            rng.uniform(-1e3, 1e3, _MANY) * period,
+            rng.uniform(-1e12, 1e12, _MANY),
+            rng.integers(-10**6, 10**6, _MANY) * period,
+            (rng.integers(-10**6, 10**6, _MANY) + 0.5) * period,
+            [0.0, -0.0, 0.5 * period, -0.5 * period, period, -period, 1e-300, -1e-300],
+        ])
+        got = _reduce_many(u, period)
+        assert got.tolist() == [_reduce(v, period) for v in u]
+        assert np.all((-0.5 * period <= got) & (got < 0.5 * period))
