@@ -14,6 +14,7 @@ input or file-system error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -54,15 +55,19 @@ def _positive(value) -> int:
 
 
 def _complex(value) -> complex:
-    """A literal like '0+1i', '2.5-0.25i' or '3', a number, or config.json's {re, im}."""
+    """A finite point with Im >= 0: '0+1i', '3', a number or config.json's {re, im}."""
     try:
-        if isinstance(value, str):
-            return complex(value.replace("i", "j").replace(" ", ""))
         if isinstance(value, dict) and set(value) <= {"re", "im"}:
-            return complex(*(_checked(value.get(k, 0.0), _NUMBER) for k in ("re", "im")))
-        return complex(value)
+            z = complex(*(_checked(value.get(k, 0.0), _NUMBER) for k in ("re", "im")))
+        elif isinstance(value, str):
+            z = complex(value.replace("i", "j").replace(" ", ""))
+        else:
+            z = complex(value)
+        if cmath.isfinite(z) and z.imag >= 0.0:
+            return z
     except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"invalid complex point {value!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite point with Im >= 0, got {value!r}")
 
 
 def _radii(value) -> list[float]:

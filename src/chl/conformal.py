@@ -271,6 +271,12 @@ def _disk_slit_origin(params: CylinderParams, zeta: complex) -> complex:
     return top * top / (4.0 * zeta * (1.0 - d2))
 
 
+def _far_field(params: CylinderParams, w: complex) -> complex:
+    """S_0(w) at the cylinder's top: w - iN log(1-delta^2) + 2iN delta^2 exp(iw/N)."""
+    n, d2 = params.radius_n, params.delta * params.delta
+    return w - 1j * n * math.log1p(-d2) + 2j * n * d2 * cmath.exp(1j * w / n)
+
+
 def _cyl_slit_origin(params: CylinderParams, u: float, y: float) -> complex:
     """S_0 evaluated at u + iy with u in the fundamental domain, y >= 0.
 
@@ -292,7 +298,7 @@ def _cyl_slit_origin(params: CylinderParams, u: float, y: float) -> complex:
         return complex(0.0, 2.0 * n * math.atanh(math.sqrt(d2 - (1.0 - d2) * v * v)))
     w = complex(u, y)
     if y >= _FAR_FIELD_RATIO * n:
-        return w - 1j * n * math.log1p(-d2) + 2j * n * d2 * cmath.exp(1j * w / n)
+        return _far_field(params, w)
     zeta = cmath.exp(-1j * w / n)
     return 1j * n * cmath.log(_disk_slit_origin(params, zeta))
 

@@ -208,7 +208,7 @@ class ProcessEvaluator:
         if self.kind in _SHL_KINDS:
             if self.window_w is None:
                 raise ValueError(f"{self.kind} requires a truncation window")
-            if self.window_w < self.log.params.lam:
+            if not self.window_w >= self.log.params.lam:
                 raise ValueError("truncation window must be >= slit length")
         elif self.window_w is not None:
             raise ValueError(f"{self.kind} does not take a truncation window")
@@ -222,8 +222,8 @@ def compose(slit: Callable[..., complex], first, xs: Iterable[float], z: complex
     """Apply ``slit(first, x, .)`` for each ``x`` of ``xs`` in order: ``xs[0]`` innermost.
 
     ``slit`` is ``cyl_slit`` with ``first`` the cylinder params, or
-    ``halfplane_slit`` with ``first`` the slit length.  Every process variant,
-    Monte Carlo replica and cluster trace is this one loop.
+    ``halfplane_slit`` with ``first`` the slit length.  Every process variant and
+    Monte Carlo replica runs this loop; the cluster trace batches it (``trace_cluster``).
     """
     w = complex(z)
     for x in xs:

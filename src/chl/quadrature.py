@@ -9,6 +9,8 @@ node-free gap next to a panel edge, and the parent/children comparison
 probes that gap with a different node set.  The worst panel is bisected
 until the summed estimate drops below the absolute tolerance or a panel cap
 is reached; non-convergence is reported on the result, never silently.
+A panel carries its two half values, which become its children's
+whole-panel values when it is bisected: each K15 panel is evaluated once.
 
 The node and weight constants are the standard 15-point Kronrod values; the
 test suite re-derives their correctness by integrating monomials (the pair
@@ -80,8 +82,8 @@ def _panel(f: Callable[[float], complex], a: float, b: float) -> tuple[complex, 
     return half * kron, abs(half * (kron - gauss))
 
 
-def _panel_verified(f: Callable[[float], complex], a: float, b: float) -> tuple[complex, float]:
-    """Panel value confirmed at two refinement levels.
+def _verified(f: Callable[[float], complex], a: float, b: float, whole: complex) -> tuple:
+    """(value, error estimate, half values) of [a, b], given its Kronrod value ``whole``.
 
     |K15 - G7| alone can be fooled: a kink sitting between the outermost
     node and the panel edge is invisible to both embedded rules, and
@@ -89,15 +91,15 @@ def _panel_verified(f: Callable[[float], complex], a: float, b: float) -> tuple[
     the whole-panel Kronrod value against the sum over the two halves probes
     a different node set, so a feature hiding in the node-free edge gap
     shows up as a parent/children discrepancy and keeps the panel alive.
+    A panel at float resolution has no halves and error 0.
     """
-    whole, _ = _panel(f, a, b)
     mid = 0.5 * (a + b)
     if mid <= a or mid >= b:
-        return whole, 0.0
+        return whole, 0.0, None
     left, err_left = _panel(f, a, mid)
     right, err_right = _panel(f, mid, b)
     value = left + right
-    return value, max(abs(whole - value), err_left + err_right)
+    return value, max(abs(whole - value), err_left + err_right), (left, right)
 
 
 def adaptive_quadrature(
@@ -115,38 +117,34 @@ def adaptive_quadrature(
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     edges = [a, *sorted(p for p in set(presplit) if a < p < b), b]
-    # heap of (-error, tie-break counter, a, b, value); total error kept incrementally
+    # heap of (-error, tie-break counter, a, b, value, halves); total error kept incrementally
     heap = []
     count = 0
     total_err = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        val, err = _panel_verified(f, lo, hi)
-        heap.append((-err, count, lo, hi, val))
+        val, err, halves = _verified(f, lo, hi, _panel(f, lo, hi)[0])
+        heap.append((-err, count, lo, hi, val, halves))
         total_err += err
         count += 1
     heapq.heapify(heap)
     panels = len(heap)
-    while total_err > tol and panels < max_panels:
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at float resolution; stop refining it
-            heapq.heappush(heap, (0.0, count, lo, hi, val))
-            total_err += neg_err  # drop its estimate from the budget
-            count += 1
-            continue
+    # a worst panel without halves has error 0, and so has every panel: only rounding is left
+    while total_err > tol and panels < max_panels and heap[0][5] is not None:
+        neg_err, _, lo, hi, _, halves = heapq.heappop(heap)
         total_err += neg_err
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            sub_val, sub_err = _panel_verified(f, sub_lo, sub_hi)
-            heapq.heappush(heap, (-sub_err, count, sub_lo, sub_hi, sub_val))
+        mid = 0.5 * (lo + hi)
+        for sub_lo, sub_hi, whole in ((lo, mid, halves[0]), (mid, hi, halves[1])):
+            sub_val, sub_err, sub_halves = _verified(f, sub_lo, sub_hi, whole)
+            heapq.heappush(heap, (-sub_err, count, sub_lo, sub_hi, sub_val, sub_halves))
             total_err += sub_err
             count += 1
         panels += 1
     value = 0j
     err_sum = 0.0
-    for neg_err, _, _, _, val in heap:
+    for neg_err, _, _, _, val, _ in heap:
         value += val
         err_sum += -neg_err
     return QuadratureResult(value, err_sum, panels, err_sum <= tol)

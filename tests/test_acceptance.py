@@ -205,7 +205,7 @@ def test_criterion_08_integral_boundedness_and_tail():
 
 
 def test_criterion_09_farfield_expansion():
-    """Residual of the three-term expansion decays with slope <= -0.9/N."""
+    """Residual of the three-term expansion decays with slope <= -1.8/N."""
     start = time.perf_counter()
     slopes = {}
     ok = True
@@ -213,7 +213,7 @@ def test_criterion_09_farfield_expansion():
         params = CylinderParams(n, 1.0)
         fit = farfield_expansion_check(params, [n * k for k in range(5, 13)])
         slopes[n] = fit.slope
-        ok &= fit.slope <= -0.9 / n
+        ok &= fit.slope <= -1.8 / n
     elapsed = time.perf_counter() - start
     report(
         9,

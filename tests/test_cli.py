@@ -237,9 +237,21 @@ class TestConfigFile:
     def test_probe_literal_variants(self):
         from chl.cli import build_parser
         args = build_parser().parse_args(
-            ["simulate", "--probe", "1i", "--probe", "2", "--probe", "0.5-0.25i"]
+            ["simulate", "--probe", "1i", "--probe", "2", "--probe=-0.5+0.25i"]
         )
-        assert args.probe == [1j, 2 + 0j, 0.5 - 0.25j]
+        assert args.probe == [1j, 2 + 0j, -0.5 + 0.25j]
+
+    @pytest.mark.parametrize("value", [
+        "0.5-0.25i", "0-1i", "nan+1i", "1+nani", "inf+1i", "1+infi", "x",
+        math.nan, {"re": 0.0, "im": -1.0}, {"re": math.inf, "im": 1.0},
+    ])
+    def test_probe_outside_closed_upper_half_plane_rejected(self, value):
+        # the slit maps act on Im >= 0; below it cyl_slit would silently take the
+        # boundary path, and a nan probe would write nan trajectories
+        import argparse
+        from chl.cli import _complex
+        with pytest.raises(argparse.ArgumentTypeError):
+            _complex(value)
 
     def test_unreadable_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -294,9 +306,12 @@ class TestConfigFile:
         ("converge", {"n_list": [4, "8"]}),  # bad radius
         ("converge", {"threads": 0}),  # not a positive count
         ("simulate", {"n": None}),  # null only for an option whose default is unset
+        ("simulate", {"probe": [{"re": math.nan, "im": 1.0}]}),  # JSON NaN
+        ("converge", {"probe": ["0-1i"]}),  # below the boundary
     ], ids=["non-object", "unknown", "dead-key", "dead-verify-key", "str-number",
             "numeric-str", "float-int", "bool-int", "int-switch", "bad-probe",
-            "probe-not-list", "bad-radius", "zero-threads", "null-number"])
+            "probe-not-list", "bad-radius", "zero-threads", "null-number",
+            "nan-probe", "lower-probe"])
     def test_ill_typed_config_exit_2(self, tmp_path, capsys, command, blob):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(blob))
@@ -333,3 +348,27 @@ class TestFlags:
             main(argv + ["--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, argv, artifact", [
+        ("simulate", ["--probe", "nan+1i", "--trajectory"], "trajectory.csv"),
+        ("simulate", ["--probe", "0-1i", "--trajectory"], "trajectory.csv"),
+        ("converge", ["--probe", "nan+1i", "--replicas", "8"], "coupling.csv"),
+        ("converge", ["--window", "nan", "--replicas", "8"], "coupling.csv"),
+        ("verify", ["--only", "quad_mean_shift", "--tol", "nan"], "report.json"),
+    ], ids=["simulate-nan-probe", "simulate-lower-probe", "converge-nan-probe",
+            "nan-window", "nan-tol"])
+    def test_nan_or_lower_half_plane_flag_exits_2(self, tmp_path, capsys, command, argv,
+                                                  artifact):
+        # never a silent nan: exit 2 with one message line and no artifact.  A probe
+        # is rejected while the flags are parsed, where argparse puts its usage
+        # lines before the message.
+        out = tmp_path / "o"
+        try:
+            code = main([command, *argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        message = [line for line in err if not line.startswith(("usage:", " "))]
+        assert message == [err[-1]] and err[-1].startswith(f"chl {command}: ")
+        assert not (out / artifact).exists()

@@ -164,6 +164,8 @@ class TestEvaluatorValidation:
             ProcessEvaluator(log, "backward-chl", 3.0)  # window not allowed
         with pytest.raises(ValueError):
             ProcessEvaluator(log, "sideways")
+        with pytest.raises(ValueError):
+            ProcessEvaluator(log, "forward-shl", math.nan)  # keeps no event: a frozen orbit
         ProcessEvaluator(log, "forward-shl", log.params.half_period)
 
     def test_at_dispatches_by_kind(self):

@@ -98,3 +98,47 @@ class TestNonConvergence:
             adaptive_quadrature(lambda x: 0j, 1.0, 0.0)
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=0.0)
+        with pytest.raises(ValueError):  # no estimate is <= nan: it could never converge
+            adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=math.nan)
+
+
+_SQRT = lambda x: complex(math.sqrt(abs(x + 0.3)))
+_LORENTZ = lambda x: complex(1.0 / (1e-6 + (x - 0.3) ** 2))
+
+
+class TestPanelReuse:
+    """A bisected panel's halves are its children's whole panels: no K15 panel twice."""
+
+    @pytest.mark.parametrize("f, a, b, tol, presplit", [
+        (_SQRT, -1.0, 2.0, 1e-10, [0.5]),
+        (_LORENTZ, 0.0, 1.0, 1e-9, [0.299, 0.3, 0.301]),
+    ], ids=["sqrt", "lorentzian"])
+    def test_integrand_evaluations_per_panel(self, f, a, b, tol, presplit):
+        # each of the k initial panels costs three K15 panels (the whole and its
+        # halves); a bisection evaluates only the halves of its two children, not
+        # their whole panels again (that would be 6 per bisection: 1980, not 1350,
+        # evaluations for sqrt)
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        res = adaptive_quadrature(g, a, b, tol=tol, presplit=presplit)
+        k = len(presplit) + 1
+        assert res.converged and res.subdivisions > k
+        assert len(calls) == 15 * (3 * k + 4 * (res.subdivisions - k))
+
+    @pytest.mark.parametrize("f, a, b, tol, presplit, value, error, panels", [
+        (_SQRT, -1.0, 2.0, 1e-10, [0.5],
+         "0x1.5ba12f693358ap+1", "0x1.47218e59b4be0p-34", 23),
+        (_LORENTZ, 0.0, 1.0, 1e-9, [0.299, 0.3, 0.301],
+         "0x1.881a959a7e99ep+11", "0x1.c2f9e9581062ap-33", 21),
+    ], ids=["sqrt", "lorentzian"])
+    def test_bit_pins(self, f, a, b, tol, presplit, value, error, panels):
+        # reusing the halves must change no bit of any result.  Only arithmetic and
+        # math.sqrt, correctly rounded on every IEEE platform, enter the integrands.
+        res = adaptive_quadrature(f, a, b, tol=tol, presplit=presplit)
+        assert res.value == complex(float.fromhex(value), 0.0)
+        assert res.abs_error_estimate == float.fromhex(error)
+        assert res.subdivisions == panels and res.converged

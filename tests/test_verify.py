@@ -155,7 +155,7 @@ class TestSlitConvergenceRate:
 class TestFarfieldExpansion:
     def test_residual_decay_slope(self):
         # full invariant range Im z in [5N, 20N]
-        for n, bound in ((1.0, -0.9), (3.0, -0.3)):
+        for n, bound in ((1.0, -1.8), (3.0, -0.6)):
             p = CylinderParams(n, 1.0)
             ys = [n * k for k in range(5, 21)]
             fit = farfield_expansion_check(p, ys)
@@ -250,6 +250,8 @@ class TestCoupling:
         for replicas in (0, 1):  # no spread to report below two replicas
             with pytest.raises(ValueError):
                 coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0], replicas, 1)
+        with pytest.raises(ValueError):  # a nan window keeps no event
+            coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0], 8, 1, window=math.nan)
 
     def test_window_knob(self):
         # a window at least pi*N_max changes nothing; a narrow window hurts
