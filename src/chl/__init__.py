@@ -27,7 +27,7 @@ from .process import (
     sample_events,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature
-from .render import ParticleTrace, export_csv, export_svg, trace_cluster
+from .render import export_csv, export_svg, trace_cluster
 from .rng import SplitMix64, mix_seed
 from .verify import (
     CheckResult,

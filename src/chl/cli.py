@@ -110,8 +110,13 @@ _OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage block; subparsers inherit it
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chl",
         description="Cylinder growth-process laboratory: simulate, verify, converge, render.",
     )
@@ -162,7 +167,6 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _echo_config(cfg: dict) -> None:
     # neither out nor threads can change an artifact, and echoing them breaks byte-identity
-    cfg["out"].mkdir(parents=True, exist_ok=True)
     blob = {k: _jsonable(v) for k, v in cfg.items() if k not in ("out", "threads")}
     (cfg["out"] / "config.json").write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
 
@@ -262,12 +266,11 @@ def _cmd_render(cfg: dict, out_dir: Path) -> int:
         log = EventLog.from_jsonl(cfg["input"].read_text())
     else:
         log = sample_events(CylinderParams(cfg["n"], cfg["lam"]), cfg["t"], cfg["seed"])
-    traces = trace_cluster(log, samples_per_slit=cfg["samples"], forward=cfg["forward"])
-    (out_dir / "cluster.csv").write_bytes(export_csv(traces))
-    if traces:
-        svg = export_svg(traces, log.params)
-        (out_dir / "cluster.svg").write_bytes(svg)
-        print(f"render: {len(traces)} particles -> {out_dir / 'cluster.svg'}")
+    rows = trace_cluster(log, samples_per_slit=cfg["samples"], forward=cfg["forward"])
+    (out_dir / "cluster.csv").write_bytes(export_csv(rows, log.times))
+    if len(rows):
+        (out_dir / "cluster.svg").write_bytes(export_svg(rows, log.params))
+        print(f"render: {len(rows)} particles -> {out_dir / 'cluster.svg'}")
     else:
         print("render: empty log, wrote CSV only")
     return 0
@@ -298,8 +301,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        _echo_config(cfg)
-        return _COMMANDS[args.command][0](cfg, cfg["out"])
+        cfg["out"].mkdir(parents=True, exist_ok=True)
+        code = _COMMANDS[args.command][0](cfg, cfg["out"])
+        _echo_config(cfg)  # only a run that got through its checks is echoed
+        return code
     except (ValueError, OSError) as exc:
         print(f"chl {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -7,20 +7,19 @@ outermost.  At fixed time the two clusters share one law but are different
 pictures of it; pathwise the forward cluster is the backward cluster of the
 reversed event order, and is traced as such.
 
-Exports are an SVG figure (screen coordinates, seam-aware polylines) and a
-flat CSV of the sampled points.
+A cluster is one ``(particles, samples)`` complex array, row k the sampled
+polyline of particle k, from the trace to both exports: an SVG figure
+(screen coordinates, seam-aware polylines) and a flat CSV of the points.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import CylinderParams, _reduce_many, cyl_slit_many
 from .process import EventLog
 
-__all__ = ["ParticleTrace", "trace_cluster", "export_svg", "export_csv"]
+__all__ = ["trace_cluster", "export_svg", "export_csv"]
 
 _STROKE = "#1a3a6b"
 _STROKE_WIDTH = 0.35
@@ -28,28 +27,15 @@ _BACKGROUND = "white"
 _WIDTH_PX = 900
 
 
-@dataclass(frozen=True)
-class ParticleTrace:
-    """Sampled polyline of one attached particle.
-
-    Points are reported with abscissae reduced to the fundamental domain;
-    ``crosses_seam`` flags polylines whose reduced representation jumps
-    across ``Re = +-pi*N``.
-    """
-
-    event_index: int
-    birth_time: float
-    points: tuple[complex, ...]
-    crosses_seam: bool
-
-
 def trace_cluster(
     log: EventLog,
     samples_per_slit: int = 16,
     forward: bool = False,
-) -> list[ParticleTrace]:
+) -> np.ndarray:
     """Final positions of every particle's sampled polyline.
 
+    Returns a ``(len(log), samples_per_slit)`` complex array whose row k is
+    particle k, abscissae reduced to the fundamental domain ``[-pi*N, pi*N)``.
     Backward (default): particle k's segment is composed with the maps of
     the later events, newest outermost.  Forward: with the maps of the
     earlier events, earliest outermost, which is the backward trace of the
@@ -69,34 +55,21 @@ def trace_cluster(
         pts[: k * m] = cyl_slit_many(params, x, pts[: k * m])
         rows[k].real, rows[k].imag = x, heights
     rows.real = _reduce_many(rows.real, params.period)
-    if forward:
-        rows = rows[::-1]
-    traces = []
-    for k, (e, row) in enumerate(zip(log.events, rows)):
-        points = tuple(row.tolist())
-        traces.append(ParticleTrace(k, e.time, points, len(_seam_runs(params, points)) > 1))
-    return traces
+    return rows[::-1] if forward else rows
 
 
-def _seam_runs(params: CylinderParams, pts: tuple[complex, ...]) -> list[list[complex]]:
+def _seam_runs(params: CylinderParams, row: np.ndarray) -> list[np.ndarray]:
     """Split a reduced polyline into runs that do not jump across the seam."""
-    half = params.half_period
-    runs: list[list[complex]] = [[pts[0]]]
-    for a, b in zip(pts, pts[1:]):
-        if abs(b.real - a.real) > half:
-            runs.append([b])
-        else:
-            runs[-1].append(b)
-    return runs
+    jumps = np.flatnonzero(np.abs(np.diff(row.real)) > params.half_period)
+    return np.split(row, jumps + 1)
 
 
-def export_svg(traces: list[ParticleTrace], params: CylinderParams) -> bytes:
-    """Render the traces as an SVG 1.1 document (y axis flipped to screen)."""
-    if not traces:
+def export_svg(rows: np.ndarray, params: CylinderParams) -> bytes:
+    """Render the traced rows as an SVG 1.1 document (y axis flipped to screen)."""
+    if len(rows) == 0:
         raise ValueError("export_svg requires at least one trace")
     half = params.half_period
-    top = 1.1 * max(max(p.imag for p in t.points) for t in traces)
-    top = max(top, params.lam)
+    top = max(1.1 * float(rows.imag.max()), params.lam)
     width = 2.0 * half
     scale = _WIDTH_PX / width
     height_px = top * scale
@@ -110,9 +83,9 @@ def export_svg(traces: list[ParticleTrace], params: CylinderParams) -> bytes:
         f'<rect x="{-half:.6g}" y="0" width="{width:.6g}" height="{top:.6g}" '
         f'fill="{_BACKGROUND}"/>\n'
     ]
-    for trace in traces:
-        for run in _seam_runs(params, trace.points):
-            coords = " ".join(f"{p.real:.6g},{top - p.imag:.6g}" for p in run)
+    for row in rows:
+        for run in _seam_runs(params, row):
+            coords = " ".join(f"{p.real:.6g},{top - p.imag:.6g}" for p in run.tolist())
             parts.append(
                 f'<polyline fill="none" stroke="{_STROKE}" '
                 f'stroke-width="{_STROKE_WIDTH:.6g}" points="{coords}"/>\n'
@@ -121,12 +94,13 @@ def export_svg(traces: list[ParticleTrace], params: CylinderParams) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def export_csv(traces: list[ParticleTrace]) -> bytes:
-    """Flat CSV of all sampled points, 17 significant digits per float."""
+def export_csv(rows: np.ndarray, times: tuple[float, ...]) -> bytes:
+    """Flat CSV of all sampled points, 17 significant digits per float.
+
+    Row k is written as event ``k``, born at ``times[k]``.
+    """
     lines = ["event_index,birth_time,point_index,re,im"]
-    for trace in traces:
-        for j, p in enumerate(trace.points):
-            lines.append(
-                f"{trace.event_index},{trace.birth_time:.17g},{j},{p.real:.17g},{p.imag:.17g}"
-            )
+    for k, (t, row) in enumerate(zip(times, rows.tolist())):
+        for j, p in enumerate(row):
+            lines.append(f"{k},{t:.17g},{j},{p.real:.17g},{p.imag:.17g}")
     return ("\n".join(lines) + "\n").encode("utf-8")

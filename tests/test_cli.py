@@ -162,6 +162,7 @@ class TestConverge:
                      "--out", str(tmp_path / "c")]) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "c" / "coupling.csv").exists()
+        assert not (tmp_path / "c" / "config.json").exists()
 
 
 _HEAD = {"N": 10.0, "lambda": 1.0, "delta": math.tanh(0.05), "horizon": 3.0, "seed": 7}
@@ -342,12 +343,29 @@ class TestFlags:
         ["render", "--threads", "2"],
         ["converge", "--threads", "0"],
         ["verify", "--threads", "-1"],
+        ["render", "--bogus", "1"],
     ])
-    def test_removed_or_invalid_flag_exits_2(self, tmp_path, argv):
+    def test_removed_or_invalid_flag_exits_2(self, tmp_path, capsys, argv):
+        # one line on stderr, no usage block
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("chl")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "--samples", "1"],
+        ["simulate", "--t", "0"],
+        ["simulate", "--n", "-1"],
+    ])
+    def test_run_time_rejection_writes_no_config(self, tmp_path, capsys, argv):
+        # a value checked when the command runs: exit 2, one line, and not even
+        # config.json in --out
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("command, argv, artifact", [
         ("simulate", ["--probe", "nan+1i", "--trajectory"], "trajectory.csv"),
@@ -359,9 +377,8 @@ class TestFlags:
             "nan-window", "nan-tol"])
     def test_nan_or_lower_half_plane_flag_exits_2(self, tmp_path, capsys, command, argv,
                                                   artifact):
-        # never a silent nan: exit 2 with one message line and no artifact.  A probe
-        # is rejected while the flags are parsed, where argparse puts its usage
-        # lines before the message.
+        # never a silent nan: exit 2 with one message line and no artifact, whether
+        # the value is rejected while the flags are parsed or when the command runs
         out = tmp_path / "o"
         try:
             code = main([command, *argv, "--out", str(out)])
@@ -369,6 +386,6 @@ class TestFlags:
             code = exc.code
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        message = [line for line in err if not line.startswith(("usage:", " "))]
-        assert message == [err[-1]] and err[-1].startswith(f"chl {command}: ")
+        assert len(err) == 1 and err[0].startswith(f"chl {command}: ")
         assert not (out / artifact).exists()
+        assert not (out / "config.json").exists()

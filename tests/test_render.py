@@ -23,32 +23,31 @@ def make_log(params, pairs, horizon=10.0):
 class TestTraceCluster:
     def test_empty_log(self):
         log = make_log(CylinderParams(2.0, 1.0), [])
-        assert trace_cluster(log) == []
+        rows = trace_cluster(log)
+        assert isinstance(rows, np.ndarray) and rows.shape == (0, 16)
 
     def test_single_particle_is_vertical_segment(self):
         p = CylinderParams(2.0, 1.0)
         x0 = 1.25
-        (trace,) = trace_cluster(make_log(p, [(0.5, x0)]), samples_per_slit=5)
-        assert trace.event_index == 0
-        assert trace.birth_time == 0.5
-        assert not trace.crosses_seam
-        for k, pt in enumerate(trace.points):
+        rows = trace_cluster(make_log(p, [(0.5, x0)]), samples_per_slit=5)
+        assert rows.shape == (1, 5) and rows.dtype == complex
+        (row,) = rows
+        for k, pt in enumerate(row):
             want = complex(x0, p.lam * k / 4)
             assert abs(pt - want) <= 1e-9
-        assert trace.points[-1].imag == pytest.approx(p.lam)  # tip included
+        assert row[-1].imag == pytest.approx(p.lam)  # tip included
 
     def test_stacked_particles_grow_taller(self):
         # two events at the same abscissa: the second particle sits on the
         # image of the first, so its top exceeds one slit length
         p = CylinderParams(2.0, 1.0)
-        traces = trace_cluster(make_log(p, [(0.2, 0.0), (0.8, 0.0)]), samples_per_slit=9)
-        first, second = traces
+        first, second = trace_cluster(make_log(p, [(0.2, 0.0), (0.8, 0.0)]), samples_per_slit=9)
         # oracle: the first particle's segment pushed through the second map
-        for k, pt in enumerate(first.points):
+        for k, pt in enumerate(first):
             seed_pt = complex(0.0, p.lam * k / 8)
             assert abs(pt - cyl_slit(p, 0.0, seed_pt)) <= 1e-9
-        assert max(pt.imag for pt in first.points) > p.lam
-        assert max(pt.imag for pt in second.points) == pytest.approx(p.lam)
+        assert first.imag.max() > p.lam
+        assert second.imag.max() == pytest.approx(p.lam)
 
     def test_backward_equals_forward_of_reversed_log(self):
         # pathwise identity: particle k of the incremental backward build is
@@ -64,8 +63,8 @@ class TestTraceCluster:
             tuple(Event(i + 1.0, e.x) for i, e in enumerate(reversed(log.events))),
         )
         fwd = trace_cluster(reversed_log, samples_per_slit=4, forward=True)
-        assert len(back) == len(fwd)
-        assert [b.points for b in back] == [f.points for f in reversed(fwd)]
+        assert back.shape == fwd.shape
+        assert np.array_equal(back, fwd[::-1])
 
     def test_lock_step_equals_per_particle_composition(self):
         # the lock-step loop is a restructuring only: each particle's segment
@@ -75,13 +74,14 @@ class TestTraceCluster:
         xs = log.xs
         heights = p.lam * np.arange(5) / 4
         for forward in (False, True):
-            traces = trace_cluster(log, samples_per_slit=5, forward=forward)
-            for k, trace in enumerate(traces):
+            rows = trace_cluster(log, samples_per_slit=5, forward=forward)
+            assert rows.shape == (len(log), 5)
+            for k, row in enumerate(rows):
                 pts = xs[k] + 1j * heights
                 for x in (xs[:k][::-1] if forward else xs[k + 1:]):
                     pts = cyl_slit_many(p, x, pts)
-                want = tuple(complex(reduce_to_fundamental(p, q.real), q.imag) for q in pts)
-                assert trace.points == want
+                want = [complex(reduce_to_fundamental(p, q.real), q.imag) for q in pts]
+                assert row.tolist() == want
 
     def test_both_modes_equal_inline_loops(self):
         p = CylinderParams(3.0, 0.8)
@@ -107,38 +107,34 @@ class TestTraceCluster:
             return tuple(complex(reduce_to_fundamental(p, q.real), q.imag) for q in pts)
 
         # the batched kernel may differ from scalar cyl_slit in the last bits
-        for traces, want in ((trace_cluster(log, 4), live),
-                             (trace_cluster(log, 4, forward=True), fwd)):
-            assert len(traces) == len(want)
-            for t, pts in zip(traces, want):
-                for a, b in zip(t.points, reduced(pts)):
+        for rows, want in ((trace_cluster(log, 4), live),
+                           (trace_cluster(log, 4, forward=True), fwd)):
+            assert len(rows) == len(want)
+            for row, pts in zip(rows, want):
+                for a, b in zip(row, reduced(pts)):
                     assert cylinder_dist(p, a, b) <= 1e-11
 
     def test_no_negative_imaginary_parts(self):
         p = CylinderParams(10.0, 1.0)
         log = sample_events(p, 40.0 / p.period, 20_000)
-        for trace in trace_cluster(log, samples_per_slit=6):
-            for pt in trace.points:
-                assert pt.imag >= -1e-12
+        rows = trace_cluster(log, samples_per_slit=6)
+        assert rows.size and rows.imag.min() >= -1e-12
 
     def test_points_reported_in_fundamental_domain(self):
         p = CylinderParams(1.0, 1.5)
         log = sample_events(p, 25.0 / p.period, 31)
-        for trace in trace_cluster(log, samples_per_slit=4):
-            for pt in trace.points:
-                assert -p.half_period <= pt.real <= p.half_period
+        rows = trace_cluster(log, samples_per_slit=4)
+        assert rows.size
+        assert -p.half_period <= rows.real.min() and rows.real.max() <= p.half_period
 
     def test_seam_crossing_flag_and_svg_split(self):
         # a particle near the seam pushed by a map attached just across it
-        # wraps in the reduced representation: the trace must carry the flag
-        # and the SVG polyline must split instead of spanning the domain
+        # wraps in the reduced representation: the SVG polyline must split
+        # instead of spanning the domain
         p = CylinderParams(1.0, 1.0)
         hp = p.half_period
         log = make_log(p, [(0.1, hp - 0.1), (0.2, -hp + 0.1)])
-        first, second = trace_cluster(log, samples_per_slit=8)
-        assert first.crosses_seam
-        assert not second.crosses_seam
-        svg = export_svg([first, second], p).decode()
+        svg = export_svg(trace_cluster(log, samples_per_slit=8), p).decode()
         assert svg.count("<polyline") == 3  # first splits into two runs
 
     def test_samples_validation(self):
@@ -150,15 +146,15 @@ class TestTraceCluster:
 class TestExports:
     def test_svg_single_polyline(self):
         p = CylinderParams(2.0, 1.0)
-        traces = trace_cluster(make_log(p, [(0.5, 0.0)]), samples_per_slit=5)
-        svg = export_svg(traces, p).decode()
+        rows = trace_cluster(make_log(p, [(0.5, 0.0)]), samples_per_slit=5)
+        svg = export_svg(rows, p).decode()
         assert svg.count("<polyline") == 1
         assert 'version="1.1"' in svg
         assert svg.startswith('<?xml version="1.0"')
 
     def test_svg_requires_traces(self):
         with pytest.raises(ValueError):
-            export_svg([], CylinderParams(2.0, 1.0))
+            export_svg(np.empty((0, 2), dtype=complex), CylinderParams(2.0, 1.0))
 
     def test_svg_deterministic_bytes(self):
         p = CylinderParams(4.0, 1.0)
@@ -170,15 +166,15 @@ class TestExports:
     def test_csv_round_trip_17_digits(self):
         p = CylinderParams(2.0, 1.0)
         log = sample_events(p, 10.0 / p.period, 99)
-        traces = trace_cluster(log, samples_per_slit=3)
-        lines = export_csv(traces).decode().splitlines()
+        rows = trace_cluster(log, samples_per_slit=3)
+        lines = export_csv(rows, log.times).decode().splitlines()
         assert lines[0] == "event_index,birth_time,point_index,re,im"
         row = 1
-        for trace in traces:
-            for j, pt in enumerate(trace.points):
+        for k, points in enumerate(rows):
+            for j, pt in enumerate(points):
                 idx, birth, pidx, re, im = lines[row].split(",")
-                assert int(idx) == trace.event_index
-                assert float(birth) == trace.birth_time  # exact parse-back
+                assert int(idx) == k
+                assert float(birth) == log.times[k]  # exact parse-back
                 assert int(pidx) == j
                 assert float(re) == pt.real and float(im) == pt.imag
                 row += 1
