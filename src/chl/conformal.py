@@ -63,6 +63,7 @@ __all__ = [
     "cyl_slit",
     "cyl_slit_many",
     "cyl_slit_deriv",
+    "cyl_slit_deriv2",
     "reduce_to_fundamental",
     "cylinder_dist",
 ]
@@ -376,25 +377,37 @@ def cyl_slit_many(params: CylinderParams, x: float, z: np.ndarray) -> np.ndarray
     return (x + (u - u_red)) + out
 
 
-def cyl_slit_deriv(params: CylinderParams, x: float, z: complex) -> complex:
-    """Derivative dS_x/dz, interior points only (Im z > 0).
+def _tan_chart(params: CylinderParams, x: float, z: complex) -> tuple[complex, complex, complex]:
+    """``t = (z - x)/2N`` (Re reduced), ``v = tan(t)`` and ``u = phi^delta(v)``, for Im z > 0.
 
-    Chain rule through S_0 = 2N arctan(phi^delta(tan(./2N))) collapses to
-
-        S_0'(z) = tan(z/2N) / phi^delta(tan(z/2N)),
-
-    which tends to 1 at the cylinder's far field and is 2*pi*N periodic.
-    The slit tip preimage and the boundary are excluded: the tip is a
-    critical point and the base corners are square-root singular.
+    S_0 = 2N arctan(phi^delta(tan(./2N))), so its derivatives are rational in
+    v and u.  The slit-base corners, where u = 0, are square-root singular.
     """
     z = complex(z)
     if not z.imag > 0.0:
-        raise ValueError("cyl_slit_deriv requires Im z > 0")
-    n = params.radius_n
+        raise ValueError("slit-map derivatives require Im z > 0")
     d = params.delta
-    w = complex(_reduce(z.real - x, params.period), z.imag)
-    v = cmath.tan(0.5 * w / n)
+    t = 0.5 * complex(_reduce(z.real - x, params.period), z.imag) / params.radius_n
+    v = cmath.tan(t)
     u = _slit_sqrt(1.0 - d * d, d * d, v)
     if u == 0:
-        raise ValueError("cyl_slit_deriv: singular at the slit base")
+        raise ValueError("slit-map derivatives are singular at the slit base")
+    return t, v, u
+
+
+def cyl_slit_deriv(params: CylinderParams, x: float, z: complex) -> complex:
+    """dS_x/dz = v/u in the terms of ``_tan_chart``; 2*pi*N periodic, tends to 1 far up."""
+    _, v, u = _tan_chart(params, x, z)
     return v / u
+
+
+def cyl_slit_deriv2(params: CylinderParams, x: float, z: complex) -> complex:
+    """d^2 S_x/dz^2 = -delta^2 (1 + v^2) / (2N u^3), as u^2 = (1-delta^2) v^2 - delta^2.
+
+    ``1 + v^2`` is taken as ``1/cos(t)^2``: far above the boundary v tends
+    to i, and the sum would cancel.
+    """
+    t, _, u = _tan_chart(params, x, z)
+    c = cmath.cos(t)
+    d = params.delta
+    return -(d * d) / (2.0 * params.radius_n * c * c * u * u * u)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -76,11 +77,11 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
+    @functools.cached_property
     def times(self) -> tuple[float, ...]:
         return tuple(e.time for e in self.events)
 
-    @property
+    @functools.cached_property
     def xs(self) -> tuple[float, ...]:
         return tuple(e.x for e in self.events)
 
@@ -154,17 +155,14 @@ def sample_events(params: CylinderParams, horizon_t: float, seed: int) -> EventL
         raise ValueError(f"horizon_t must be positive, got {horizon_t}")
     seed = int(seed) & (1 << 64) - 1
     rng = SplitMix64(seed)
-    count = poisson(rng, params.period * horizon_t)
+    period, half = params.period, params.half_period
+    count = poisson(rng, period * horizon_t)
     times = [horizon_t * (1.0 - rng.next_float()) for _ in range(count)]  # (0, t]
-    half = params.half_period
-    xs = []
-    for _ in range(count):
-        x = -half + rng.next_float() * params.period
-        # the product can round up to the full period, which would land on
-        # the excluded right endpoint; wrap that measure-zero case
-        xs.append(x if x < half else -half)
-    order = sorted(range(count), key=lambda i: (times[i], xs[i], i))
-    events = tuple(Event(times[i], xs[i]) for i in order)
+    # the product can round up to the full period, which would land on the
+    # excluded right endpoint; wrap that measure-zero case
+    xs = (-half + rng.next_float() * period for _ in range(count))
+    xs = [x if x < half else -half for x in xs]
+    events = tuple(Event(t, x) for t, x, _ in sorted(zip(times, xs, range(count))))
     return EventLog(params, horizon_t, seed, events)
 
 
@@ -241,9 +239,9 @@ def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) 
 
 def _xs_up_to(ev: ProcessEvaluator, s: float) -> list[float]:
     """Abscissae of events with time <= s (cadlag), inside the SHL window if any."""
-    events = ev.log.events[: bisect.bisect_right(ev.log.times, s)]
+    xs = ev.log.xs[: bisect.bisect_right(ev.log.times, s)]
     w = ev.window_w
-    return [e.x for e in events if w is None or abs(e.x) <= w]
+    return [x for x in xs if w is None or abs(x) <= w]
 
 
 def eval_forward_chl(ev: ProcessEvaluator, z: complex, s: float) -> complex:

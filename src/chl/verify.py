@@ -22,7 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .conformal import (
     _far_field,
     cyl_slit,
     cyl_slit_deriv,
+    cyl_slit_deriv2,
     cylinder_dist,
     halfplane_slit,
 )
@@ -64,11 +65,11 @@ class RateFit:
     """Least-squares line through (transformed) error data.
 
     ``grid`` holds the raw (scale, error) pairs; ``excluded`` lists scales
-    dropped as floor-limited before fitting.  ``slope`` is d log(err) / d
-    log(scale) for power-law fits and d log(err) / d scale for exponential
-    ones (the caller knows which it asked for).  With fewer than two points
-    above their floors the fit is degenerate: slope 0, r^2 0, every scale
-    excluded.
+    dropped as floor-limited (error at most ``_RESIDUAL_FLOOR``) before
+    fitting.  ``slope`` is d log(err) / d log(scale) for power-law fits and
+    d log(err) / d scale for exponential ones (the caller knows which it
+    asked for).  With fewer than two points above the floor the fit is
+    degenerate: slope 0, r^2 0, every scale excluded.
     """
 
     grid: tuple[tuple[float, float], ...]
@@ -104,30 +105,20 @@ def _summarize(samples: np.ndarray) -> list[McSummary]:
             for m, s_re, s_im in zip(means, stds_re, stds_im)]
 
 
-def _linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
-    """Slope, intercept, r^2 of the least-squares line through (xs, ys)."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+def _rate_fit(scales: Sequence[float], errors: Sequence[float], log_x: bool) -> RateFit:
+    """Least-squares line through the points above ``_RESIDUAL_FLOOR``."""
+    grid = tuple((float(s), float(e)) for s, e in zip(scales, errors))
+    kept = [(s, e) for s, e in grid if e > _RESIDUAL_FLOOR]
+    excluded = tuple(s for s, e in grid if e <= _RESIDUAL_FLOOR)
+    if len(kept) < 2:
+        return RateFit(grid, 0.0, 0.0, 0.0, tuple(s for s, _ in grid))
+    x = np.array([math.log(s) if log_x else s for s, _ in kept])
+    y = np.array([math.log(e) for _, e in kept])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(slope), float(intercept), r2
-
-
-def _rate_fit(scales: Sequence[float], errors: Sequence[float], log_x: bool,
-              floors: Sequence[float] | None = None) -> RateFit:
-    """The fit over the points above their ``floors`` (one per scale; default _RESIDUAL_FLOOR)."""
-    grid = tuple((float(s), float(e)) for s, e in zip(scales, errors))
-    floors = [_RESIDUAL_FLOOR] * len(grid) if floors is None else floors
-    kept = [(s, e) for (s, e), f in zip(grid, floors) if e > f]
-    excluded = tuple(s for (s, e), f in zip(grid, floors) if e <= f)
-    if len(kept) < 2:
-        return RateFit(grid, 0.0, 0.0, 0.0, tuple(s for s, _ in grid))
-    xs = [math.log(s) if log_x else s for s, _ in kept]
-    ys = [math.log(e) for _, e in kept]
-    slope, intercept, r2 = _linear_fit(xs, ys)
-    return RateFit(grid, slope, intercept, r2, excluded)
+    return RateFit(grid, float(slope), float(intercept), r2, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -275,47 +266,30 @@ def shift_commutation_check(
     return worst
 
 
-def _fd2_sq_integral(params: CylinderParams, z: complex, step: float, tol: float) -> float:
-    """Integral over x in [0, pi*N] of |S_x''(z)|^2 by central differences of step ``step``."""
-    h2 = step * step
-
-    def fd2_sq(x: float) -> complex:
-        w = complex(z.real - x, z.imag)
-        second = (
-            cyl_slit(params, 0.0, w + step)
-            - 2.0 * cyl_slit(params, 0.0, w)
-            + cyl_slit(params, 0.0, w - step)
-        ) / h2
-        return complex(abs(second) ** 2)
-
-    return adaptive_quadrature(fd2_sq, 0.0, params.half_period, tol=tol).value.real
+def _quad_second_deriv(params: CylinderParams, z: complex, tol: float) -> QuadratureResult:
+    """Integral of |S_x''(z)|^2 over attachment points x in [0, pi*N]."""
+    return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit_deriv2(params, x, z)) ** 2),
+                        tol, 10_000, domain=(0.0, params.half_period))
 
 
 def second_deriv_decay_check(
     lam: float,
     z: complex,
     n_list: Sequence[float],
-    step: float = 2.0**-8,
     tol: float = 1e-8,
 ) -> RateFit:
     """Decay of the integrated squared second derivative of the slit map.
 
-    The second derivative is formed by central differences of ``cyl_slit``
-    (step a power of two, so the identity part cancels exactly) and
-    |S_0''|^2 is integrated over x in [0, pi*N].  Values near the finite
-    difference noise floor are excluded from the fit.
+    |S_x''(z)|^2, in the closed form of ``cyl_slit_deriv2``, is integrated
+    over x in [0, pi*N] for each radius and fitted against N; values below
+    the residual floor are excluded from the fit.
     """
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("second_deriv_decay_check requires Im z > 0")
     ns = sorted(float(v) for v in n_list)
-    values, floors = [], []
-    for n in ns:
-        params = CylinderParams(n, lam)
-        values.append(_fd2_sq_integral(params, z, step, tol))
-        noise = 4.0 * 2.3e-16 * (abs(z) + params.half_period) / (step * step)
-        floors.append(10.0 * noise * noise * params.half_period)
-    return _rate_fit(ns, values, log_x=True, floors=floors)
+    values, _ = _certified(_quad_second_deriv(CylinderParams(n, lam), z, tol) for n in ns)
+    return _rate_fit(ns, values, log_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +405,12 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
+def _certified(results: Iterable[QuadratureResult]) -> tuple[list[float], bool]:
+    """Real parts of the quadrature ``results``, and whether every one converged."""
+    results = list(results)
+    return [r.value.real for r in results], all(r.converged for r in results)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One machine-readable verification outcome."""
@@ -472,21 +452,16 @@ def _check_mean_shift(tol: float, threads: int) -> CheckResult:
 
 def _check_squared_shift(tol: float, threads: int) -> CheckResult:
     ns = [2.0, 4.0, 8.0, 16.0, 32.0]
-    vals = []
-    converged = True
-    for n in ns:
-        res = quad_squared_shift(CylinderParams(n, 1.0), 0j, tol=tol)
-        converged &= res.converged
-        vals.append(res.value.real)
+    vals, full_ok = _certified(quad_squared_shift(CylinderParams(n, 1.0), 0j, tol=tol) for n in ns)
     ratio = max(vals) / min(vals)
     p32 = CylinderParams(32.0, 1.0)
-    tails = []
-    for xi in (4.0, 8.0, 16.0):
-        res = quad_squared_shift(p32, 0j, domain=(xi, p32.half_period), tol=tol)
-        converged &= res.converged
-        tails.append((xi, res.value.real))
-    tail_fit = _rate_fit([s for s, _ in tails], [v for _, v in tails], log_x=True)
-    tail_ratio = tails[1][1] / tails[2][1]
+    xis = [4.0, 8.0, 16.0]
+    tails, tails_ok = _certified(
+        quad_squared_shift(p32, 0j, domain=(xi, p32.half_period), tol=tol) for xi in xis
+    )
+    tail_fit = _rate_fit(xis, tails, log_x=True)
+    tail_ratio = tails[1] / tails[2]
+    converged = full_ok and tails_ok
     passed = (
         converged
         and ratio <= 3.0
@@ -512,25 +487,19 @@ def _check_squared_shift(tol: float, threads: int) -> CheckResult:
 
 def _check_squared_deriv(tol: float, threads: int) -> CheckResult:
     ns = [4.0, 8.0, 16.0, 32.0]
-    vals = []
-    converged = True
-    for n in ns:
-        res = quad_squared_deriv(CylinderParams(n, 1.0), 1j, tol=tol)
-        converged &= res.converged
-        vals.append(res.value.real)
+    vals, full_ok = _certified(quad_squared_deriv(CylinderParams(n, 1.0), 1j, tol=tol) for n in ns)
     ratio = max(vals) / min(vals)
     p8 = CylinderParams(8.0, 1.0)
-    low = quad_squared_deriv(p8, 0.5j, tol=tol)
-    high = quad_squared_deriv(p8, 10j, tol=tol)
-    converged &= low.converged and high.converged
-    passed = converged and ratio <= 3.0 and high.value.real <= low.value.real
+    heights, heights_ok = _certified(quad_squared_deriv(p8, z, tol=tol) for z in (0.5j, 10j))
+    converged = full_ok and heights_ok
+    passed = converged and ratio <= 3.0 and heights[1] <= heights[0]
     return CheckResult(
         "quad_squared_deriv",
         {"lambda": 1.0, "N_grid": ns, "z": "i"},
         {
             "full_domain_values": dict(zip(map(str, ns), vals)),
             "max_over_min": ratio,
-            "height_decay": [low.value.real, high.value.real],
+            "height_decay": heights,
             "converged": converged,
         },
         "uniform-in-N bound (ratio <= 3), decay with height",
@@ -688,15 +657,18 @@ def _check_second_deriv(tol: float, threads: int) -> CheckResult:
     # up at cylinder-scaled heights z = iN, where the local curvature scale
     # delta^2/N wins over the domain growth.
     ns = [8.0, 16.0, 32.0]
-    fixed = second_deriv_decay_check(1.0, 1j, ns)
-    fixed_vals = [v for _, v in fixed.grid]
-    scaled_vals = [
-        _fd2_sq_integral(CylinderParams(n, 1.0), complex(0.0, n), 2.0**-8, 1e-10) for n in ns
-    ]
+    fixed_vals, fixed_ok = _certified(
+        _quad_second_deriv(CylinderParams(n, 1.0), 1j, 1e-8) for n in ns
+    )
+    fixed = _rate_fit(ns, fixed_vals, log_x=True)
+    scaled_vals, scaled_ok = _certified(
+        _quad_second_deriv(CylinderParams(n, 1.0), complex(0.0, n), 1e-10) for n in ns
+    )
     scaled_fit = _rate_fit(ns, scaled_vals, log_x=True)
+    converged = fixed_ok and scaled_ok
     bounded = max(fixed_vals) / min(fixed_vals) <= 1.5
     decays = scaled_fit.slope < 0.0 and scaled_fit.r_squared >= 0.9
-    passed = bounded and decays
+    passed = converged and bounded and decays
     return CheckResult(
         "second_deriv_decay",
         {"lambda": 1.0, "N_grid": ns, "z_fixed": "i", "z_scaled": "iN"},
@@ -706,6 +678,7 @@ def _check_second_deriv(tol: float, threads: int) -> CheckResult:
             "scaled_z_values": scaled_vals,
             "scaled_z_slope": scaled_fit.slope,
             "scaled_z_r_squared": scaled_fit.r_squared,
+            "converged": converged,
         },
         "bounded at fixed z; |S''|^2 integral decays at z = iN",
         0.0,

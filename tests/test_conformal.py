@@ -20,6 +20,7 @@ from chl.conformal import (
     cyl_phi_delta,
     cyl_slit,
     cyl_slit_deriv,
+    cyl_slit_deriv2,
     cyl_slit_many,
     cylinder_dist,
     delta_of,
@@ -417,6 +418,56 @@ class TestCylSlitDeriv:
             cyl_slit_deriv(p, 0.0, complex(1.0, 0.0))
         with pytest.raises(ValueError):
             cyl_slit_deriv(p, 0.0, complex(1.0, -0.5))
+
+
+    def test_values_pinned(self):
+        # S' is shared with S'' through one chart; its values must not move
+        cases = {
+            (1.0, 1.0, 0.0, 0.3 + 0.2j): 0.24372089622080378 - 0.31628507035966075j,
+            (8.0, 0.5, 1.25, -7.5 + 3j): 1.0013256467054672 + 0.0008921020813125824j,
+            (32.0, 2.0, -40.0, 100 + 0.01j): 1.000734022354072 + 1.6279814918567366e-07j,
+            (5.0, 1.0, 0.0, 10j): 0.9964229756285947 + 0j,
+        }
+        for (n, lam, x, z), want in cases.items():
+            assert cyl_slit_deriv(CylinderParams(n, lam), x, z) == want
+
+
+class TestCylSlitDeriv2:
+    def test_against_differences_of_the_derivative(self):
+        # five-point differences of S', step 1% of min(Im z, N); the bound is
+        # 1e-6 relative plus the stencil's rounding error, about eps |S'| / h
+        # with |S'| ~ 1, which dominates high up where S'' ~ exp(-Im z / N)
+        rng = SplitMix64(31337)
+        for n in (1.0, 8.0, 32.0):
+            p = CylinderParams(n, 1.0)
+            pts = [complex(p.half_period * (2.0 * rng.next_float() - 1.0),
+                           n * 10.0 ** (-2.0 + 3.3 * rng.next_float()))  # 0.01 N .. 20 N
+                   for _ in range(40)]
+            pts += [cmath.rect(0.02 * n, math.pi * k / 8) for k in range(1, 8)]  # near the tip
+            for z in pts:
+                h = 0.01 * min(z.imag, n)
+                f = [cyl_slit_deriv(p, 0.0, z + k * h) for k in (-2, -1, 1, 2)]
+                fd = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+                exact = cyl_slit_deriv2(p, 0.0, z)
+                assert abs(fd - exact) <= 1e-6 * abs(exact) + 1e-14 / h, (n, z)
+
+    def test_periodic_and_shift_equivariant(self):
+        p = CylinderParams(3.0, 0.7)
+        for x, z in ((1.9, 2.3 + 0.6j), (-4.0, 8.5 + 0.05j), (0.0, -9.0 + 3.0j)):
+            want = cyl_slit_deriv2(p, x, z)
+            assert cyl_slit_deriv2(p, 0.0, z - x) == want
+            assert cyl_slit_deriv2(p, x, z + p.period) == pytest.approx(want, rel=1e-12)
+            assert cyl_slit_deriv2(p, x, z - 2.0 * p.period) == pytest.approx(want, rel=1e-12)
+
+    def test_boundary_and_slit_base_rejected(self):
+        p = CylinderParams(2.0, 1.0)
+        corner = 2.0 * p.radius_n * math.asin(p.delta)
+        for z in (0j, complex(corner, 0.0), complex(1.0, -0.5)):
+            with pytest.raises(ValueError, match="Im z > 0"):
+                cyl_slit_deriv2(p, 0.0, z)
+        # Im z = 5e-324 halves to 0 in the chart: this point rounds onto the corner
+        with pytest.raises(ValueError, match="slit base"):
+            cyl_slit_deriv2(p, 0.0, complex(0.9897431959297259, 5e-324))
 
 
 class TestReduceToFundamental:

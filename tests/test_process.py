@@ -7,6 +7,7 @@ themselves.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import statistics
 
@@ -73,6 +74,24 @@ class TestSampling:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             sample_events(CylinderParams(1.0, 1.0), 0.0, 1)
+
+    def test_sampled_logs_pinned(self):
+        # SHA-256 of 1200 serialized logs, pinned so that a rewrite of the
+        # sampler is bit-identical; (200, 2) draws its count in chunks,
+        # since 2 pi N t > 500
+        digest = hashlib.sha256()
+        for n, t in ((16.0, 1.0), (32.0, 0.5), (200.0, 2.0), (10.0, 6.0)):
+            params = CylinderParams(n, 1.0)
+            for r in range(300):
+                digest.update(sample_events(params, t, mix_seed(7, r)).to_jsonl().encode())
+        assert digest.hexdigest() == (
+            "22c814e8e6c1fc93d97b26e31857aa13fc025467cd30c474c0b393d11c307b8e"
+        )
+
+    def test_times_and_xs_built_once(self):
+        log = sample_events(CylinderParams(4.0, 1.0), 1.0, 42)
+        assert log.times is log.times and log.xs is log.xs
+        assert log.xs == tuple(e.x for e in log.events)
 
 
 class TestSerialization:

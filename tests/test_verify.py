@@ -364,8 +364,15 @@ class TestSecondDerivative:
         fit = second_deriv_decay_check(1e-4, 1j, [1.0, 2.0, 4.0], tol=1e-14)
         assert all(v <= 1e-8 for _, v in fit.grid)
 
+    def test_small_slit_scales_like_lambda_to_the_fourth(self):
+        # S'' carries a factor delta^2 ~ (lam/2N)^2, so the integrals scale by 1e4
+        big = second_deriv_decay_check(1e-4, 1j, [1.0, 2.0, 4.0], tol=1e-14)
+        small = second_deriv_decay_check(1e-5, 1j, [1.0, 2.0, 4.0], tol=1e-14)
+        for (_, b), (_, s) in zip(big.grid, small.grid):
+            assert b / s == pytest.approx(1e4, rel=1e-6)
+
     def test_noise_floor_gives_degenerate_fit(self):
-        # every value sits at the finite-difference noise floor: no line to fit
+        # every value (about 5.9e-21) is below the residual floor: no line to fit
         fit = second_deriv_decay_check(1e-5, 1j, [1.0, 2.0, 4.0], tol=1e-14)
         assert (fit.slope, fit.r_squared) == (0.0, 0.0)
         assert fit.excluded == (1.0, 2.0, 4.0)
@@ -406,6 +413,18 @@ class TestSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             run_suite(only=["nope"])
+
+    def test_second_deriv_requires_converged_quadratures(self, monkeypatch):
+        (result,) = run_suite(only=["second_deriv_decay"])
+        assert result.passed and result.values["converged"] is True
+        quadrature = verify.adaptive_quadrature
+
+        def capped(f, a, b, **kwargs):
+            return quadrature(f, a, b, **{**kwargs, "tol": 1e-30, "max_panels": 1})
+
+        monkeypatch.setattr(verify, "adaptive_quadrature", capped)
+        (result,) = run_suite(only=["second_deriv_decay"])
+        assert not result.passed and result.values["converged"] is False
 
     def test_unreachable_tolerance_fails_suite(self):
         results = run_suite(only=["quad_mean_shift"], tol=1e-20)
