@@ -40,7 +40,6 @@ from .verify import (
     quad_squared_deriv,
     quad_squared_shift,
     run_suite,
-    second_deriv_decay_check,
     shift_commutation_check,
     slit_convergence_rate,
 )

@@ -77,6 +77,11 @@ _FAR_FIELD_RATIO = 30.0
 # correct side of the branch cut.
 _BOUNDARY_RATIO = 1e-15
 
+# A slit square root returns its tip within this distance (times max(1, b)) of
+# 0: outside it z^2 stays normal and b/z^2 below 1e300; inside it the dropped
+# term a|z|^2/2b is below 1e-280 relative for b in [1e-20, 1e20].
+_TIP_RADIUS = 1e-150
+
 
 def delta_of(radius_n: float, lam: float) -> float:
     """Slit parameter delta(N, lam) = 1 - 2/(1 + exp(lam/N)) = tanh(lam/2N).
@@ -172,10 +177,11 @@ def _slit_sqrt(a: float, b: float, z: complex) -> complex:
     """Branch-correct z * sqrt(a - b / z^2) on the closed upper half-plane.
 
     a, b > 0.  Continuous on Im z > 0, fixes the sign at the two real ends,
-    and sends 0 to i*sqrt(b) (the slit tip).  Real z inside the slit base
+    and sends 0 to i*sqrt(b) (the slit tip), as it does every z within
+    ``_TIP_RADIUS * max(1, b)`` of 0.  Real z inside the slit base
     (a z^2 < b) lands on the slit i*(0, sqrt(b)].
     """
-    if z == 0:
+    if abs(z) <= (_TIP_RADIUS * b if b > 1.0 else _TIP_RADIUS):
         return complex(0.0, math.sqrt(b))
     if z.imag == 0.0:
         x = z.real
@@ -183,7 +189,11 @@ def _slit_sqrt(a: float, b: float, z: complex) -> complex:
         if rad >= 0.0:
             return complex(x * math.sqrt(rad), 0.0)
         return complex(0.0, math.sqrt(b - a * x * x))
-    return z * cmath.sqrt(a - b / (z * z))
+    w = a - b / (z * z)
+    if w.imag == 0.0:
+        # Im(z^2) underflowed: the radicand's side of the cut is Re z's
+        w = complex(w.real, math.copysign(0.0, z.real))
+    return z * cmath.sqrt(w)
 
 
 def halfplane_slit(lam: float, x: float, z: complex) -> complex:
@@ -284,15 +294,15 @@ def _cyl_slit_origin(params: CylinderParams, u: float, y: float) -> complex:
     Output Re lies in [-pi*N, pi*N) (principal-log convention).
     """
     n = params.radius_n
-    d = params.delta
-    d2 = d * d
     if y <= _BOUNDARY_RATIO * n:
-        # Boundary path in real arithmetic: the map restricted to the
-        # boundary is 2N arctan(phi^delta(tan(u/2N))), real outside the slit
-        # base and pure imaginary (on the slit) inside it.
-        if u == 0.0:
-            return complex(0.0, params.lam)
+        # Boundary path: 2N arctan(phi^delta(tan(u/2N))), real outside the
+        # slit base and pure imaginary (on the slit) inside it.  It is
+        # _slit_sqrt's real split and tip test (d2 < 1) written out: a call
+        # costs a third more per boundary point.
         v = math.tan(0.5 * u / n)
+        if abs(v) <= _TIP_RADIUS:
+            return complex(0.0, params.lam)
+        d2 = params.delta * params.delta
         rad = (1.0 - d2) - d2 / (v * v)
         if rad >= 0.0:
             return complex(2.0 * n * math.atan(v * math.sqrt(rad)), 0.0)
@@ -325,8 +335,8 @@ def cyl_slit_many(params: CylinderParams, x: float, z: np.ndarray) -> np.ndarray
     """``cyl_slit(params, x, .)`` of every point of the array ``z``, one numpy pass.
 
     Each regime of the scalar path is a mask: the boundary path (with the
-    tip ``u == 0``), the far field ``Im z >= 30 N`` and the disk-coordinate
-    closed form with both square-root forms.  The reduction is exact, so the
+    tip ``|tan(u/2N)| <= _TIP_RADIUS``), the far field ``Im z >= 30 N`` and
+    the disk-coordinate closed form with both square-root forms.  The reduction is exact, so the
     restored multiple of the period is the scalar one; the transcendental
     functions are numpy's, so results may differ from ``cyl_slit`` in the
     last bits.  The ``|zeta| >= 1e130`` tail of ``_disk_slit_origin`` is left
@@ -346,10 +356,10 @@ def cyl_slit_many(params: CylinderParams, x: float, z: np.ndarray) -> np.ndarray
     edge = y <= _BOUNDARY_RATIO * n
     if edge.any():
         # boundary path of _cyl_slit_origin, real arithmetic
-        ub = u_red[edge]
-        ob = np.full(ub.shape, complex(0.0, params.lam))  # the tip, u == 0
-        off = ub != 0.0
-        v = np.tan(0.5 * ub[off] / n)
+        v = np.tan(0.5 * u_red[edge] / n)
+        ob = np.full(v.shape, complex(0.0, params.lam))  # the tip, |v| <= _TIP_RADIUS
+        off = np.abs(v) > _TIP_RADIUS
+        v = v[off]
         rad = (1.0 - d2) - d2 / (v * v)
         base = rad < 0.0
         res = np.zeros(v.shape, dtype=complex)

@@ -51,7 +51,6 @@ __all__ = [
     "shift_commutation_check",
     "mc_growth_check",
     "coupling_sup_distances",
-    "second_deriv_decay_check",
     "ks_two_sample",
     "run_suite",
     "CHECK_NAMES",
@@ -147,28 +146,22 @@ def _feature_splits(params: CylinderParams, z: complex, a: float, b: float) -> l
     return [s for s in splits if a < s < b]
 
 
-def _quad_over_x(params, z, integrand, tol, max_panels, domain=None) -> QuadratureResult:
+def _quad_over_x(params, z, integrand, tol, domain=None) -> QuadratureResult:
     """Integral of ``integrand(x)`` over ``domain`` (default one period), split at z's features."""
     a, b = domain if domain is not None else (-params.half_period, params.half_period)
     if not (-params.half_period - 1e-12 <= a < b <= params.half_period + 1e-12):
         raise ValueError(f"domain [{a}, {b}] not inside [-pi N, pi N]")
-    return adaptive_quadrature(integrand, a, b, tol=tol, max_panels=max_panels,
-                               presplit=_feature_splits(params, z, a, b))
+    return adaptive_quadrature(integrand, a, b, tol=tol, presplit=_feature_splits(params, z, a, b))
 
 
-def quad_mean_shift(
-    params: CylinderParams,
-    z: complex,
-    tol: float = 1e-10,
-    max_panels: int = 10_000,
-) -> QuadratureResult:
+def quad_mean_shift(params: CylinderParams, z: complex, tol: float = 1e-10) -> QuadratureResult:
     """Integral of S_x(z) - z over one period of attachment points x.
 
     Equals ``drift(params, 1.0)`` for every z on the cylinder; this
     z-independence is itself part of what the callers assert.
     """
     z = complex(z)
-    return _quad_over_x(params, z, lambda x: cyl_slit(params, x, z) - z, tol, max_panels)
+    return _quad_over_x(params, z, lambda x: cyl_slit(params, x, z) - z, tol)
 
 
 def quad_squared_shift(
@@ -176,7 +169,6 @@ def quad_squared_shift(
     z: complex,
     domain: tuple[float, float] | None = None,
     tol: float = 1e-10,
-    max_panels: int = 10_000,
 ) -> QuadratureResult:
     """Integral of |S_x(z) - z|^2 over attachment points x in ``domain``.
 
@@ -185,21 +177,16 @@ def quad_squared_shift(
     """
     z = complex(z)
     return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit(params, x, z) - z) ** 2),
-                        tol, max_panels, domain)
+                        tol, domain)
 
 
-def quad_squared_deriv(
-    params: CylinderParams,
-    z: complex,
-    tol: float = 1e-10,
-    max_panels: int = 10_000,
-) -> QuadratureResult:
+def quad_squared_deriv(params: CylinderParams, z: complex, tol: float = 1e-10) -> QuadratureResult:
     """Integral of |dS_x/dz(z) - 1|^2 over one period; interior z only."""
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("quad_squared_deriv requires Im z > 0")
     return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit_deriv(params, x, z) - 1.0) ** 2),
-                        tol, max_panels)
+                        tol)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +256,7 @@ def shift_commutation_check(
 def _quad_second_deriv(params: CylinderParams, z: complex, tol: float) -> QuadratureResult:
     """Integral of |S_x''(z)|^2 over attachment points x in [0, pi*N]."""
     return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit_deriv2(params, x, z)) ** 2),
-                        tol, 10_000, domain=(0.0, params.half_period))
-
-
-def second_deriv_decay_check(
-    lam: float,
-    z: complex,
-    n_list: Sequence[float],
-    tol: float = 1e-8,
-) -> RateFit:
-    """Decay of the integrated squared second derivative of the slit map.
-
-    |S_x''(z)|^2, in the closed form of ``cyl_slit_deriv2``, is integrated
-    over x in [0, pi*N] for each radius and fitted against N; values below
-    the residual floor are excluded from the fit.
-    """
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError("second_deriv_decay_check requires Im z > 0")
-    ns = sorted(float(v) for v in n_list)
-    values, _ = _certified(_quad_second_deriv(CylinderParams(n, lam), z, tol) for n in ns)
-    return _rate_fit(ns, values, log_x=True)
+                        tol, domain=(0.0, params.half_period))
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +625,11 @@ def _check_second_deriv(tol: float, threads: int) -> CheckResult:
     # delta^2/N wins over the domain growth.
     ns = [8.0, 16.0, 32.0]
     fixed_vals, fixed_ok = _certified(
-        _quad_second_deriv(CylinderParams(n, 1.0), 1j, 1e-8) for n in ns
+        _quad_second_deriv(CylinderParams(n, 1.0), 1j, tol) for n in ns
     )
     fixed = _rate_fit(ns, fixed_vals, log_x=True)
     scaled_vals, scaled_ok = _certified(
-        _quad_second_deriv(CylinderParams(n, 1.0), complex(0.0, n), 1e-10) for n in ns
+        _quad_second_deriv(CylinderParams(n, 1.0), complex(0.0, n), tol) for n in ns
     )
     scaled_fit = _rate_fit(ns, scaled_vals, log_x=True)
     converged = fixed_ok and scaled_ok
@@ -725,7 +692,8 @@ CHECK_NAMES: dict[str, object] = {
     "coupling_decay": _check_coupling_decay,
 }
 
-# coupling_decay belongs to the converge workflow; run it there by default.
+# coupling_decay runs only when named (--only); `chl converge` reports the same
+# coupling means but never applies this check's non-increase criterion.
 DEFAULT_SUITE = tuple(name for name in CHECK_NAMES if name != "coupling_decay")
 
 

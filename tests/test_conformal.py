@@ -470,6 +470,98 @@ class TestCylSlitDeriv2:
             cyl_slit_deriv2(p, 0.0, complex(0.9897431959297259, 5e-324))
 
 
+def _tip_points(seed: int, interior: bool) -> tuple[list[float], list[complex]]:
+    """(x, z) pairs with |z - x| from 1e-320 to 1e-140, so z - x is exact.
+
+    Boundary points are x = 0, z = +-r.  Interior points are x = 0,
+    z = +-r + i r' (Re offset of either sign), and a seeded x with z = x + i r
+    (Re(z - x) exactly 0).
+    """
+    rng = np.random.default_rng(seed)
+
+    def radii(k):
+        return (10.0 ** rng.uniform(-320.0, -140.0, k)).tolist()
+
+    signs = rng.choice([-1.0, 1.0], 40).tolist()
+    if not interior:
+        return [0.0] * 40, [complex(s * r, 0.0) for s, r in zip(signs, radii(40))]
+    xs = [0.0] * 40 + rng.uniform(-5.0, 5.0, 20).tolist()
+    zs = [complex(s * r, q) for s, r, q in zip(signs, radii(40), radii(40))]
+    zs += [complex(x, r) for x, r in zip(xs[40:], radii(20))]
+    return xs, zs
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 5.0])
+class TestTipPreimage:
+    """Within 1e-140 of the tip preimage every map returns its tip, to rounding.
+
+    z^2 and tan(.)^2 underflow there; the dropped terms are O(|z - x|^2),
+    below 1e-280 relative.  The tips are i*lam for the slit maps and i*delta
+    for phi^delta; the derivatives tend to their first-order limits
+    S' ~ -i (z - x) / (2N delta) and S'' ~ -i / (2N delta).
+    """
+
+    N = 2.0
+
+    def test_cyl_slit(self, lam):
+        p = CylinderParams(self.N, lam)
+        for interior in (False, True):
+            for x, z in zip(*_tip_points(41, interior)):
+                got = cyl_slit(p, x, z)
+                assert abs(got - complex(x, lam)) <= 8.0 * _EPS * lam, (x, z, got)
+
+    def test_cyl_slit_many(self, lam):
+        p = CylinderParams(self.N, lam)
+        for interior in (False, True):
+            xs, zs = _tip_points(42, interior)
+            for x in sorted(set(xs)):
+                z = np.array([q for xq, q in zip(xs, zs) if xq == x])
+                got = cyl_slit_many(p, x, z)
+                assert np.all(np.abs(got - complex(x, lam)) <= 8.0 * _EPS * lam), (x, z, got)
+
+    def test_halfplane_slit(self, lam):
+        for interior in (False, True):
+            for x, z in zip(*_tip_points(43, interior)):
+                got = halfplane_slit(lam, x, z)
+                assert abs(got - complex(x, lam)) <= 4.0 * _EPS * lam, (x, z, got)
+
+    def test_cyl_phi_delta(self, lam):
+        d = delta_of(self.N, lam)
+        for interior in (False, True):
+            for x, z in zip(*_tip_points(44, interior)):
+                got = cyl_phi_delta(d, z - x)
+                assert abs(got - 1j * d) <= 4.0 * _EPS * d, (x, z, got)
+
+    def test_cyl_slit_deriv(self, lam):
+        p = CylinderParams(self.N, lam)
+        tiny = 2.0**-1074  # t = (z - x)/2N rounds to this grid when subnormal
+        for x, z in zip(*_tip_points(45, interior=True)):
+            got = cyl_slit_deriv(p, x, z)
+            want = -1j * (z - x) / (2.0 * self.N * p.delta)
+            assert abs(got - want) <= 8.0 * _EPS * abs(want) + 4.0 * tiny / p.delta, (x, z, got)
+
+    def test_cyl_slit_deriv2(self, lam):
+        p = CylinderParams(self.N, lam)
+        want = -1j / (2.0 * self.N * p.delta)
+        for x, z in zip(*_tip_points(46, interior=True)):
+            got = cyl_slit_deriv2(p, x, z)
+            assert abs(got - want) <= 8.0 * _EPS * abs(want), (x, z, got)
+
+    def test_near_real_interior_keeps_branch(self, lam):
+        # Im(z^2) underflows to 0 here, and the root must stay on Re z's side
+        p = CylinderParams(self.N, lam)
+        d = p.delta
+        for re in (1e-100, 1e-30, -1e-100, -1e-30):
+            z = complex(re * lam, 1e-300)
+            assert abs(halfplane_slit(lam, 0.0, z) - 1j * lam) <= 4.0 * _EPS * lam, z
+            assert abs(cyl_phi_delta(d, z) - 1j * d) <= 4.0 * _EPS * d, z
+            want = -1j * z / (2.0 * self.N * d)
+            assert abs(cyl_slit_deriv(p, 0.0, z) - want) <= 8.0 * _EPS * abs(want), z
+            want = -1j / (2.0 * self.N * d)
+            assert abs(cyl_slit_deriv2(p, 0.0, z) - want) <= 8.0 * _EPS * abs(want), z
+
+
 class TestReduceToFundamental:
     def test_examples(self):
         p1 = CylinderParams(1.0, 1.0)

@@ -20,10 +20,19 @@ from chl.verify import (
     quad_squared_deriv,
     quad_squared_shift,
     run_suite,
-    second_deriv_decay_check,
     shift_commutation_check,
     slit_convergence_rate,
 )
+
+
+def _cap_panels(monkeypatch, max_panels):
+    """Run every quadrature of ``verify`` with at most ``max_panels`` panels."""
+    quadrature = verify.adaptive_quadrature
+
+    def capped(f, a, b, **kwargs):
+        return quadrature(f, a, b, **{**kwargs, "max_panels": max_panels})
+
+    monkeypatch.setattr(verify, "adaptive_quadrature", capped)
 
 
 class TestMeanShift:
@@ -52,8 +61,9 @@ class TestMeanShift:
         res = quad_mean_shift(p, 1j)
         assert abs(res.value - drift(p, 1.0)) <= 1e-8
 
-    def test_unreachable_tolerance_reported(self):
-        res = quad_mean_shift(CylinderParams(2.0, 1.0), 0.1 + 0j, tol=1e-30, max_panels=256)
+    def test_unreachable_tolerance_reported(self, monkeypatch):
+        _cap_panels(monkeypatch, 256)
+        res = quad_mean_shift(CylinderParams(2.0, 1.0), 0.1 + 0j, tol=1e-30)
         assert not res.converged
         assert res.subdivisions == 256
 
@@ -350,36 +360,43 @@ class TestInlineCompositionOracles:
         assert np.array_equal(got, np.array(want))
 
 
+def _second_deriv_fit(lam, z, n_list, tol=1e-8):
+    """The check's S'' study at one height: quadratures, certification, rate fit."""
+    values, _ = verify._certified(verify._quad_second_deriv(CylinderParams(n, lam), z, tol)
+                                  for n in n_list)
+    return verify._rate_fit(n_list, values, log_x=True)
+
+
 class TestSecondDerivative:
     def test_fixed_z_bounded_not_decaying(self):
         # the integral converges (upward) to the half-plane limit
         # int_0^inf lam^4 / |(z-x)^2 - lam^2|^3 dx, so assert boundedness
-        fit = second_deriv_decay_check(1.0, 1j, [8.0, 16.0, 32.0])
+        fit = _second_deriv_fit(1.0, 1j, [8.0, 16.0, 32.0])
         vals = [v for _, v in fit.grid]
         assert max(vals) / min(vals) <= 1.01
         limit = 0.1638  # numeric half-plane value, for scale
         assert vals[-1] == pytest.approx(limit, abs=2e-3)
 
     def test_small_slit(self):
-        fit = second_deriv_decay_check(1e-4, 1j, [1.0, 2.0, 4.0], tol=1e-14)
+        fit = _second_deriv_fit(1e-4, 1j, [1.0, 2.0, 4.0], tol=1e-14)
         assert all(v <= 1e-8 for _, v in fit.grid)
 
     def test_small_slit_scales_like_lambda_to_the_fourth(self):
         # S'' carries a factor delta^2 ~ (lam/2N)^2, so the integrals scale by 1e4
-        big = second_deriv_decay_check(1e-4, 1j, [1.0, 2.0, 4.0], tol=1e-14)
-        small = second_deriv_decay_check(1e-5, 1j, [1.0, 2.0, 4.0], tol=1e-14)
+        big = _second_deriv_fit(1e-4, 1j, [1.0, 2.0, 4.0], tol=1e-14)
+        small = _second_deriv_fit(1e-5, 1j, [1.0, 2.0, 4.0], tol=1e-14)
         for (_, b), (_, s) in zip(big.grid, small.grid):
             assert b / s == pytest.approx(1e4, rel=1e-6)
 
     def test_noise_floor_gives_degenerate_fit(self):
         # every value (about 5.9e-21) is below the residual floor: no line to fit
-        fit = second_deriv_decay_check(1e-5, 1j, [1.0, 2.0, 4.0], tol=1e-14)
+        fit = _second_deriv_fit(1e-5, 1j, [1.0, 2.0, 4.0], tol=1e-14)
         assert (fit.slope, fit.r_squared) == (0.0, 0.0)
         assert fit.excluded == (1.0, 2.0, 4.0)
 
     def test_interior_required(self):
         with pytest.raises(ValueError):
-            second_deriv_decay_check(1.0, 1.0 + 0j, [8.0, 16.0, 32.0])
+            _second_deriv_fit(1.0, 1.0 + 0j, [8.0, 16.0, 32.0])
 
 
 class TestKsTwoSample:
@@ -424,6 +441,15 @@ class TestSuite:
 
         monkeypatch.setattr(verify, "adaptive_quadrature", capped)
         (result,) = run_suite(only=["second_deriv_decay"])
+        assert not result.passed and result.values["converged"] is False
+
+    def test_second_deriv_runs_at_suite_tol(self, monkeypatch):
+        # with 16 panels every S'' integral converges at the default tol; at
+        # tol=1e-30 none can, and the check must say so
+        _cap_panels(monkeypatch, 16)
+        (result,) = run_suite(only=["second_deriv_decay"])
+        assert result.passed and result.values["converged"] is True
+        (result,) = run_suite(only=["second_deriv_decay"], tol=1e-30)
         assert not result.passed and result.values["converged"] is False
 
     def test_unreachable_tolerance_fails_suite(self):
