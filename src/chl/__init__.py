@@ -26,6 +26,7 @@ from .process import (
     orbit,
     restrict_log,
     sample_events,
+    sample_many,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature
 from .render import export_csv, export_svg, trace_cluster

@@ -29,7 +29,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .conformal import (
     CylinderParams,
@@ -38,7 +40,7 @@ from .conformal import (
     halfplane_slit,
     map_f_inv,
 )
-from .rng import SplitMix64, poisson
+from .rng import _MASK, poisson_many, uniform_at
 
 __all__ = [
     "Event",
@@ -46,6 +48,7 @@ __all__ = [
     "ProcessEvaluator",
     "KINDS",
     "sample_events",
+    "sample_many",
     "restrict_log",
     "compose",
     "orbit",
@@ -143,27 +146,61 @@ def _g17(x: float) -> str:
     return format(x, ".17g")
 
 
-def sample_events(params: CylinderParams, horizon_t: float, seed: int) -> EventLog:
-    """Sample one Poisson event log on ``[-pi*N, pi*N) x (0, horizon_t]``.
+def sample_many(
+    params: CylinderParams, horizon_t: float, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson event logs on ``[-pi*N, pi*N) x (0, horizon_t]``, one row per seed.
 
-    The count is Poisson(2*pi*N*t) by inversion, then that many uniform
-    times and abscissae are drawn (times first, then abscissae) and sorted
-    by time; coincident float times are ordered by abscissa, then draw index.
-    Fully determined by ``seed``.
+    Stream ``SplitMix64(seed)`` gives the count, Poisson(2*pi*N*t) by
+    inversion (one draw per chunk), then that many uniform times and then
+    that many abscissae.  Each row is sorted by time; coincident float times
+    are ordered by abscissa, then draw index.  Returns ``counts`` (int64,
+    one per seed) and ``times`` and ``xs`` of shape ``(seeds, max count)``,
+    padded with ``+inf`` past each row's count.  A row depends on its seed
+    alone, never on the other seeds of the call.
     """
     if not (math.isfinite(horizon_t) and horizon_t > 0.0):
         raise ValueError(f"horizon_t must be positive, got {horizon_t}")
-    seed = int(seed) & (1 << 64) - 1
-    rng = SplitMix64(seed)
+    t = float(horizon_t)
     period, half = params.period, params.half_period
-    count = poisson(rng, period * horizon_t)
-    times = [horizon_t * (1.0 - rng.next_float()) for _ in range(count)]  # (0, t]
+    seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)[:, None]
+    counts, used = poisson_many(seeds[:, 0], period * t)
+    idx = np.arange(counts.max(initial=0), dtype=np.uint64)
+    ends = counts[:, None].astype(np.uint64)
+    times = t * (1.0 - uniform_at(seeds, used + 1 + idx))  # (0, t]
+    xs = -half + uniform_at(seeds, used + 1 + ends + idx) * period
     # the product can round up to the full period, which would land on the
     # excluded right endpoint; wrap that measure-zero case
-    xs = (-half + rng.next_float() * period for _ in range(count))
-    xs = [x if x < half else -half for x in xs]
-    events = tuple(Event(t, x) for t, x, _ in sorted(zip(times, xs, range(count))))
-    return EventLog(params, horizon_t, seed, events)
+    xs[xs >= half] = -half
+    pad = idx >= ends
+    times[pad] = xs[pad] = np.inf
+    order = np.lexsort((np.broadcast_to(idx, times.shape), xs, times), axis=-1)
+    return counts, np.take_along_axis(times, order, -1), np.take_along_axis(xs, order, -1)
+
+
+def _event_logs(params: CylinderParams, horizon_t: float,
+                seeds: Sequence[int]) -> Iterator[EventLog]:
+    """:func:`sample_many`'s rows as event logs, one per seed, built as they are consumed."""
+    seeds = [int(s) & _MASK for s in seeds]
+    counts, times, xs = sample_many(params, horizon_t, seeds)
+    for seed, n, ts, row in zip(seeds, counts.tolist(), times, xs):
+        yield EventLog(params, horizon_t, seed, tuple(map(Event, ts[:n].tolist(), row[:n].tolist())))
+
+
+def sample_events(params: CylinderParams, horizon_t: float, seed: int) -> EventLog:
+    """One Poisson event log: the row of :func:`sample_many` for ``seed``."""
+    return next(_event_logs(params, horizon_t, [seed]))
+
+
+def _restricted_params(params: CylinderParams, half_width: float) -> CylinderParams:
+    """Cylinder of the events with ``|x| <= half_width``: radius ``half_width / pi``."""
+    if half_width <= 0.0:
+        raise ValueError(f"half_width must be positive, got {half_width}")
+    if half_width > params.half_period * (1.0 + 1e-12):
+        raise ValueError(f"half_width {half_width} exceeds source domain {params.half_period}")
+    if half_width == params.half_period:
+        return params
+    return CylinderParams(half_width / math.pi, params.lam)
 
 
 def restrict_log(log: EventLog, half_width: float) -> EventLog:
@@ -175,15 +212,9 @@ def restrict_log(log: EventLog, half_width: float) -> EventLog:
     preserved; the seed is kept for provenance (a restricted log is a
     derived view, not resampleable from its own header).
     """
-    if half_width <= 0.0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    if half_width > log.params.half_period * (1.0 + 1e-12):
-        raise ValueError(
-            f"half_width {half_width} exceeds source domain {log.params.half_period}"
-        )
-    if half_width == log.params.half_period:
+    params = _restricted_params(log.params, half_width)
+    if params is log.params:
         return log
-    params = CylinderParams(half_width / math.pi, log.params.lam)
     events = tuple(e for e in log.events if abs(e.x) <= half_width)
     return EventLog(params, log.horizon_t, log.seed, events)
 

@@ -8,7 +8,8 @@ second level matters: |K15 - G7| alone is blind to a feature sitting in the
 node-free gap next to a panel edge, and the parent/children comparison
 probes that gap with a different node set.  The worst panel is bisected
 until the summed estimate drops below the absolute tolerance or a panel cap
-is reached; non-convergence is reported on the result, never silently.
+is reached, or until the estimate stalls at rounding noise (see
+``_STALL_FROM``).  Non-convergence is reported on the result, never silently.
 A panel carries its two half values, which become its children's
 whole-panel values when it is bisected: each K15 panel is evaluated once.
 
@@ -20,10 +21,18 @@ is exact up to degree 13 / 22).
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 __all__ = ["QuadratureResult", "adaptive_quadrature"]
+
+# The stall rule: from this panel count on, an estimate that is rounding
+# noise (at most _NOISE times the summed |panel values|) and that a doubling
+# of the panels did not halve stops the run, unconverged.
+_STALL_FROM = 256
+_NOISE = 100.0 * sys.float_info.epsilon
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric).
 _XGK = (
@@ -131,6 +140,7 @@ def adaptive_quadrature(
         count += 1
     heapq.heapify(heap)
     panels = len(heap)
+    checkpoint, checkpoint_err = _STALL_FROM, math.inf
     # a worst panel without halves has error 0, and so has every panel: only rounding is left
     while total_err > tol and panels < max_panels and heap[0][5] is not None:
         neg_err, _, lo, hi, _, halves = heapq.heappop(heap)
@@ -142,6 +152,11 @@ def adaptive_quadrature(
             total_err += sub_err
             count += 1
         panels += 1
+        if panels >= checkpoint:
+            if total_err > 0.5 * checkpoint_err and total_err <= _NOISE * sum(
+                    abs(panel[4]) for panel in heap):
+                break  # rounding noise that more panels do not reduce
+            checkpoint, checkpoint_err = 2 * panels, total_err
     value = 0j
     err_sum = 0.0
     for neg_err, _, _, _, val, _ in heap:

@@ -5,16 +5,29 @@ that event logs regenerate bit-identically from ``(params, horizon, seed)``
 across platforms and library versions.  Replica streams are derived with the
 same avalanche function, so Monte Carlo runs are order-independent and safe
 to parallelize.
+
+SplitMix64 is a Weyl sequence: draw ``i`` (counted from 1) of the stream
+seeded ``s`` is ``avalanche(s + i * golden)``.  :func:`uniform_at` computes
+any set of draws of any set of streams at once in numpy ``uint64``, bit for
+bit what :class:`SplitMix64` yields one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-__all__ = ["SplitMix64", "mix_seed", "poisson"]
+import numpy as np
+
+__all__ = ["SplitMix64", "mix_seed", "uniform_at", "poisson_many"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# The stream's constants as numpy scalars, converted once.
+_U64 = {c: np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, 11, 27, 30, 31)}
 
 # Inversion accumulates Poisson probabilities from exp(-mu); keep mu small
 # enough that the starting term stays comfortably above the underflow floor.
@@ -24,8 +37,8 @@ _POISSON_CHUNK = 500.0
 def _avalanche(z: int) -> int:
     """SplitMix64 finalizer: bijective 64-bit mix with full avalanche."""
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -55,31 +68,63 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def _poisson_inversion(rng: SplitMix64, mu: float) -> int:
-    """Poisson sample by CDF inversion; requires mu small enough for exp(-mu)."""
-    u = rng.next_float()
+def uniform_at(seeds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Draw number ``draws`` of each stream ``SplitMix64(seeds)`` as a double.
+
+    ``seeds`` and ``draws`` are ``uint64`` arrays that broadcast together;
+    draws count from 1, so ``uniform_at(s, 1)`` is the first ``next_float()``.
+    The 64-bit sums and products wrap, as the scalar stream's masks do.
+    """
+    z = seeds + draws * _U64[_GOLDEN]
+    z ^= z >> _U64[30]
+    z *= _U64[_MIX1]
+    z ^= z >> _U64[27]
+    z *= _U64[_MIX2]
+    z ^= z >> _U64[31]
+    z >>= _U64[11]
+    return z.astype(np.float64) * 2.0**-53
+
+
+@functools.lru_cache(maxsize=16)
+def _poisson_cdf(mu: float) -> np.ndarray:
+    """Partial sums ``c_0 .. c_K`` of Poisson(mu) inversion, up to the first ``p_K == 0``.
+
+    The recurrence is the inversion loop's own (``p *= mu / k; c += p``), so
+    the first ``k`` with ``u <= c_k`` is the loop's sample; past ``c_K`` the
+    loop gives up at ``K``, as a ``u`` beyond the representable tail mass.
+    """
     p = math.exp(-mu)
     c = p
+    sums = [c]
     k = 0
-    while u > c:
+    while p != 0.0:
         k += 1
         p *= mu / k
         c += p
-        if p == 0.0:  # u beyond representable tail mass
-            break
-    return k
+        sums.append(c)
+    table = np.array(sums)
+    table.flags.writeable = False
+    return table
 
 
-def poisson(rng: SplitMix64, mu: float) -> int:
-    """Poisson(mu) by inversion, chunked so exp(-chunk) never underflows.
+def poisson_many(seeds: np.ndarray, mu: float) -> tuple[np.ndarray, int]:
+    """Poisson(mu) counts by inversion from the leading draws of each stream.
 
-    Splitting mu into bounded chunks and summing independent Poisson draws
-    leaves the law unchanged and keeps the draw sequence deterministic.
+    A mean above 500 is split into chunks of 500 (``mu -= 500`` while
+    ``mu > 500``) so ``exp(-chunk)`` never underflows; each chunk takes one
+    draw and the counts add, which leaves the law unchanged.  Returns the
+    counts (``int64``, one per seed) and the number of draws taken per stream.
     """
     if mu < 0.0 or not math.isfinite(mu):
         raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    total = 0
+    chunks = []
     while mu > _POISSON_CHUNK:
-        total += _poisson_inversion(rng, _POISSON_CHUNK)
+        chunks.append(_POISSON_CHUNK)
         mu -= _POISSON_CHUNK
-    return total + _poisson_inversion(rng, mu)
+    chunks.append(mu)
+    u = uniform_at(seeds[:, None], np.arange(1, len(chunks) + 1, dtype=np.uint64))
+    counts = np.zeros(len(seeds), dtype=np.int64)
+    for j, chunk in enumerate(chunks):
+        table = _poisson_cdf(chunk)
+        counts += np.minimum(np.searchsorted(table, u[:, j], side="left"), len(table) - 1)
+    return counts, len(chunks)

@@ -22,7 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +35,16 @@ from .conformal import (
     cylinder_dist,
     halfplane_slit,
 )
-from .process import ProcessEvaluator, compose, drift, orbit, restrict_log, sample_events
+from .process import (
+    ProcessEvaluator,
+    _event_logs,
+    _restricted_params,
+    compose,
+    drift,
+    orbit,
+    sample_events,
+    sample_many,
+)
 from .quadrature import QuadratureResult, adaptive_quadrature
 from .rng import SplitMix64, mix_seed
 
@@ -264,20 +273,40 @@ def _quad_second_deriv(params: CylinderParams, z: complex, tol: float) -> Quadra
 # ---------------------------------------------------------------------------
 
 
-def _growth_replica(params: CylinderParams, t: float, z: complex, seed: int) -> complex:
-    return compose(cyl_slit, params, sample_events(params, t, seed).xs, z)
+# Replicas per block: one sample_many call and one pool task.
+_BLOCK = 128
+
+
+def _sampled_xs(params: CylinderParams, t: float, seeds: list) -> Iterator[list[float]]:
+    """Each seed's event abscissae in time order, from one ``sample_many`` call."""
+    counts, _, xs = sample_many(params, t, seeds)
+    for n, row in zip(counts.tolist(), xs):
+        yield row[:n].tolist()
+
+
+def _growth_block(params: CylinderParams, t: float, z: complex, seeds: list) -> list[complex]:
+    return [compose(cyl_slit, params, xs, z) for xs in _sampled_xs(params, t, seeds)]
 
 
 def _run_replicas(worker, seeds: list, threads: int) -> list:
-    """``worker(seed)`` for each replica seed, in order; pooled from 64 replicas."""
+    """One result per replica seed, in order, from ``worker(block)`` over blocks of seeds.
+
+    Each block is sampled inside the worker, in the pool process, so no
+    process holds every replica's events at once.  A replica's stream
+    depends on its seed alone, so results do not depend on the blocking or
+    on ``threads``; the pool runs when there are two blocks or more.
+    """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     # a fork pool starts every worker at once: never more than the machine has
     threads = min(threads, os.cpu_count() or 1)
-    if threads > 1 and len(seeds) >= 64:
+    blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
+    if threads > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, seeds, chunksize=max(1, len(seeds) // (8 * threads))))
-    return [worker(seed) for seed in seeds]
+            results = list(pool.map(worker, blocks))
+    else:
+        results = map(worker, blocks)
+    return [r for block in results for r in block]
 
 
 def mc_growth_check(
@@ -298,20 +327,23 @@ def mc_growth_check(
     if t == 0.0:  # no arrivals: every replica is the identity at z
         return _summarize(np.full(replicas, complex(z)))[0]
     seeds = [mix_seed(seed, r) for r in range(replicas)]
-    worker = functools.partial(_growth_replica, params, t, z)
+    worker = functools.partial(_growth_block, params, t, z)
     return _summarize(np.array(_run_replicas(worker, seeds, threads)))[0]
 
 
-def _coupling_replica(master_params: CylinderParams, lam: float, z: complex, t: float,
-                      n_list: list[float], window: float | None, seed: int) -> list[float]:
-    master = sample_events(master_params, t, seed)
+def _coupling_block(master_params: CylinderParams, radii: list, lam: float, z: complex,
+                    t: float, seeds: list) -> list[list[float]]:
+    return [_coupling_replica(radii, lam, z, xs) for xs in _sampled_xs(master_params, t, seeds)]
+
+
+def _coupling_replica(radii: list, lam: float, z: complex, master_xs: list[float]) -> list[float]:
+    """Sup-distances of one master log; ``radii`` holds (params, pi*N, window) per radius."""
     sups = []
-    for n in n_list:
-        sub = restrict_log(master, math.pi * n)
-        w_eff = math.pi * n if window is None else min(window, math.pi * n)
-        xs = sub.xs
+    for params, half_width, w_eff in radii:
+        # the events restrict_log keeps, on the cylinder it tags them with
+        xs = [x for x in master_xs if abs(x) <= half_width]
         inside = [abs(x) <= w_eff for x in xs]
-        chl = orbit(cyl_slit, sub.params, xs, z)
+        chl = orbit(cyl_slit, params, xs, z)
         shl = orbit(halfplane_slit, lam, itertools.compress(xs, inside), z)
         # the SHL orbit stands still on out-of-window events: align it by count
         aligned = (shl[j] for j in itertools.accumulate(inside, initial=0))
@@ -345,9 +377,10 @@ def coupling_sup_distances(
         raise ValueError("n_list must be ascending")
     if window is not None and not window >= lam:
         raise ValueError("truncation window must be >= slit length")
-    worker = functools.partial(
-        _coupling_replica, CylinderParams(n_list[-1], lam), lam, z, t, n_list, window
-    )
+    master = CylinderParams(n_list[-1], lam)
+    radii = [(_restricted_params(master, math.pi * n), math.pi * n,
+              math.pi * n if window is None else min(window, math.pi * n)) for n in n_list]
+    worker = functools.partial(_coupling_block, master, radii, lam, z, t)
     seeds = [mix_seed(seed, r) for r in range(replicas)]
     return np.array(_run_replicas(worker, seeds, threads))
 
@@ -372,10 +405,19 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-def _certified(results: Iterable[QuadratureResult]) -> tuple[list[float], bool]:
-    """Real parts of the quadrature ``results``, and whether every one converged."""
-    results = list(results)
-    return [r.value.real for r in results], all(r.converged for r in results)
+def _certified(quad, cases: Sequence) -> tuple[list[float | None], bool]:
+    """Real parts of ``quad(case)`` for each case, and whether every one converged.
+
+    The first quadrature that does not converge fails its check, so the cases
+    after it are not run: their values are None, null in the report.
+    """
+    values = [None] * len(cases)
+    for k, case in enumerate(cases):
+        res = quad(case)
+        values[k] = res.value.real
+        if not res.converged:
+            return values, False
+    return values, True
 
 
 @dataclass(frozen=True)
@@ -419,46 +461,44 @@ def _check_mean_shift(tol: float, threads: int) -> CheckResult:
 
 def _check_squared_shift(tol: float, threads: int) -> CheckResult:
     ns = [2.0, 4.0, 8.0, 16.0, 32.0]
-    vals, full_ok = _certified(quad_squared_shift(CylinderParams(n, 1.0), 0j, tol=tol) for n in ns)
-    ratio = max(vals) / min(vals)
     p32 = CylinderParams(32.0, 1.0)
     xis = [4.0, 8.0, 16.0]
-    tails, tails_ok = _certified(
-        quad_squared_shift(p32, 0j, domain=(xi, p32.half_period), tol=tol) for xi in xis
-    )
-    tail_fit = _rate_fit(xis, tails, log_x=True)
-    tail_ratio = tails[1] / tails[2]
-    converged = full_ok and tails_ok
+    cases = [(CylinderParams(n, 1.0), None) for n in ns] + [(p32, (xi, p32.half_period))
+                                                           for xi in xis]
+    values, converged = _certified(
+        lambda case: quad_squared_shift(case[0], 0j, domain=case[1], tol=tol), cases)
+    vals, tails = values[:len(ns)], values[len(ns):]
+    stats = dict.fromkeys(("max_over_min", "tail_exponent", "tail_ratio_8_over_16"))
+    grid = ()
+    if converged:
+        tail_fit = _rate_fit(xis, tails, log_x=True)
+        stats = {"max_over_min": max(vals) / min(vals), "tail_exponent": tail_fit.slope,
+                 "tail_ratio_8_over_16": tails[1] / tails[2]}
+        grid = tail_fit.grid
     passed = (
         converged
-        and ratio <= 3.0
-        and abs(tail_fit.slope + 1.0) <= 0.3
-        and 1.3 <= tail_ratio <= 3.2
+        and stats["max_over_min"] <= 3.0
+        and abs(stats["tail_exponent"] + 1.0) <= 0.3
+        and 1.3 <= stats["tail_ratio_8_over_16"] <= 3.2
     )
     return CheckResult(
         "quad_squared_shift",
         {"lambda": 1.0, "N_grid": ns},
-        {
-            "full_domain_values": dict(zip(map(str, ns), vals)),
-            "max_over_min": ratio,
-            "tail_exponent": tail_fit.slope,
-            "tail_ratio_8_over_16": tail_ratio,
-            "converged": converged,
-        },
+        {"full_domain_values": dict(zip(map(str, ns), vals)), **stats, "converged": converged},
         "uniform-in-N bound (ratio <= 3) and 1/xi tail",
         3.0,
         passed,
-        tail_fit.grid,
+        grid,
     )
 
 
 def _check_squared_deriv(tol: float, threads: int) -> CheckResult:
     ns = [4.0, 8.0, 16.0, 32.0]
-    vals, full_ok = _certified(quad_squared_deriv(CylinderParams(n, 1.0), 1j, tol=tol) for n in ns)
-    ratio = max(vals) / min(vals)
     p8 = CylinderParams(8.0, 1.0)
-    heights, heights_ok = _certified(quad_squared_deriv(p8, z, tol=tol) for z in (0.5j, 10j))
-    converged = full_ok and heights_ok
+    cases = [(CylinderParams(n, 1.0), 1j) for n in ns] + [(p8, 0.5j), (p8, 10j)]
+    values, converged = _certified(lambda case: quad_squared_deriv(*case, tol=tol), cases)
+    vals, heights = values[:len(ns)], values[len(ns):]
+    ratio = max(vals) / min(vals) if converged else None
     passed = converged and ratio <= 3.0 and heights[1] <= heights[0]
     return CheckResult(
         "quad_squared_deriv",
@@ -600,12 +640,10 @@ def _check_forward_backward_law(tol: float, threads: int) -> CheckResult:
     params = CylinderParams(2.0, 1.0)
     t, z = 0.5, 1j
     window = params.half_period
-    fwd, bwd = [], []
-    for r in range(1000):
-        log_f = sample_events(params, t, mix_seed(4242, r))
-        fwd.append(ProcessEvaluator(log_f, "forward-shl", window).at(z, t).imag)
-        log_b = sample_events(params, t, mix_seed(4242, 1_000_000 + r))
-        bwd.append(ProcessEvaluator(log_b, "backward-shl", window).at(z, t).imag)
+    fwd_logs = _event_logs(params, t, [mix_seed(4242, r) for r in range(1000)])
+    bwd_logs = _event_logs(params, t, [mix_seed(4242, 1_000_000 + r) for r in range(1000)])
+    fwd = [ProcessEvaluator(log, "forward-shl", window).at(z, t).imag for log in fwd_logs]
+    bwd = [ProcessEvaluator(log, "backward-shl", window).at(z, t).imag for log in bwd_logs]
     d, p = ks_two_sample(fwd, bwd)
     passed = p > 0.01
     return CheckResult(
@@ -624,33 +662,35 @@ def _check_second_deriv(tol: float, threads: int) -> CheckResult:
     # up at cylinder-scaled heights z = iN, where the local curvature scale
     # delta^2/N wins over the domain growth.
     ns = [8.0, 16.0, 32.0]
-    fixed_vals, fixed_ok = _certified(
-        _quad_second_deriv(CylinderParams(n, 1.0), 1j, tol) for n in ns
-    )
-    fixed = _rate_fit(ns, fixed_vals, log_x=True)
-    scaled_vals, scaled_ok = _certified(
-        _quad_second_deriv(CylinderParams(n, 1.0), complex(0.0, n), tol) for n in ns
-    )
-    scaled_fit = _rate_fit(ns, scaled_vals, log_x=True)
-    converged = fixed_ok and scaled_ok
-    bounded = max(fixed_vals) / min(fixed_vals) <= 1.5
-    decays = scaled_fit.slope < 0.0 and scaled_fit.r_squared >= 0.9
-    passed = converged and bounded and decays
+    cases = [(CylinderParams(n, 1.0), 1j) for n in ns] + [(CylinderParams(n, 1.0), complex(0.0, n))
+                                                         for n in ns]
+    values, converged = _certified(lambda case: _quad_second_deriv(*case, tol), cases)
+    fixed_vals, scaled_vals = values[:len(ns)], values[len(ns):]
+    stats = dict.fromkeys(("fixed_z_slope", "scaled_z_slope", "scaled_z_r_squared"))
+    grid = ()
+    passed = False
+    if converged:
+        fixed = _rate_fit(ns, fixed_vals, log_x=True)
+        scaled_fit = _rate_fit(ns, scaled_vals, log_x=True)
+        stats = {"fixed_z_slope": fixed.slope, "scaled_z_slope": scaled_fit.slope,
+                 "scaled_z_r_squared": scaled_fit.r_squared}
+        grid = scaled_fit.grid
+        bounded = max(fixed_vals) / min(fixed_vals) <= 1.5
+        decays = scaled_fit.slope < 0.0 and scaled_fit.r_squared >= 0.9
+        passed = bounded and decays
     return CheckResult(
         "second_deriv_decay",
         {"lambda": 1.0, "N_grid": ns, "z_fixed": "i", "z_scaled": "iN"},
         {
             "fixed_z_values": fixed_vals,
-            "fixed_z_slope": fixed.slope,
             "scaled_z_values": scaled_vals,
-            "scaled_z_slope": scaled_fit.slope,
-            "scaled_z_r_squared": scaled_fit.r_squared,
+            **stats,
             "converged": converged,
         },
         "bounded at fixed z; |S''|^2 integral decays at z = iN",
         0.0,
         passed,
-        scaled_fit.grid,
+        grid,
     )
 
 

@@ -11,6 +11,7 @@ import hashlib
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from chl.conformal import CylinderParams, cyl_slit, cylinder_dist, halfplane_slit
@@ -24,8 +25,9 @@ from chl.process import (
     orbit,
     restrict_log,
     sample_events,
+    sample_many,
 )
-from chl.rng import SplitMix64, mix_seed
+from chl.rng import SplitMix64, mix_seed, poisson_many, uniform_at
 
 
 def make_log(params: CylinderParams, pairs, horizon=10.0, seed=0) -> EventLog:
@@ -33,11 +35,107 @@ def make_log(params: CylinderParams, pairs, horizon=10.0, seed=0) -> EventLog:
     return EventLog(params, horizon, seed, tuple(Event(t, x) for t, x in pairs))
 
 
+def _poisson_inversion(rng: SplitMix64, mu: float) -> int:
+    """Poisson sample by CDF inversion, one draw; the scalar oracle of ``poisson_many``."""
+    u = rng.next_float()
+    p = math.exp(-mu)
+    c = p
+    k = 0
+    while u > c:
+        k += 1
+        p *= mu / k
+        c += p
+        if p == 0.0:  # u beyond representable tail mass
+            break
+    return k
+
+
+def _poisson(rng: SplitMix64, mu: float) -> int:
+    """Poisson(mu) by inversion in chunks of 500, one draw per chunk."""
+    total = 0
+    while mu > 500.0:
+        total += _poisson_inversion(rng, 500.0)
+        mu -= 500.0
+    return total + _poisson_inversion(rng, mu)
+
+
+def _scalar_sample(params: CylinderParams, t: float, seed: int) -> list[tuple[float, float]]:
+    """(time, x) pairs of one log drawn one float at a time: the sampler's oracle."""
+    rng = SplitMix64(seed)
+    period, half = params.period, params.half_period
+    count = _poisson(rng, period * t)
+    times = [t * (1.0 - rng.next_float()) for _ in range(count)]
+    xs = (-half + rng.next_float() * period for _ in range(count))
+    xs = [x if x < half else -half for x in xs]
+    return [(s, x) for s, x, _ in sorted(zip(times, xs, range(count)))]
+
+
+class TestArraySampler:
+    """``sample_many`` rows against the scalar SplitMix64 loop, with ==."""
+
+    @pytest.mark.parametrize("n, t, replicas", [
+        (16.0, 1.0, 300), (32.0, 0.5, 300), (2.0, 0.5, 1000), (10.0, 6.0, 100),
+        (200.0, 2.0, 20),  # 2 pi N t > 500: the count is drawn in chunks
+    ])
+    def test_rows_equal_scalar_loop(self, n, t, replicas):
+        params = CylinderParams(n, 1.0)
+        seeds = [mix_seed(11, r) for r in range(replicas)]
+        counts, times, xs = sample_many(params, t, seeds)
+        assert times.shape == xs.shape == (replicas, counts.max())
+        for seed, c, ts, row in zip(seeds, counts.tolist(), times.tolist(), xs.tolist()):
+            assert list(zip(ts[:c], row[:c])) == _scalar_sample(params, t, seed)
+            assert ts[c:] == row[c:] == [math.inf] * (len(ts) - c)
+
+    def test_zero_count_rows(self):
+        params = CylinderParams(2.0, 1.0)
+        counts, times, xs = sample_many(params, 1e-9, [mix_seed(5, r) for r in range(500)])
+        assert counts.tolist() == [0] * 500
+        assert times.shape == xs.shape == (500, 0)
+
+    def test_row_independent_of_other_seeds(self):
+        params = CylinderParams(8.0, 1.0)
+        seeds = [mix_seed(3, r) for r in range(40)]
+        counts, times, xs = sample_many(params, 1.0, seeds)
+        c, ts, row = sample_many(params, 1.0, seeds[17:18])
+        assert c[0] == counts[17]
+        assert np.array_equal(ts[0], times[17, :c[0]]) and np.array_equal(row[0], xs[17, :c[0]])
+
+    def test_one_row_sample_events(self):
+        for n, t, seed in ((16.0, 1.0, 1), (200.0, 2.0, 2), (2.0, 1e-9, 3), (3.0, 0.7, -5)):
+            params = CylinderParams(n, 1.0)
+            log = sample_events(params, t, seed)
+            assert [(e.time, e.x) for e in log.events] == _scalar_sample(params, t, seed & (2**64 - 1))
+            assert log.seed == seed & (2**64 - 1)
+
+    def test_uniform_at_is_the_stream(self):
+        seeds = [0, 1, 2**64 - 1, mix_seed(9, 4)]
+        want = []
+        for seed in seeds:
+            rng = SplitMix64(seed)
+            want.append([rng.next_float() for _ in range(50)])
+        got = uniform_at(np.array(seeds, dtype=np.uint64)[:, None],
+                         np.arange(1, 51, dtype=np.uint64))
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("mu", [1e-9, 0.5, 6.283185307179586, 100.0, 500.0, 2513.3])
+    def test_poisson_many_is_the_inversion_loop(self, mu):
+        seeds = [mix_seed(21, r) for r in range(2000)]
+        counts, draws = poisson_many(np.array(seeds, dtype=np.uint64), mu)
+        assert draws == math.ceil(mu / 500.0)
+        assert counts.tolist() == [_poisson(SplitMix64(s), mu) for s in seeds]
+
+    def test_poisson_mean_validated(self):
+        for mu in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                poisson_many(np.zeros(1, dtype=np.uint64), mu)
+
+
 class TestSampling:
     def test_mean_count_matches_intensity(self):
         # E[count] = 2 pi N t; check the empirical mean over 10^4 seeded logs
         params = CylinderParams(1.0, 1.0)
-        counts = [len(sample_events(params, 1.0, mix_seed(777, r))) for r in range(10_000)]
+        counts, _, _ = sample_many(params, 1.0, [mix_seed(777, r) for r in range(10_000)])
+        counts = counts.tolist()
         mean = statistics.fmean(counts)
         sigma = statistics.stdev(counts) / math.sqrt(len(counts))
         assert abs(mean - 2 * math.pi) <= 3 * sigma

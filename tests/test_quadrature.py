@@ -93,6 +93,22 @@ class TestNonConvergence:
         want = (2.0 / 3.0) * 2.0 * 0.5**1.5
         assert res.value.real == pytest.approx(want, abs=1e-6)
 
+    def test_rounding_noise_stops_before_the_cap(self):
+        # past a few panels only rounding noise is left; it does not halve from
+        # 256 to 512 panels, so the run stops there instead of at 10 000
+        res = adaptive_quadrature(lambda x: complex(math.exp(x)), 0.0, 1.0, tol=1e-30)
+        assert not res.converged
+        assert res.subdivisions == 512
+        assert res.value.real == pytest.approx(math.e - 1.0, abs=1e-14)
+
+    def test_unresolved_oscillation_is_not_noise(self):
+        # 5000 periods: the estimate stays flat until the panels resolve them,
+        # but it is far above rounding noise, so the stall rule must not fire
+        k = 10_000.0
+        res = adaptive_quadrature(lambda x: cmath.exp(1j * k * x), 0.0, math.pi, tol=1e-6)
+        assert res.converged and res.subdivisions > 1024
+        assert abs(res.value - (cmath.exp(1j * k * math.pi) - 1.0) / (1j * k)) <= 1e-6
+
     def test_invalid_interval_and_tol(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: 0j, 1.0, 0.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -291,19 +292,54 @@ class TestCoupling:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
+            def map(self, fn, jobs):
                 return map(fn, jobs)
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-        jobs = list(range(64))
-        assert verify._run_replicas(abs, jobs, threads=5000) == jobs
+        jobs = list(range(300))  # three blocks
+        assert verify._run_replicas(_abs_block, jobs, threads=5000) == jobs
         assert sizes == [3]
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError):
-            verify._run_replicas(abs, list(range(64)), threads)
+            verify._run_replicas(_abs_block, list(range(300)), threads)
+
+
+class TestReplicaBlocks:
+    """MC results do not depend on how the replicas are cut into blocks, nor on threads."""
+
+    @pytest.mark.parametrize("replicas", [130, 257])
+    def test_growth_independent_of_threads(self, replicas):
+        p, z, t = CylinderParams(4.0, 1.0), 1j, 0.5
+        seeds = [mix_seed(8, r) for r in range(replicas)]
+        worker = functools.partial(verify._growth_block, p, t, z)
+        values = verify._run_replicas(worker, seeds, threads=1)
+        assert len(values) == replicas
+        assert verify._run_replicas(worker, seeds, threads=2) == values
+        assert (mc_growth_check(p, z, t, replicas, 8, threads=1)
+                == mc_growth_check(p, z, t, replicas, 8, threads=2))
+
+    @pytest.mark.parametrize("replicas", [130, 257])
+    def test_coupling_independent_of_threads(self, replicas):
+        one = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], replicas, 9, threads=1)
+        two = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], replicas, 9, threads=2)
+        assert one.shape == (replicas, 2)
+        assert (one == two).all()
+
+    def test_independent_of_block_size(self, monkeypatch):
+        p, z, t = CylinderParams(4.0, 1.0), 1j, 0.5
+        growth = mc_growth_check(p, z, t, 257, 8)
+        coupling = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 257, 9, window=2.0)
+        monkeypatch.setattr(verify, "_BLOCK", 7)
+        assert mc_growth_check(p, z, t, 257, 8) == growth
+        again = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 257, 9, window=2.0)
+        assert (again == coupling).all()
+
+    def test_results_flattened_in_seed_order(self):
+        seeds = list(range(-300, 0))  # three blocks, the last one short
+        assert verify._run_replicas(_abs_block, seeds, threads=1) == [abs(s) for s in seeds]
 
 
 class TestInlineCompositionOracles:
@@ -360,10 +396,15 @@ class TestInlineCompositionOracles:
         assert np.array_equal(got, np.array(want))
 
 
+def _abs_block(block):
+    """A block worker for the replica runner: one result per seed of the block."""
+    return [abs(seed) for seed in block]
+
+
 def _second_deriv_fit(lam, z, n_list, tol=1e-8):
     """The check's S'' study at one height: quadratures, certification, rate fit."""
-    values, _ = verify._certified(verify._quad_second_deriv(CylinderParams(n, lam), z, tol)
-                                  for n in n_list)
+    values, _ = verify._certified(
+        lambda n: verify._quad_second_deriv(CylinderParams(n, lam), z, tol), n_list)
     return verify._rate_fit(n_list, values, log_x=True)
 
 
@@ -451,6 +492,29 @@ class TestSuite:
         assert result.passed and result.values["converged"] is True
         (result,) = run_suite(only=["second_deriv_decay"], tol=1e-30)
         assert not result.passed and result.values["converged"] is False
+
+    @pytest.mark.parametrize("check, computed, skipped", [
+        ("quad_squared_shift", "full_domain_values", ["max_over_min", "tail_exponent"]),
+        ("quad_squared_deriv", "full_domain_values", ["max_over_min"]),
+        ("second_deriv_decay", "fixed_z_values", ["scaled_z_slope", "scaled_z_r_squared"]),
+    ])
+    def test_failed_quadrature_ends_its_check(self, monkeypatch, check, computed, skipped):
+        calls = []
+        quadrature = verify.adaptive_quadrature
+
+        def counted(f, a, b, **kwargs):
+            calls.append(kwargs["tol"])
+            return quadrature(f, a, b, **kwargs)
+
+        monkeypatch.setattr(verify, "adaptive_quadrature", counted)
+        (result,) = run_suite(only=[check], tol=1e-30)
+        assert not result.passed and result.values["converged"] is False
+        assert calls == [1e-30]  # the first failure decides; no further quadrature runs
+        values = result.values[computed]
+        values = list(values.values()) if isinstance(values, dict) else values
+        assert values[0] is not None and values[1:] == [None] * (len(values) - 1)
+        assert all(result.values[key] is None for key in skipped)
+        assert result.grid == ()
 
     def test_unreachable_tolerance_fails_suite(self):
         results = run_suite(only=["quad_mean_shift"], tol=1e-20)
