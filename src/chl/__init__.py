@@ -2,7 +2,6 @@
 
 from .conformal import (
     CylinderParams,
-    cyl_phi_delta,
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
@@ -10,11 +9,6 @@ from .conformal import (
     cylinder_dist,
     delta_of,
     halfplane_slit,
-    map_f,
-    map_f_inv,
-    map_g,
-    map_g_inv,
-    reduce_to_fundamental,
 )
 from .process import (
     Event,

@@ -17,7 +17,10 @@ the boundary point ``x`` is the conjugation
     S_x = f_inv o r_x^-1 o g_inv o phi^delta o g o r_x o f,   r_x(w) = exp(ix/N) w,
 
 where ``delta = tanh(lam / 2N)`` is the unique slit parameter making the
-attached slit have cylinder length exactly ``lam``.
+attached slit have cylinder length exactly ``lam``.  No chart is evaluated
+on its own here: the kernels below use closed forms of the whole chain, and
+the literal chain is their reference, evaluated in mpmath by the oracle in
+``tests/test_conformal.py`` on both sides of every regime switch.
 
 Branch conventions
 ------------------
@@ -54,17 +57,11 @@ import numpy as np
 __all__ = [
     "CylinderParams",
     "delta_of",
-    "map_f",
-    "map_f_inv",
-    "map_g",
-    "map_g_inv",
     "halfplane_slit",
-    "cyl_phi_delta",
     "cyl_slit",
     "cyl_slit_many",
     "cyl_slit_deriv",
     "cyl_slit_deriv2",
-    "reduce_to_fundamental",
     "cylinder_dist",
 ]
 
@@ -140,39 +137,6 @@ class CylinderParams:
         return math.pi * self.radius_n
 
 
-def map_f(radius_n: float, z: complex) -> complex:
-    """Exponential chart f(z) = exp(-iz/N); maps the cylinder onto |w| >= 1."""
-    return cmath.exp(-1j * complex(z) / radius_n)
-
-
-def map_f_inv(radius_n: float, w: complex) -> complex:
-    """Inverse chart i N Log(w) with the principal log.
-
-    Re of the result lies in [-pi*N, pi*N); the negative real axis maps to
-    the left endpoint.  ``w = 0`` is a domain error.
-    """
-    w = complex(w)
-    if w == 0:
-        raise ValueError("map_f_inv: w = 0 is not in the domain")
-    return 1j * radius_n * cmath.log(w)
-
-
-def map_g(w: complex) -> complex:
-    """Cayley-type map g(w) = i(w-1)/(w+1) from |w| >= 1 onto the half-plane."""
-    w = complex(w)
-    if w == -1:
-        raise ValueError("map_g: pole at w = -1")
-    return 1j * (w - 1.0) / (w + 1.0)
-
-
-def map_g_inv(z: complex) -> complex:
-    """Inverse Cayley map (i+z)/(i-z); z = i (the point at infinity) raises."""
-    z = complex(z)
-    if z == 1j:
-        raise ValueError("map_g_inv: z = i maps to infinity")
-    return (1j + z) / (1j - z)
-
-
 def _slit_sqrt(a: float, b: float, z: complex) -> complex:
     """Branch-correct z * sqrt(a - b / z^2) on the closed upper half-plane.
 
@@ -208,18 +172,6 @@ def halfplane_slit(lam: float, x: float, z: complex) -> complex:
     return x + _slit_sqrt(1.0, lam * lam, complex(z) - x)
 
 
-def cyl_phi_delta(delta: float, z: complex) -> complex:
-    """Corrected half-plane slit map sqrt(z^2 (1-delta^2) - delta^2).
-
-    This is the variant with fixed point i, so that conjugation by the
-    cylinder charts preserves the cylinder's point at infinity.  Maps 0 to
-    i*delta.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return _slit_sqrt(1.0 - delta * delta, delta * delta, complex(z))
-
-
 def _reduce(x: float, period: float) -> float:
     """Reduce x modulo period into [-period/2, period/2)."""
     r = math.remainder(x, period)
@@ -239,13 +191,6 @@ def _reduce_many(u: np.ndarray, period: float) -> np.ndarray:
     half = 0.5 * period
     r = np.fmod(u, period)
     return np.where(r >= half, r - period, np.where(r < -half, r + period, r))
-
-
-def reduce_to_fundamental(params: CylinderParams, x: float) -> float:
-    """Representative of x modulo 2*pi*N in the fundamental domain [-pi*N, pi*N)."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    return _reduce(x, params.period)
 
 
 def cylinder_dist(params: CylinderParams, a: complex, b: complex) -> float:

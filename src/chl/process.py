@@ -29,7 +29,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .conformal import (
     _disk_slit_origin,
     cyl_slit,
     halfplane_slit,
-    map_f_inv,
 )
 from .rng import _MASK, poisson_many, uniform_at
 
@@ -178,18 +177,13 @@ def sample_many(
     return counts, np.take_along_axis(times, order, -1), np.take_along_axis(xs, order, -1)
 
 
-def _event_logs(params: CylinderParams, horizon_t: float,
-                seeds: Sequence[int]) -> Iterator[EventLog]:
-    """:func:`sample_many`'s rows as event logs, one per seed, built as they are consumed."""
-    seeds = [int(s) & _MASK for s in seeds]
-    counts, times, xs = sample_many(params, horizon_t, seeds)
-    for seed, n, ts, row in zip(seeds, counts.tolist(), times, xs):
-        yield EventLog(params, horizon_t, seed, tuple(map(Event, ts[:n].tolist(), row[:n].tolist())))
-
-
 def sample_events(params: CylinderParams, horizon_t: float, seed: int) -> EventLog:
     """One Poisson event log: the row of :func:`sample_many` for ``seed``."""
-    return next(_event_logs(params, horizon_t, [seed]))
+    seed = int(seed) & _MASK
+    counts, times, xs = sample_many(params, horizon_t, [seed])
+    n = int(counts[0])
+    events = tuple(map(Event, times[0, :n].tolist(), xs[0, :n].tolist()))
+    return EventLog(params, horizon_t, seed, events)
 
 
 def _restricted_params(params: CylinderParams, half_width: float) -> CylinderParams:
@@ -312,7 +306,7 @@ def eval_disk_hl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
     for x in _xs_up_to(ev, s):
         rot = cmath.exp(1j * x / n)
         zeta = _disk_slit_origin(p, rot * zeta) / rot
-    return map_f_inv(n, zeta)
+    return 1j * n * cmath.log(zeta)
 
 
 # benchmarks/tracer.py binds these names (and the functions above) to time them.

@@ -13,9 +13,12 @@ is reached, or until the estimate stalls at rounding noise (see
 A panel carries its two half values, which become its children's
 whole-panel values when it is bisected: each K15 panel is evaluated once.
 
-The node and weight constants are the standard 15-point Kronrod values; the
-test suite re-derives their correctness by integrating monomials (the pair
-is exact up to degree 13 / 22).
+The node and weight constants are the 15-point Kronrod values written out in
+full, so each double is the correctly rounded constant; the test suite
+checks them against 30-digit values that integrate monomials exactly in
+mpmath (the pair is exact up to degree 13 / 22).  The fifth node is the
+solution of those moment equations; QUADPACK's printed value differs from
+its 26th digit on.
 """
 
 from __future__ import annotations
@@ -36,32 +39,32 @@ _NOISE = 100.0 * sys.float_info.epsilon
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric).
 _XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
     0.0,
 )
 # Kronrod weights matching _XGK.
 _WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 # 7-point Gauss weights for the embedded rule (nodes _XGK[1], _XGK[3], _XGK[5], 0).
 _WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
 

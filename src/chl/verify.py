@@ -37,7 +37,6 @@ from .conformal import (
 )
 from .process import (
     ProcessEvaluator,
-    _event_logs,
     _restricted_params,
     compose,
     drift,
@@ -639,11 +638,14 @@ def _check_martingale_mean(tol: float, threads: int) -> CheckResult:
 def _check_forward_backward_law(tol: float, threads: int) -> CheckResult:
     params = CylinderParams(2.0, 1.0)
     t, z = 0.5, 1j
-    window = params.half_period
-    fwd_logs = _event_logs(params, t, [mix_seed(4242, r) for r in range(1000)])
-    bwd_logs = _event_logs(params, t, [mix_seed(4242, 1_000_000 + r) for r in range(1000)])
-    fwd = [ProcessEvaluator(log, "forward-shl", window).at(z, t).imag for log in fwd_logs]
-    bwd = [ProcessEvaluator(log, "backward-shl", window).at(z, t).imag for log in bwd_logs]
+    # the half-plane processes at their horizon over the window pi*N, which
+    # keeps every event: each row's maps, earliest outermost or newest outermost
+    fwd_seeds = [mix_seed(4242, r) for r in range(1000)]
+    bwd_seeds = [mix_seed(4242, 1_000_000 + r) for r in range(1000)]
+    fwd = [compose(halfplane_slit, params.lam, xs[::-1], z).imag
+           for xs in _sampled_xs(params, t, fwd_seeds)]
+    bwd = [compose(halfplane_slit, params.lam, xs, z).imag
+           for xs in _sampled_xs(params, t, bwd_seeds)]
     d, p = ks_two_sample(fwd, bwd)
     passed = p > 0.01
     return CheckResult(

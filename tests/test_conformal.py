@@ -1,8 +1,9 @@
 """Tests for the elementary maps and the cylinder slit map.
 
 Derived expectations are computed by independent oracles inside the tests
-(series evaluation, finite differences, the half-plane closed form), never
-by the code path under test.
+(series evaluation, finite differences, the half-plane closed form, and the
+mpmath evaluation of the literal five-map chain), never by the code path
+under test.
 """
 
 from __future__ import annotations
@@ -12,12 +13,17 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpc, mpf
 
 from chl.conformal import (
+    _BOUNDARY_RATIO,
+    _FAR_FIELD_RATIO,
+    _TIP_RADIUS,
     CylinderParams,
+    _disk_slit_origin,
     _reduce,
     _reduce_many,
-    cyl_phi_delta,
+    _slit_sqrt,
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
@@ -25,11 +31,6 @@ from chl.conformal import (
     cylinder_dist,
     delta_of,
     halfplane_slit,
-    map_f,
-    map_f_inv,
-    map_g,
-    map_g_inv,
-    reduce_to_fundamental,
 )
 from chl.rng import SplitMix64
 
@@ -41,6 +42,115 @@ def tanh_by_series(x: float) -> float:
         term *= 2.0 * x / k
         total += term
     return (total - 1.0) / (total + 1.0)
+
+
+def _phi_delta(d: float, z: complex) -> complex:
+    """phi^delta(z) = sqrt(z^2 (1 - d^2) - d^2), the half-plane slit fixing i."""
+    return _slit_sqrt(1.0 - d * d, d * d, complex(z))
+
+
+# ---------------------------------------------------------------------------
+# The mpmath oracle: the literal chain
+#
+#     S_x = f_inv o r_x^-1 o g_inv o phi^delta o g o r_x o f
+#
+# in arbitrary precision, sharing no code with the kernels: no closed form, no
+# factored root, no regime switch.  Its only decisions are the lift (Re(z - x)
+# reduced to [-pi N, pi N), the multiple of 2 pi N restored after), the
+# real-axis split of the slit root for exact boundary inputs, and the
+# principal log of f_inv.  It uses the kernels' double delta, so both sides
+# evaluate the same map.
+
+_DIGITS = 40  # decimal digits the oracle keeps after its cancellations
+
+
+def _f(n, z):
+    """f(z) = exp(-iz/N): the cylinder onto |w| >= 1."""
+    return mp.exp(-1j * z / n)
+
+
+def _f_inv(n, w):
+    """i N Log(w) with the principal log: Re in [-pi N, pi N)."""
+    return 1j * n * mp.log(w)
+
+
+def _g(w):
+    """i (w - 1)/(w + 1): |w| >= 1 onto the closed upper half-plane."""
+    return 1j * (w - 1) / (w + 1)
+
+
+def _g_inv(q):
+    """(i + q)/(i - q); its pole q = i is the cylinder's point at infinity."""
+    return (1j + q) / (1j - q)
+
+
+def _upper_root(a, b, q, on_axis: bool):
+    """sqrt(a q^2 - b) for a, b > 0: the root in the closed upper half-plane.
+
+    Off the real axis the radicand is never a positive real, so exactly one
+    root has Im > 0.  ``on_axis`` takes q as real: outside the slit base the
+    root is real with the sign of q, inside it the root lies on the slit.
+    """
+    if on_axis:
+        q = mp.re(q)
+        r = a * q * q - b
+        return mpc(mp.sign(q) * mp.sqrt(r)) if r >= 0 else mpc(0, mp.sqrt(-r))
+    r = mp.sqrt(a * q * q - b)
+    return -r if mp.im(r) < 0 else r
+
+
+def _chain_digits(t: complex) -> int:
+    """Working digits at t = (z - x)/N: ``_DIGITS`` plus the digits lost to
+    w - 1 near the tip preimage t = 0 and to g_inv near its pole, where
+    |zeta| = exp(Im t)."""
+    lost = t.imag / math.log(10.0) + (max(0.0, -math.log10(abs(t))) if t else 0.0)
+    return _DIGITS + math.ceil(lost)
+
+
+def oracle_cyl_slit(params: CylinderParams, x: float, z: complex, scale: int = 1):
+    """S_x(z) by the literal chain, at ``scale`` times its working digits."""
+    n, d2 = mpf(params.radius_n), mpf(params.delta) ** 2
+    t = complex(math.remainder(z.real - x, params.period), z.imag) / params.radius_n
+    with mp.workdps(scale * _chain_digits(t)):
+        period = 2 * mp.pi * n
+        u = mpf(z.real) - mpf(x)
+        k = mp.floor(u / period + mpf(0.5))  # the lift: u - k period in [-pi N, pi N)
+        w = _f(n, mpc(u - k * period, z.imag))  # r_x o f = f(. - x)
+        q = _upper_root(1 - d2, d2, _g(w), on_axis=z.imag == 0.0)
+        return mpf(x) + k * period + _f_inv(n, _g_inv(q))  # f_inv o r_x^-1 = x + f_inv
+
+
+def oracle_halfplane_slit(lam: float, x: float, z: complex, scale: int = 1):
+    """x + sqrt((z - x)^2 - lam^2) with the root in the closed upper half-plane."""
+    with mp.workdps(scale * _DIGITS):
+        return mpf(x) + _upper_root(1, mpf(lam) ** 2, mpc(z) - mpf(x), on_axis=z.imag == 0.0)
+
+
+def oracle_disk_slit(params: CylinderParams, zeta: complex, scale: int = 1):
+    """i N Log(g_inv(phi^delta(g(zeta)))) for |zeta| > 1: the disk kernel on the cylinder."""
+    n, d2 = mpf(params.radius_n), mpf(params.delta) ** 2
+    with mp.workdps(scale * (_DIGITS + math.ceil(math.log10(abs(zeta))))):
+        return _f_inv(n, _g_inv(_upper_root(1 - d2, d2, _g(mpc(zeta)), on_axis=False)))
+
+
+def _disk_kernel(params: CylinderParams, zeta: complex):
+    """``_disk_slit_origin`` taken to the cylinder by i N Log in mpmath, adding no rounding."""
+    with mp.workdps(_DIGITS):
+        return _f_inv(mpf(params.radius_n), mpc(_disk_slit_origin(params, zeta)))
+
+
+# One error budget for every regime switch and every kernel: C eps (N + |S|).
+_BUDGET_C = 16.0
+
+
+def _excess(n: float, periodic: bool, got, want) -> float:
+    """|got - want| in units of the budget at radius n (Re mod 2 pi N when periodic)."""
+    with mp.workdps(_DIGITS):
+        diff = mpc(got) - want
+        if periodic:
+            period = 2 * mp.pi * n
+            diff -= period * mp.nint(mp.re(diff) / period)
+        return float(abs(diff) / (_BUDGET_C * _EPS * (n + abs(want))))
 
 
 class TestDeltaOf:
@@ -89,10 +199,12 @@ class TestCylinderParams:
 
 
 class TestElementaryMaps:
+    """The oracle's charts at closed-form values: the conventions its chain relies on."""
+
     def test_map_f_values(self):
-        assert map_f(1.0, 1j) == pytest.approx(math.e)
-        assert map_f(1.0, 0j) == pytest.approx(1.0)
-        w = map_f(2.0, complex(math.pi, 0.0))
+        assert complex(_f(1, 1j)) == pytest.approx(math.e)
+        assert complex(_f(1, 0j)) == pytest.approx(1.0)
+        w = complex(_f(2, complex(math.pi, 0.0)))
         assert w == pytest.approx(-1j, abs=1e-15)  # e^{-i pi/2}, unit modulus boundary
         assert abs(w) == pytest.approx(1.0, abs=1e-15)
 
@@ -100,41 +212,33 @@ class TestElementaryMaps:
         rng = SplitMix64(12)
         for _ in range(200):
             z = complex(40 * (2 * rng.next_float() - 1), 20 * rng.next_float())
-            assert abs(map_f(3.0, z)) >= 1.0 - 1e-12
+            assert abs(_f(3, z)) >= 1.0 - 1e-12
 
     def test_map_f_inv_values(self):
-        assert map_f_inv(1.0, complex(math.e, 0)) == pytest.approx(1j)
-        assert map_f_inv(1.0, 1.0 + 0j) == pytest.approx(0.0)
+        assert complex(_f_inv(1, mpc(math.e))) == pytest.approx(1j)
+        assert complex(_f_inv(1, mpc(1))) == pytest.approx(0.0)
         # principal branch: the negative real axis maps to the left endpoint
-        assert map_f_inv(3.0, -1.0 + 0j) == pytest.approx(-3.0 * math.pi)
-        with pytest.raises(ValueError):
-            map_f_inv(1.0, 0j)
+        assert complex(_f_inv(3, mpc(-1))) == pytest.approx(-3.0 * math.pi)
 
     def test_f_round_trip(self):
         rng = SplitMix64(13)
         for _ in range(100):
             n = 0.5 + 9.5 * rng.next_float()
             w = cmath.rect(1.0 + 5.0 * rng.next_float(), math.pi * (2 * rng.next_float() - 1))
-            assert abs(map_f(n, map_f_inv(n, w)) - w) <= 1e-12 * abs(w)
+            assert abs(_f(n, _f_inv(n, w)) - w) <= 1e-12 * abs(w)
 
     def test_map_g_values(self):
-        assert map_g(1.0 + 0j) == pytest.approx(0.0)
+        assert complex(_g(mpc(1))) == pytest.approx(0.0)
         # g(e) = i (e-1)/(e+1) = i tanh(1/2)
-        assert map_g(complex(math.e, 0)) == pytest.approx(1j * tanh_by_series(0.5), abs=1e-15)
-        with pytest.raises(ValueError):
-            map_g(-1.0 + 0j)
-
-    def test_map_g_inv_pole(self):
-        with pytest.raises(ValueError):
-            map_g_inv(1j)
+        assert complex(_g(mpc(math.e))) == pytest.approx(1j * tanh_by_series(0.5), abs=1e-15)
 
     def test_g_round_trip(self):
         rng = SplitMix64(14)
         for _ in range(100):
             w = cmath.rect(1.0 + 4.0 * rng.next_float(), math.pi * (2 * rng.next_float() - 0.999))
-            assert abs(map_g_inv(map_g(w)) - w) <= 1e-12 * abs(w)
+            assert abs(_g_inv(_g(mpc(w))) - w) <= 1e-12 * abs(w)
             z = complex(10 * (2 * rng.next_float() - 1), 0.01 + 8 * rng.next_float())
-            assert abs(map_g(map_g_inv(z)) - z) <= 1e-12 * (1 + abs(z))
+            assert abs(_g(_g_inv(mpc(z))) - z) <= 1e-12 * (1 + abs(z))
 
 
 class TestHalfplaneSlit:
@@ -169,24 +273,21 @@ class TestHalfplaneSlit:
 
 
 class TestCylPhiDelta:
+    """phi^delta, the chain's slit map, as ``_slit_sqrt(1 - delta^2, delta^2, .)``."""
+
     def test_fixed_point_i(self):
         for d in (0.01, 0.3, 0.9):
-            assert abs(cyl_phi_delta(d, 1j) - 1j) <= 1e-14
+            assert abs(_phi_delta(d, 1j) - 1j) <= 1e-14
 
     def test_zero_to_tip(self):
-        assert cyl_phi_delta(0.3, 0j) == pytest.approx(0.3j)
+        assert _phi_delta(0.3, 0j) == pytest.approx(0.3j)
 
     def test_positive_real_branch(self):
         # sqrt(4 * 0.75 - 0.25) on the positive real axis...
         want = math.sqrt(2.75)
-        assert cyl_phi_delta(0.5, 2.0 + 0j) == pytest.approx(want)
+        assert _phi_delta(0.5, 2.0 + 0j) == pytest.approx(want)
         # ...and continuous from just above the boundary
-        assert cyl_phi_delta(0.5, 2.0 + 1e-9j) == pytest.approx(want, abs=1e-8)
-
-    def test_domain_error(self):
-        for d in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                cyl_phi_delta(d, 1j)
+        assert _phi_delta(0.5, 2.0 + 1e-9j) == pytest.approx(want, abs=1e-8)
 
 
 class TestCylSlit:
@@ -220,17 +321,17 @@ class TestCylSlit:
         assert err <= 2.0 * c_est / 50.0
 
     def test_chain_composition_equality(self):
-        # closed form vs the literal five-map chain (moderate height keeps
-        # the naive chain away from the g_inv pole)
+        # the kernels' closed forms vs the literal five-map chain in mpmath:
+        # boundary points, heights 1e-12 N .. 30 N, and the far field to ~1000 N
         p = CylinderParams(3.0, 0.8)
+        n = p.radius_n
         rng = SplitMix64(16)
-        for _ in range(50):
-            z = complex(p.half_period * (2 * rng.next_float() - 1), 0.02 + 6 * rng.next_float())
+        for k in range(60):
+            r = rng.next_float()
+            y = (0.0, n * 10.0 ** (-12.0 + 13.5 * r), _FAR_FIELD_RATIO * n * 10.0 ** (1.5 * r))[k % 3]
+            z = complex(p.half_period * (2 * rng.next_float() - 1), y)
             x = p.half_period * (2 * rng.next_float() - 1)
-            rot = cmath.exp(1j * x / p.radius_n)
-            w = map_f(p.radius_n, z)
-            chain = map_f_inv(p.radius_n, map_g_inv(cyl_phi_delta(p.delta, map_g(rot * w))) / rot)
-            assert cylinder_dist(p, chain, cyl_slit(p, x, z)) <= 1e-11
+            assert _excess(n, True, cyl_slit(p, x, z), oracle_cyl_slit(p, x, z)) <= 1.0, z
 
     def test_reflection_symmetry(self):
         p = CylinderParams(4.0, 1.3)
@@ -530,7 +631,7 @@ class TestTipPreimage:
         d = delta_of(self.N, lam)
         for interior in (False, True):
             for x, z in zip(*_tip_points(44, interior)):
-                got = cyl_phi_delta(d, z - x)
+                got = _phi_delta(d, z - x)
                 assert abs(got - 1j * d) <= 4.0 * _EPS * d, (x, z, got)
 
     def test_cyl_slit_deriv(self, lam):
@@ -555,7 +656,7 @@ class TestTipPreimage:
         for re in (1e-100, 1e-30, -1e-100, -1e-30):
             z = complex(re * lam, 1e-300)
             assert abs(halfplane_slit(lam, 0.0, z) - 1j * lam) <= 4.0 * _EPS * lam, z
-            assert abs(cyl_phi_delta(d, z) - 1j * d) <= 4.0 * _EPS * d, z
+            assert abs(_phi_delta(d, z) - 1j * d) <= 4.0 * _EPS * d, z
             want = -1j * z / (2.0 * self.N * d)
             assert abs(cyl_slit_deriv(p, 0.0, z) - want) <= 8.0 * _EPS * abs(want), z
             want = -1j / (2.0 * self.N * d)
@@ -564,26 +665,22 @@ class TestTipPreimage:
 
 class TestReduceToFundamental:
     def test_examples(self):
-        p1 = CylinderParams(1.0, 1.0)
+        period = CylinderParams(1.0, 1.0).period
         # 3 pi mod 2 pi with range [-pi, pi): wraps to -pi
-        assert reduce_to_fundamental(p1, 3 * math.pi) == pytest.approx(-math.pi)
-        assert reduce_to_fundamental(CylinderParams(2.0, 1.0), 0.0) == 0.0
+        assert _reduce(3 * math.pi, period) == pytest.approx(-math.pi)
+        assert _reduce(0.0, CylinderParams(2.0, 1.0).period) == 0.0
         # left endpoint belongs to the interval
-        assert reduce_to_fundamental(p1, -math.pi) == pytest.approx(-math.pi)
+        assert _reduce(-math.pi, period) == pytest.approx(-math.pi)
 
     def test_range_and_congruence(self):
         p = CylinderParams(3.0, 1.0)
         rng = SplitMix64(18)
         for _ in range(300):
             x = 1e4 * (2 * rng.next_float() - 1)
-            r = reduce_to_fundamental(p, x)
+            r = _reduce(x, p.period)
             assert -p.half_period <= r < p.half_period
             k = (x - r) / p.period
             assert abs(k - round(k)) <= 1e-6
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_to_fundamental(CylinderParams(1.0, 1.0), math.inf)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
@@ -602,3 +699,112 @@ class TestReduceToFundamental:
         got = _reduce_many(u, period)
         assert got.tolist() == [_reduce(v, period) for v in u]
         assert np.all((-0.5 * period <= got) & (got < 0.5 * period))
+
+
+# Every regime switch of the kernels, with the kernels that reach it.
+_SWITCHES = ("boundary", "far_field", "disk_tail", "tip_zone", "tip_radius_boundary",
+             "tip_radius_sqrt", "underflow")
+_SIDES = (1.0 - 1e-9, 1.0 + 1e-9)  # relative offsets below and above a switch
+_SWITCH_POINTS = 16  # seeded points per switch, side, radius and kernel
+
+
+def _switch_cases(switch: str, n: float, side: float) -> list:
+    """[(kernel, first, x, points)] at relative offset ``side`` of one switch.
+
+    ``first`` is the kernel's first argument: the params, or ``lam = N`` for
+    ``halfplane_slit``, which is ``lam * halfplane_slit(1, ./lam)`` and so
+    scales with the same budget.  The points are z, or zeta for the disk
+    kernel.  Each case asserts, with the kernel's own float test, that its
+    points fall on the side of the switch they are meant for.
+    """
+    p = CylinderParams(n, 1.0)
+    rng = np.random.default_rng([_SWITCHES.index(switch), int(n), int(side > 1.0)])
+    below, m = side < 1.0, _SWITCH_POINTS
+    half, d = p.half_period, p.delta
+    x = rng.uniform(-half, half)
+    if switch == "boundary":
+        # the slit-base corners +-2N asin(delta) are square-root singular:
+        # there rounding the input alone exceeds the budget, so the points
+        # keep a tenth of the base half-width away from them
+        base = 2.0 * n * math.asin(d)
+        u = np.concatenate([base * rng.uniform(-0.9, 0.9, m // 2),
+                            rng.choice([-1.0, 1.0], m // 2) * rng.uniform(1.1 * base, half, m // 2)])
+        z = (x + u) + 1j * (_BOUNDARY_RATIO * n * side)
+        assert np.all((z.imag <= _BOUNDARY_RATIO * n) == below)
+        return [("cyl", p, x, z), ("many", p, x, z)]
+    if switch == "far_field":
+        z = (x + rng.uniform(-half, half, m)) + 1j * (_FAR_FIELD_RATIO * n * side)
+        assert np.all((z.imag >= _FAR_FIELD_RATIO * n) != below)
+        return [("cyl", p, x, z), ("many", p, x, z), ("disk", p, None, np.exp(-1j * (z - x) / n))]
+    if switch == "disk_tail":
+        # only the disk kernel gets here: the others stay below |zeta| = e^30
+        zeta = 1e130 * side * np.exp(1j * rng.uniform(-math.pi, math.pi, m))
+        assert np.all((np.abs(zeta) >= 1e130) != below)
+        return [("disk", p, None, zeta)]
+    if switch == "tip_zone":
+        # |zeta - 1| = delta/2 picks the root form; Re(zeta - 1) > 0 keeps |zeta| > 1
+        zeta = 1.0 + 0.5 * d * side * np.exp(1j * rng.uniform(-1.5, 1.5, m))
+        z = x + 1j * n * np.log(zeta)
+        assert np.all((np.abs(zeta - 1.0) >= 0.5 * d) != below)
+        for q in z.tolist():
+            w = complex(_reduce(q.real - x, p.period), q.imag)
+            assert _BOUNDARY_RATIO * n < q.imag < _FAR_FIELD_RATIO * n
+            assert (abs(cmath.exp(-1j * w / n) - 1.0) >= 0.5 * d) != below
+        return [("disk", p, None, zeta), ("cyl", p, x, z), ("many", p, x, z)]
+    if switch == "tip_radius_boundary":
+        # |tan(u/2N)| <= 1e-150 returns the tip; u = Re z - x is exact only at x = 0
+        z = 2.0 * n * _TIP_RADIUS * side * np.array([1.0, -1.0]) + 0j
+        assert all((abs(math.tan(0.5 * q.real / n)) <= _TIP_RADIUS) == below for q in z)
+        return [("cyl", p, 0.0, z), ("many", p, 0.0, z)]
+    lam = n
+    b = lam * lam
+    if switch == "tip_radius_sqrt":
+        r = _TIP_RADIUS * max(1.0, b) * side
+        a = rng.uniform(0.0, math.pi, m)
+        z = np.concatenate([[r, -r], r * np.exp(1j * a[2:])])
+        assert np.all((np.abs(z) <= _TIP_RADIUS * max(1.0, b)) == below)
+        return [("half", lam, 0.0, z)]
+    assert switch == "underflow"
+    # Im z^2 = 2 Re z Im z rounds to 0 below |Re z Im z| = 2^-1075, and the
+    # radicand 1 - lam^2/z^2 of _slit_sqrt comes out real: Re z picks the side
+    re = lam * rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-140.0, -20.0, m)
+    z = re + 1j * (2.0**-1074 / np.abs(re) * (0.5 * side))  # 2^-1075 / |Re z|
+    assert all(((1.0 - b / (q * q)).imag == 0.0) == below for q in z.tolist())
+    return [("half", lam, 0.0, z)]
+
+
+def _kernel_and_oracle(kernel: str, first, x, pts: np.ndarray, scale: int = 1) -> tuple:
+    """A kernel's values at ``pts`` and the oracle's, as two lists."""
+    zs = pts.tolist()
+    if kernel == "half":
+        return ([halfplane_slit(first, x, q) for q in zs],
+                [oracle_halfplane_slit(first, x, q, scale) for q in zs])
+    if kernel == "disk":
+        return [_disk_kernel(first, q) for q in zs], [oracle_disk_slit(first, q, scale) for q in zs]
+    got = cyl_slit_many(first, x, pts).tolist() if kernel == "many" else [
+        cyl_slit(first, x, q) for q in zs]
+    return got, [oracle_cyl_slit(first, x, q, scale) for q in zs]
+
+
+class TestOracleSwitches:
+    """Every kernel against the mpmath chain on both sides of every regime switch."""
+
+    @pytest.mark.parametrize("n", [1.0, 16.0, 64.0])
+    @pytest.mark.parametrize("switch", _SWITCHES)
+    def test_within_budget(self, switch, n):
+        for side in _SIDES:
+            for kernel, first, x, pts in _switch_cases(switch, n, side):
+                got, want = _kernel_and_oracle(kernel, first, x, pts)
+                for q, a, b in zip(pts.tolist(), got, want):
+                    assert _excess(n, kernel != "half", a, b) <= 1.0, (kernel, side, q, a)
+
+    @pytest.mark.parametrize("switch", _SWITCHES)
+    def test_oracle_digits_suffice(self, switch):
+        # at twice its working digits the oracle moves far less than the budget
+        for n in (1.0, 64.0):
+            for side in _SIDES:
+                for kernel, first, x, pts in _switch_cases(switch, n, side):
+                    _, once = _kernel_and_oracle(kernel, first, x, pts[:4])
+                    _, twice = _kernel_and_oracle(kernel, first, x, pts[:4], scale=2)
+                    for a, b in zip(once, twice):
+                        assert _excess(n, kernel != "half", a, b) <= 1e-10, (kernel, side)

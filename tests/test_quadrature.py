@@ -2,8 +2,10 @@
 
 The node/weight transcription is validated by exactness on monomials: the
 embedded 7-point Gauss rule is exact through degree 13 and the 15-point
-Kronrod rule through degree 22, so any typo in the constants shows up as a
-gross error on low-degree polynomials.
+Kronrod rule through degree 22.  In mpmath, 30-digit constants must meet
+these moment equations to 1e-28, and the doubles must be those constants
+rounded; in double precision, a typo shows up as a gross error on
+low-degree polynomials.
 """
 
 from __future__ import annotations
@@ -12,8 +14,48 @@ import cmath
 import math
 
 import pytest
+from mpmath import mp, mpf
 
-from chl.quadrature import adaptive_quadrature
+from chl.quadrature import _WG, _WGK, _XGK, adaptive_quadrature
+
+# The G7/K15 constants to 30 significant digits, solved from the moment
+# equations below; the positive nodes, then 0.
+_XGK_30 = (
+    "0.991455371120812639206854697526", "0.949107912342758524526189684048",
+    "0.864864423359769072789712788641", "0.741531185599394439863864773281",
+    "0.586087235467691130294144838259", "0.405845151377397166906606412077",
+    "0.207784955007898467600689403773", "0",
+)
+_WGK_30 = (
+    "0.0229353220105292249637320080590", "0.0630920926299785532907006631892",
+    "0.104790010322250183839876322542", "0.140653259715525918745189590510",
+    "0.169004726639267902826583426599", "0.190350578064785409913256402421",
+    "0.204432940075298892414161999235", "0.209482141084727828012999174892",
+)
+_WG_30 = (
+    "0.129484966168869693270611432679", "0.279705391489276667901467771424",
+    "0.381830050505118944950369775489", "0.417959183673469387755102040816",
+)
+
+
+class TestKronrodConstants:
+    def test_doubles_are_the_rounded_constants(self):
+        for doubles, digits in ((_XGK, _XGK_30), (_WGK, _WGK_30), (_WG, _WG_30)):
+            assert doubles == tuple(float(v) for v in digits)
+
+    def test_thirty_digit_rules_are_exact(self):
+        # G7 integrates x^k over [-1, 1] exactly for k <= 13 and K15 for
+        # k <= 22, to the 30 digits given; both degrees are sharp
+        with mp.workdps(40):
+            x = [mpf(v) for v in _XGK_30]
+            wk = [mpf(v) for v in _WGK_30]
+            wg = [mpf(v) for v in _WG_30]
+            for k in range(0, 25, 2):  # odd moments vanish by symmetry
+                exact = mpf(2) / (k + 1)
+                kron = 2 * sum(wk[i] * x[i] ** k for i in range(7)) + (wk[7] if k == 0 else 0)
+                gauss = 2 * sum(wg[j] * x[2 * j + 1] ** k for j in range(3)) + (wg[3] if k == 0 else 0)
+                assert (abs(kron - exact) <= 1e-28) == (k <= 22), k
+                assert (abs(gauss - exact) <= 1e-28) == (k <= 13), k
 
 
 class TestRuleExactness:
@@ -147,9 +189,9 @@ class TestPanelReuse:
 
     @pytest.mark.parametrize("f, a, b, tol, presplit, value, error, panels", [
         (_SQRT, -1.0, 2.0, 1e-10, [0.5],
-         "0x1.5ba12f693358ap+1", "0x1.47218e59b4be0p-34", 23),
+         "0x1.5ba12f693359dp+1", "0x1.4716b5b825e20p-34", 23),
         (_LORENTZ, 0.0, 1.0, 1e-9, [0.299, 0.3, 0.301],
-         "0x1.881a959a7e99ep+11", "0x1.c2f9e9581062ap-33", 21),
+         "0x1.881a959a7e9b5p+11", "0x1.ce9f91ba5e358p-33", 21),
     ], ids=["sqrt", "lorentzian"])
     def test_bit_pins(self, f, a, b, tol, presplit, value, error, panels):
         # reusing the halves must change no bit of any result.  Only arithmetic and

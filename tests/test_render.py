@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chl.conformal import (
-    CylinderParams,
-    cyl_slit,
-    cyl_slit_many,
-    cylinder_dist,
-    reduce_to_fundamental,
-)
+from chl.conformal import CylinderParams, _reduce, cyl_slit, cyl_slit_many, cylinder_dist
 from chl.process import Event, EventLog, sample_events
 from chl.render import export_csv, export_svg, trace_cluster
 
@@ -80,7 +74,7 @@ class TestTraceCluster:
                 pts = xs[k] + 1j * heights
                 for x in (xs[:k][::-1] if forward else xs[k + 1:]):
                     pts = cyl_slit_many(p, x, pts)
-                want = [complex(reduce_to_fundamental(p, q.real), q.imag) for q in pts]
+                want = [complex(_reduce(q.real, p.period), q.imag) for q in pts]
                 assert row.tolist() == want
 
     def test_both_modes_equal_inline_loops(self):
@@ -104,7 +98,7 @@ class TestTraceCluster:
             fwd.append(pts)
 
         def reduced(pts):
-            return tuple(complex(reduce_to_fundamental(p, q.real), q.imag) for q in pts)
+            return tuple(complex(_reduce(q.real, p.period), q.imag) for q in pts)
 
         # the batched kernel may differ from scalar cyl_slit in the last bits
         for rows, want in ((trace_cluster(log, 4), live),
