@@ -92,8 +92,7 @@ _OPTIONS = {
     "seed": _Option("--seed", int, (int,),
                     "base seed, else env CHL_SEED (verify's checks pin their own)"),
     "out": _Option("--out", Path, (str,), "output directory"),
-    "threads": _Option("--threads", _positive, (int,),
-                       "Monte Carlo workers, capped at the CPU count; no effect on results"),
+    "threads": _Option("--threads", _positive, (int,), "has no effect; kept for old scripts"),
     "probe": _Option("--probe", _complex, (str, int, float, dict),
                      "complex probe point 'a+bi', default i (simulate: repeatable)", "append"),
     "trajectory": _Option("--trajectory", bool, (bool,), "write probe trajectories", "store_true"),
@@ -216,7 +215,7 @@ def _result_blob(results: list[CheckResult]) -> dict:
 
 
 def _cmd_verify(cfg: dict, out_dir: Path) -> int:
-    results = run_suite(only=cfg["only"], tol=cfg["tol"], threads=cfg["threads"])
+    results = run_suite(only=cfg["only"], tol=cfg["tol"])
     blob = _result_blob(results)
     (out_dir / "report.json").write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
     for r in results:
@@ -231,10 +230,8 @@ def _cmd_converge(cfg: dict, out_dir: Path) -> int:
     if len(cfg["n_list"]) < 2 or len(cfg["probe"]) > 1:
         raise ValueError("converge compares at least 2 radii at one probe point")
     z = (cfg["probe"] or [1j])[0]
-    sups = coupling_sup_distances(
-        cfg["lam"], z, cfg["t"], cfg["n_list"], cfg["replicas"], cfg["seed"],
-        threads=cfg["threads"], window=cfg["window"],
-    )
+    sups = coupling_sup_distances(cfg["lam"], z, cfg["t"], cfg["n_list"], cfg["replicas"],
+                                  cfg["seed"], window=cfg["window"])
     summaries = _summarize(sups)
     means = [s.mean.real for s in summaries]
     cis = [s.ci99_halfwidth for s in summaries]
@@ -283,11 +280,11 @@ _COMMANDS = {
         "probe": [], "trajectory": False,
     }),
     "verify": (_cmd_verify, "run the numerical verification suite", {
-        "seed": None, "out": Path("out"), "threads": os.cpu_count() or 1,
+        "seed": None, "out": Path("out"), "threads": 1,
         "only": None, "tol": 1e-10,
     }),
     "converge": (_cmd_converge, "coupling decay and slit-map rate studies", {
-        "lam": 1.0, "t": 0.5, "seed": None, "out": Path("out"), "threads": os.cpu_count() or 1,
+        "lam": 1.0, "t": 0.5, "seed": None, "out": Path("out"), "threads": 1,
         "n_list": [4.0, 8.0, 16.0, 32.0], "replicas": 500, "probe": [], "window": None,
     }),
     "render": (_cmd_render, "trace the cluster and export SVG + CSV", {

@@ -58,6 +58,7 @@ __all__ = [
     "CylinderParams",
     "delta_of",
     "halfplane_slit",
+    "halfplane_slit_many",
     "cyl_slit",
     "cyl_slit_many",
     "cyl_slit_deriv",
@@ -172,6 +173,36 @@ def halfplane_slit(lam: float, x: float, z: complex) -> complex:
     return x + _slit_sqrt(1.0, lam * lam, complex(z) - x)
 
 
+def _slit_sqrt_many(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """``_slit_sqrt(a, b, .)`` of every point of the complex array ``u``, its rules as masks."""
+    out = np.full(u.shape, complex(0.0, math.sqrt(b)))  # the tip
+    off = np.abs(u) > _TIP_RADIUS * max(1.0, b)
+    real = off & (u.imag == 0.0)
+    v = u.real[real]
+    rad = a - b / (v * v)
+    base = rad < 0.0
+    res = np.zeros(v.shape, dtype=complex)
+    res.real[~base] = v[~base] * np.sqrt(rad[~base])
+    res.imag[base] = np.sqrt(b - a * v[base] * v[base])
+    out[real] = res
+    if (inner := off & ~real).any():
+        q = u[inner]
+        w = a - b / (q * q)
+        flat = w.imag == 0.0  # Im(z^2) underflowed: the radicand's side of the cut is Re z's
+        w.imag[flat] = np.copysign(0.0, q.real[flat])
+        out[inner] = q * np.sqrt(w)
+    return out
+
+
+def halfplane_slit_many(lam: float, x, z: np.ndarray) -> np.ndarray:
+    """``halfplane_slit(lam, x, .)`` of every point of the array ``z``, one numpy pass.
+
+    ``x`` is a float or an array like ``z``.  Tip and real axis are bit for bit the
+    scalar map's; elsewhere numpy's complex ``*`` and ``/`` may differ in the last bits.
+    """
+    return x + _slit_sqrt_many(1.0, lam * lam, np.asarray(z, dtype=complex) - x)
+
+
 def _reduce(x: float, period: float) -> float:
     """Reduce x modulo period into [-period/2, period/2)."""
     r = math.remainder(x, period)
@@ -236,7 +267,7 @@ def _far_field(params: CylinderParams, w: complex) -> complex:
 def _cyl_slit_origin(params: CylinderParams, u: float, y: float) -> complex:
     """S_0 evaluated at u + iy with u in the fundamental domain, y >= 0.
 
-    Output Re lies in [-pi*N, pi*N) (principal-log convention).
+    Output Re lies within pi*N of u, also on the seam u = -pi*N: the continuous lift.
     """
     n = params.radius_n
     if y <= _BOUNDARY_RATIO * n:
@@ -255,8 +286,9 @@ def _cyl_slit_origin(params: CylinderParams, u: float, y: float) -> complex:
     w = complex(u, y)
     if y >= _FAR_FIELD_RATIO * n:
         return _far_field(params, w)
-    zeta = cmath.exp(-1j * w / n)
-    return 1j * n * cmath.log(_disk_slit_origin(params, zeta))
+    s = 1j * n * cmath.log(_disk_slit_origin(params, cmath.exp(-1j * w / n)))
+    # the log's cut is the seam, where rounding picks its side: S_0 moves u by under pi N
+    return s if abs(s.real - u) < math.pi * n else s - math.copysign(2.0 * math.pi * n, s.real - u)
 
 
 def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
@@ -276,9 +308,10 @@ def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
     return (x + (u - u_red)) + _cyl_slit_origin(params, u_red, z.imag)
 
 
-def cyl_slit_many(params: CylinderParams, x: float, z: np.ndarray) -> np.ndarray:
+def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     """``cyl_slit(params, x, .)`` of every point of the array ``z``, one numpy pass.
 
+    ``x`` is a float or an array shaped like ``z`` (one abscissa per point).
     Each regime of the scalar path is a mask: the boundary path (with the
     tip ``|tan(u/2N)| <= _TIP_RADIUS``), the far field ``Im z >= 30 N`` and
     the disk-coordinate closed form with both square-root forms.  The reduction is exact, so the
@@ -302,16 +335,10 @@ def cyl_slit_many(params: CylinderParams, x: float, z: np.ndarray) -> np.ndarray
     if edge.any():
         # boundary path of _cyl_slit_origin, real arithmetic
         v = np.tan(0.5 * u_red[edge] / n)
-        ob = np.full(v.shape, complex(0.0, params.lam))  # the tip, |v| <= _TIP_RADIUS
-        off = np.abs(v) > _TIP_RADIUS
-        v = v[off]
-        rad = (1.0 - d2) - d2 / (v * v)
-        base = rad < 0.0
-        res = np.zeros(v.shape, dtype=complex)
-        res.real[~base] = 2.0 * n * np.arctan(v[~base] * np.sqrt(rad[~base]))
-        res.imag[base] = 2.0 * n * np.arctanh(np.sqrt(d2 - (1.0 - d2) * v[base] * v[base]))
-        ob[off] = res
-        out[edge] = ob
+        r = _slit_sqrt_many(1.0 - d2, d2, v + 0j)
+        r.real, r.imag = 2.0 * n * np.arctan(r.real), 2.0 * n * np.arctanh(r.imag)
+        r[np.abs(v) <= _TIP_RADIUS] = complex(0.0, params.lam)  # the tip, exactly
+        out[edge] = r
 
     far = y >= _FAR_FIELD_RATIO * n
     if far.any():
@@ -329,6 +356,7 @@ def cyl_slit_many(params: CylinderParams, x: float, z: np.ndarray) -> np.ndarray
     s[~fac] = np.sqrt(dn * dn + 4.0 * d2 * zn)
     top = zeta + 1.0 + s
     out[mid] = 1j * n * np.log(top * top / (4.0 * zeta * (1.0 - d2)))
+    out.real -= params.period * np.round((out.real - u_red) / params.period)  # the seam lift
     return (x + (u - u_red)) + out
 
 

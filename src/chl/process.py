@@ -29,7 +29,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "restrict_log",
     "compose",
     "orbit",
+    "orbit_many",
     "backward_chl_trajectory",
     "drift",
 ]
@@ -142,7 +143,8 @@ def _no_bools(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _g17(x: float) -> str:
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text  # JSON reads -0 as the integer 0
 
 
 def sample_many(
@@ -245,13 +247,10 @@ def compose(slit: Callable[..., complex], first, xs: Iterable[float], z: complex
     """Apply ``slit(first, x, .)`` for each ``x`` of ``xs`` in order: ``xs[0]`` innermost.
 
     ``slit`` is ``cyl_slit`` with ``first`` the cylinder params, or
-    ``halfplane_slit`` with ``first`` the slit length.  Every process variant and
-    Monte Carlo replica runs this loop; the cluster trace batches it (``trace_cluster``).
+    ``halfplane_slit`` with ``first`` the slit length.  Every process variant runs
+    this loop; Monte Carlo (:func:`orbit_many`) and ``trace_cluster`` batch it.
     """
-    w = complex(z)
-    for x in xs:
-        w = slit(first, x, w)
-    return w
+    return orbit(slit, first, xs, z)[-1]
 
 
 def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) -> list[complex]:
@@ -260,6 +259,20 @@ def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) 
     for x in xs:
         out.append(slit(first, x, out[-1]))
     return out
+
+
+def orbit_many(slit_many: Callable, first, xs: np.ndarray, z: complex) -> Iterator[np.ndarray]:
+    """Lock-step :func:`orbit` of each row of the 2-D ``xs``, by a kernel like ``cyl_slit_many``.
+
+    Yields ``z``, then the images after each column, as one array updated in
+    place.  A ``+inf`` entry (``sample_many``'s padding, or a masked event) applies no map.
+    """
+    w = np.full(len(xs), complex(z))
+    yield w
+    for col in np.transpose(xs):
+        live = np.isfinite(col)
+        w[live] = slit_many(first, col[live], w[live])
+        yield w
 
 
 def _xs_up_to(ev: ProcessEvaluator, s: float) -> list[float]:

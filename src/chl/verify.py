@@ -16,13 +16,9 @@ Three kinds of evidence are produced, mirroring the strength of each claim:
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,15 +28,17 @@ from .conformal import (
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
+    cyl_slit_many,
     cylinder_dist,
     halfplane_slit,
+    halfplane_slit_many,
 )
 from .process import (
     ProcessEvaluator,
     _restricted_params,
     compose,
     drift,
-    orbit,
+    orbit_many,
     sample_events,
     sample_many,
 )
@@ -272,40 +270,17 @@ def _quad_second_deriv(params: CylinderParams, z: complex, tol: float) -> Quadra
 # ---------------------------------------------------------------------------
 
 
-# Replicas per block: one sample_many call and one pool task.
-_BLOCK = 128
+# Replicas per block: one sample_many call, then one lock-step pass over its columns.
+_BLOCK = 512
 
 
-def _sampled_xs(params: CylinderParams, t: float, seeds: list) -> Iterator[list[float]]:
-    """Each seed's event abscissae in time order, from one ``sample_many`` call."""
-    counts, _, xs = sample_many(params, t, seeds)
-    for n, row in zip(counts.tolist(), xs):
-        yield row[:n].tolist()
+def _run_replicas(worker, seeds: list) -> np.ndarray:
+    """``worker(block)`` over consecutive blocks of ``_BLOCK`` seeds, concatenated in seed order.
 
-
-def _growth_block(params: CylinderParams, t: float, z: complex, seeds: list) -> list[complex]:
-    return [compose(cyl_slit, params, xs, z) for xs in _sampled_xs(params, t, seeds)]
-
-
-def _run_replicas(worker, seeds: list, threads: int) -> list:
-    """One result per replica seed, in order, from ``worker(block)`` over blocks of seeds.
-
-    Each block is sampled inside the worker, in the pool process, so no
-    process holds every replica's events at once.  A replica's stream
-    depends on its seed alone, so results do not depend on the blocking or
-    on ``threads``; the pool runs when there are two blocks or more.
+    A replica's stream depends on its seed alone, and the lock-step kernels act
+    on each replica's own elements, so results do not depend on ``_BLOCK``.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    # a fork pool starts every worker at once: never more than the machine has
-    threads = min(threads, os.cpu_count() or 1)
-    blocks = [seeds[i:i + _BLOCK] for i in range(0, len(seeds), _BLOCK)]
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, blocks))
-    else:
-        results = map(worker, blocks)
-    return [r for block in results for r in block]
+    return np.concatenate([worker(seeds[i:i + _BLOCK]) for i in range(0, len(seeds), _BLOCK)])
 
 
 def mc_growth_check(
@@ -320,34 +295,18 @@ def mc_growth_check(
 
     The exact mean is ``z + drift(params, t)`` for every finite N (the
     martingale part has mean zero); callers compare against the 99% CI.
+    ``threads`` has no effect: the replicas run in lock-step, in this process.
     """
     if replicas < 100:
         raise ValueError("mc_growth_check needs at least 100 replicas")
     if t == 0.0:  # no arrivals: every replica is the identity at z
         return _summarize(np.full(replicas, complex(z)))[0]
-    seeds = [mix_seed(seed, r) for r in range(replicas)]
-    worker = functools.partial(_growth_block, params, t, z)
-    return _summarize(np.array(_run_replicas(worker, seeds, threads)))[0]
 
+    def grow(block: list) -> np.ndarray:
+        *_, w = orbit_many(cyl_slit_many, params, sample_many(params, t, block)[2], z)
+        return w
 
-def _coupling_block(master_params: CylinderParams, radii: list, lam: float, z: complex,
-                    t: float, seeds: list) -> list[list[float]]:
-    return [_coupling_replica(radii, lam, z, xs) for xs in _sampled_xs(master_params, t, seeds)]
-
-
-def _coupling_replica(radii: list, lam: float, z: complex, master_xs: list[float]) -> list[float]:
-    """Sup-distances of one master log; ``radii`` holds (params, pi*N, window) per radius."""
-    sups = []
-    for params, half_width, w_eff in radii:
-        # the events restrict_log keeps, on the cylinder it tags them with
-        xs = [x for x in master_xs if abs(x) <= half_width]
-        inside = [abs(x) <= w_eff for x in xs]
-        chl = orbit(cyl_slit, params, xs, z)
-        shl = orbit(halfplane_slit, lam, itertools.compress(xs, inside), z)
-        # the SHL orbit stands still on out-of-window events: align it by count
-        aligned = (shl[j] for j in itertools.accumulate(inside, initial=0))
-        sups.append(max(abs(c - h) ** 2 for c, h in zip(chl, aligned)))
-    return sups
+    return _summarize(_run_replicas(grow, [mix_seed(seed, r) for r in range(replicas)]))[0]
 
 
 def coupling_sup_distances(
@@ -357,7 +316,6 @@ def coupling_sup_distances(
     n_list: Sequence[float],
     replicas: int,
     seed: int,
-    threads: int = 1,
     window: float | None = None,
 ) -> np.ndarray:
     """Per-replica sup_t |backward CHL - truncated SHL|^2 for each radius.
@@ -379,9 +337,19 @@ def coupling_sup_distances(
     master = CylinderParams(n_list[-1], lam)
     radii = [(_restricted_params(master, math.pi * n), math.pi * n,
               math.pi * n if window is None else min(window, math.pi * n)) for n in n_list]
-    worker = functools.partial(_coupling_block, master, radii, lam, z, t)
-    seeds = [mix_seed(seed, r) for r in range(replicas)]
-    return np.array(_run_replicas(worker, seeds, threads))
+
+    def sups(block: list) -> np.ndarray:
+        xs = sample_many(master, t, block)[2]
+        out = np.zeros((len(block), len(radii)))
+        for k, (params, half_width, w_eff) in enumerate(radii):
+            # restrict_log's events on its own cylinder; the SHL skips those outside the window
+            chl = orbit_many(cyl_slit_many, params, np.where(abs(xs) <= half_width, xs, np.inf), z)
+            shl = orbit_many(halfplane_slit_many, lam, np.where(abs(xs) <= w_eff, xs, np.inf), z)
+            for c, h in zip(chl, shl):
+                np.maximum(out[:, k], abs(c - h) ** 2, out=out[:, k])
+        return out
+
+    return _run_replicas(sups, [mix_seed(seed, r) for r in range(replicas)])
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
@@ -432,7 +400,7 @@ class CheckResult:
     grid: tuple[tuple[float, float], ...] = ()
 
 
-def _check_mean_shift(tol: float, threads: int) -> CheckResult:
+def _check_mean_shift(tol: float) -> CheckResult:
     params = CylinderParams(2.0, 1.0)
     target = drift(params, 1.0)
     worst = 0.0
@@ -458,7 +426,7 @@ def _check_mean_shift(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_squared_shift(tol: float, threads: int) -> CheckResult:
+def _check_squared_shift(tol: float) -> CheckResult:
     ns = [2.0, 4.0, 8.0, 16.0, 32.0]
     p32 = CylinderParams(32.0, 1.0)
     xis = [4.0, 8.0, 16.0]
@@ -491,7 +459,7 @@ def _check_squared_shift(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_squared_deriv(tol: float, threads: int) -> CheckResult:
+def _check_squared_deriv(tol: float) -> CheckResult:
     ns = [4.0, 8.0, 16.0, 32.0]
     p8 = CylinderParams(8.0, 1.0)
     cases = [(CylinderParams(n, 1.0), 1j) for n in ns] + [(p8, 0.5j), (p8, 10j)]
@@ -522,7 +490,7 @@ _RATE_PROBES = (1e6j, 3e4 + 1e6j, 2e5j, -1e4 + 5e5j, 8e5j)
 SLIT_RATE_GRID = (10.0, 20.0, 40.0, 80.0, 160.0)
 
 
-def _check_slit_rate(tol: float, threads: int) -> CheckResult:
+def _check_slit_rate(tol: float) -> CheckResult:
     slopes = {}
     passed = True
     for z in _RATE_PROBES:
@@ -540,7 +508,7 @@ def _check_slit_rate(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_farfield(tol: float, threads: int) -> CheckResult:
+def _check_farfield(tol: float) -> CheckResult:
     results = {}
     passed = True
     grids = ()
@@ -565,7 +533,7 @@ def _check_farfield(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_shift_commutation(tol: float, threads: int) -> CheckResult:
+def _check_shift_commutation(tol: float) -> CheckResult:
     rng = SplitMix64(20240917)
     worst = 0.0
     for _ in range(20):
@@ -592,7 +560,7 @@ def _check_shift_commutation(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_disk_conjugation(tol: float, threads: int) -> CheckResult:
+def _check_disk_conjugation(tol: float) -> CheckResult:
     rng = SplitMix64(77002)
     worst = 0.0
     for k in range(20):
@@ -619,10 +587,10 @@ def _check_disk_conjugation(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_martingale_mean(tol: float, threads: int) -> CheckResult:
+def _check_martingale_mean(tol: float) -> CheckResult:
     params = CylinderParams(16.0, 1.0)
     z, t = 1j, 1.0
-    summary = mc_growth_check(params, z, t, replicas=2000, seed=90210, threads=threads)
+    summary = mc_growth_check(params, z, t, replicas=2000, seed=90210)
     offset = abs(summary.mean - z - drift(params, t))
     passed = offset <= summary.ci99_halfwidth
     return CheckResult(
@@ -635,18 +603,16 @@ def _check_martingale_mean(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_forward_backward_law(tol: float, threads: int) -> CheckResult:
+def _check_forward_backward_law(tol: float) -> CheckResult:
     params = CylinderParams(2.0, 1.0)
     t, z = 0.5, 1j
     # the half-plane processes at their horizon over the window pi*N, which
     # keeps every event: each row's maps, earliest outermost or newest outermost
-    fwd_seeds = [mix_seed(4242, r) for r in range(1000)]
-    bwd_seeds = [mix_seed(4242, 1_000_000 + r) for r in range(1000)]
-    fwd = [compose(halfplane_slit, params.lam, xs[::-1], z).imag
-           for xs in _sampled_xs(params, t, fwd_seeds)]
-    bwd = [compose(halfplane_slit, params.lam, xs, z).imag
-           for xs in _sampled_xs(params, t, bwd_seeds)]
-    d, p = ks_two_sample(fwd, bwd)
+    fwd_xs = sample_many(params, t, [mix_seed(4242, r) for r in range(1000)])[2][:, ::-1]
+    bwd_xs = sample_many(params, t, [mix_seed(4242, 1_000_000 + r) for r in range(1000)])[2]
+    *_, fwd = orbit_many(halfplane_slit_many, params.lam, fwd_xs, z)
+    *_, bwd = orbit_many(halfplane_slit_many, params.lam, bwd_xs, z)
+    d, p = ks_two_sample(fwd.imag, bwd.imag)
     passed = p > 0.01
     return CheckResult(
         "forward_backward_equidistribution",
@@ -658,7 +624,7 @@ def _check_forward_backward_law(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_second_deriv(tol: float, threads: int) -> CheckResult:
+def _check_second_deriv(tol: float) -> CheckResult:
     # At fixed z the integral converges to the (nonzero) half-plane value, so
     # the honest assertion there is uniform boundedness; genuine decay shows
     # up at cylinder-scaled heights z = iN, where the local curvature scale
@@ -696,9 +662,9 @@ def _check_second_deriv(tol: float, threads: int) -> CheckResult:
     )
 
 
-def _check_coupling_decay(tol: float, threads: int) -> CheckResult:
+def _check_coupling_decay(tol: float) -> CheckResult:
     n_list = [4.0, 8.0, 16.0, 32.0]
-    sups = coupling_sup_distances(1.0, 1j, 0.5, n_list, replicas=500, seed=60622, threads=threads)
+    sups = coupling_sup_distances(1.0, 1j, 0.5, n_list, replicas=500, seed=60622)
     summaries = _summarize(sups)
     means = [s.mean.real for s in summaries]
     cis = [s.ci99_halfwidth for s in summaries]
@@ -739,14 +705,10 @@ CHECK_NAMES: dict[str, object] = {
 DEFAULT_SUITE = tuple(name for name in CHECK_NAMES if name != "coupling_decay")
 
 
-def run_suite(
-    only: Sequence[str] | None = None,
-    tol: float = 1e-10,
-    threads: int = 1,
-) -> list[CheckResult]:
+def run_suite(only: Sequence[str] | None = None, tol: float = 1e-10) -> list[CheckResult]:
     """Run the named checks (default: the full deterministic suite)."""
     names = list(only) if only else list(DEFAULT_SUITE)
     unknown = [n for n in names if n not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECK_NAMES)}")
-    return [CHECK_NAMES[name](tol, threads) for name in names]
+    return [CHECK_NAMES[name](tol) for name in names]

@@ -144,7 +144,7 @@ class TestConverge:
         assert not (out / "coupling.csv").exists()
 
     def test_artifacts_independent_of_threads(self, tmp_path):
-        # 64 replicas is where the worker pool starts
+        # --threads is accepted and has no effect
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):
             assert main(["converge", "--replicas", "64", "--n-list", "4,8", "--seed", "5",

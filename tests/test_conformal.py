@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from chl.conformal import (
@@ -31,6 +33,7 @@ from chl.conformal import (
     cylinder_dist,
     delta_of,
     halfplane_slit,
+    halfplane_slit_many,
 )
 from chl.rng import SplitMix64
 
@@ -373,6 +376,14 @@ class TestCylSlit:
         left = cyl_slit(p, 0.3, complex(p.half_period - 1e-9, 0.8))
         right = cyl_slit(p, 0.3, complex(p.half_period + 1e-9, 0.8))
         assert abs(left - right) <= 1e-7
+        # on the seam itself, where the disk form's log has its cut, both kernels
+        # keep the lift: the seam maps into itself, Re S = Re z (x = 0 keeps u exact)
+        rng = np.random.default_rng(8)
+        for n in rng.uniform(0.5, 50.0, 40):
+            q = CylinderParams(n, 1.0)
+            z = q.half_period + 1j * n * np.exp(rng.uniform(math.log(1e-12), math.log(29.0), 8))
+            assert all(abs(cyl_slit(q, 0.0, w).real - w.real) <= 1e-9 * n for w in z.tolist())
+            assert np.all(np.abs(cyl_slit_many(q, 0.0, z).real - z.real) <= 1e-9 * n)
 
 
 # Per-regime samples for the batched kernel; each regime gets this many points.
@@ -480,6 +491,126 @@ class TestCylSlitMany:
         assert got.shape == (2, 2)
         bound = 32.0 * _EPS * max(2.0, float(np.max(np.abs(got))))
         assert np.all(np.abs(got - _scalar_oracle(p, 0.3, z.ravel()).reshape(2, 2)) <= bound)
+
+    @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
+    def test_array_x_matches_scalar(self, n):
+        # one abscissa per point: every regime's offsets z - x, each at its own x
+        p = CylinderParams(n, 1.0)
+        regimes = ("boundary-outside", "boundary-inside", "interior", "near-tip", "far")
+        u = np.concatenate([z - x for x, z in (_regime_points(p, r, seed=k + 20)
+                                               for k, r in enumerate(regimes))])
+        x = np.random.default_rng(int(n)).uniform(-p.half_period, p.half_period, u.size)
+        u[:8] = 0.0  # z = x exactly: the tip
+        z = x + u
+        got = cyl_slit_many(p, x, z)
+        want = np.array([cyl_slit(p, a, q) for a, q in zip(x.tolist(), z.tolist())])
+        assert np.all(np.abs(got - want) <= 32.0 * _EPS * np.maximum(n, np.abs(want)))
+        assert np.all(got[:8] == x[:8] + 1j * p.lam)
+
+
+def _half_regime_points(lam: float, regime: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z): _MANY seeded points of one regime of ``halfplane_slit(lam, x, .)``, one x each.
+
+    The tip and underflow regimes sit at x = 0, where z - x is exact; the
+    tip radius is approached from both sides, 1 -+ 1e-9 of it.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-50.0, 50.0, _MANY)
+    sign = rng.choice([-1.0, 1.0], _MANY)
+    if regime == "boundary-outside":
+        return x, x + sign * lam * (1.0 + np.exp(rng.uniform(math.log(1e-6), math.log(1e3), _MANY)))
+    if regime == "boundary-inside":
+        return x, x + lam * rng.uniform(-1.0, 1.0, _MANY) + 0j
+    if regime == "interior":
+        u = lam * rng.uniform(-5.0, 5.0, _MANY)
+        return x, x + u + 1j * lam * np.exp(rng.uniform(math.log(1e-12), math.log(10.0), _MANY))
+    x = np.zeros(_MANY)
+    if regime == "tip-radius":
+        r = _TIP_RADIUS * max(1.0, lam * lam) * rng.choice(_SIDES, _MANY)
+        return x, r * np.exp(1j * rng.uniform(0.0, math.pi, _MANY))
+    assert regime == "underflow"  # Im z^2 = 2 Re z Im z rounds to 0
+    re = lam * sign * 10.0 ** rng.uniform(-140.0, -20.0, _MANY)
+    return x, re + 1j * (2.0**-1074 / np.abs(re) * 0.25)
+
+
+@pytest.mark.filterwarnings("error")
+class TestHalfplaneSlitMany:
+    """The batched half-plane kernel against the scalar map, regime by regime."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 40.0])
+    @pytest.mark.parametrize("regime", ["boundary-outside", "boundary-inside", "interior",
+                                        "tip-radius", "underflow"])
+    def test_matches_scalar(self, regime, lam):
+        x, z = _half_regime_points(lam, regime, seed=len(regime) + int(lam))
+        got = halfplane_slit_many(lam, x, z)
+        want = np.array([halfplane_slit(lam, a, q) for a, q in zip(x.tolist(), z.tolist())])
+        assert got.shape == z.shape
+        if regime.startswith("boundary"):
+            # the real-axis split is the scalar arithmetic, operation for operation
+            assert np.all(got == want)
+            assert np.all(got.imag > 0.0) == (regime == "boundary-inside")
+            assert np.any(got.imag > 0.0) == (regime == "boundary-inside")
+        else:
+            assert np.all(np.abs(got - want) <= 16.0 * _EPS * (np.abs(x) + np.abs(want)))
+        if regime == "tip-radius":
+            inside = np.abs(z) <= _TIP_RADIUS * max(1.0, lam * lam)
+            assert 0 < np.count_nonzero(inside) < _MANY
+            assert np.all(got[inside] == complex(0.0, math.sqrt(lam * lam)))
+        if regime == "underflow":
+            assert all((1.0 - lam * lam / (q * q)).imag == 0.0 for q in z.tolist())
+            # the root keeps Re z's side of the cut: next to the tip, not below it
+            assert np.all(np.abs(got - 1j * lam) <= 4.0 * _EPS * lam)
+
+    def test_empty_and_scalar_x(self):
+        assert halfplane_slit_many(1.0, 0.3, np.empty(0, dtype=complex)).shape == (0,)
+        z = np.array([0.3 + 0j, 2.0 + 1e-3j, -4.0 + 0j])
+        got = halfplane_slit_many(1.0, 0.3, z)
+        assert got.tolist() == [halfplane_slit(1.0, 0.3, q) for q in z.tolist()]
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(N, lam, x, z): arbitrary slit maps and points of the closed upper half-plane.
+
+    Each point has its own abscissa; a third of the points lie on the boundary.
+    """
+    n = draw(st.floats(0.5, 100.0))
+    lam = draw(st.floats(0.01, 5.0))
+    half = math.pi * n
+    k = draw(st.integers(1, 12))
+    xs = draw(st.lists(st.floats(-half, half), min_size=k, max_size=k))
+    res = draw(st.lists(st.floats(-3.0 * half, 3.0 * half), min_size=k, max_size=k))
+    ims = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0 * n)), min_size=k, max_size=k))
+    return n, lam, np.array(xs), np.array(res) + 1j * np.array(ims)
+
+
+def _off_corners(u: np.ndarray, base: float) -> np.ndarray:
+    """Points farther than base/10 from the slit-base corners +-base (offsets u = z - x).
+
+    The corners are square-root singular: next to them rounding the input
+    alone exceeds the budget, so the budget tests keep this distance.
+    """
+    return np.minimum(np.abs(u - base), np.abs(u + base)) > 0.1 * base
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_inputs())
+def test_many_kernels_within_budget_of_scalar(case):
+    # both batched kernels with an array x, against their scalar maps, within
+    # the oracle budget 16 eps (N + |S|) (|x| <= pi N bounds the half-plane's
+    # cancellation in x + sqrt(.))
+    n, lam, x, z = case
+    p = CylinderParams(n, lam)
+    pairs = list(zip(x.tolist(), z.tolist()))
+    u = _reduce_many(z.real - x, p.period) + 1j * z.imag
+    for got, want, kept in (
+        (cyl_slit_many(p, x, z), [cyl_slit(p, a, q) for a, q in pairs],
+         _off_corners(u, 2.0 * n * math.asin(p.delta))),
+        (halfplane_slit_many(lam, x, z), [halfplane_slit(lam, a, q) for a, q in pairs],
+         _off_corners(z - x, lam)),
+    ):
+        want = np.array(want)
+        assert np.all((np.abs(got - want) <= _BUDGET_C * _EPS * (n + np.abs(want)))[kept])
 
 
 class TestCylSlitDeriv:
@@ -763,22 +894,23 @@ def _switch_cases(switch: str, n: float, side: float) -> list:
         a = rng.uniform(0.0, math.pi, m)
         z = np.concatenate([[r, -r], r * np.exp(1j * a[2:])])
         assert np.all((np.abs(z) <= _TIP_RADIUS * max(1.0, b)) == below)
-        return [("half", lam, 0.0, z)]
+        return [("half", lam, 0.0, z), ("half-many", lam, 0.0, z)]
     assert switch == "underflow"
     # Im z^2 = 2 Re z Im z rounds to 0 below |Re z Im z| = 2^-1075, and the
     # radicand 1 - lam^2/z^2 of _slit_sqrt comes out real: Re z picks the side
     re = lam * rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-140.0, -20.0, m)
     z = re + 1j * (2.0**-1074 / np.abs(re) * (0.5 * side))  # 2^-1075 / |Re z|
     assert all(((1.0 - b / (q * q)).imag == 0.0) == below for q in z.tolist())
-    return [("half", lam, 0.0, z)]
+    return [("half", lam, 0.0, z), ("half-many", lam, 0.0, z)]
 
 
 def _kernel_and_oracle(kernel: str, first, x, pts: np.ndarray, scale: int = 1) -> tuple:
     """A kernel's values at ``pts`` and the oracle's, as two lists."""
     zs = pts.tolist()
-    if kernel == "half":
-        return ([halfplane_slit(first, x, q) for q in zs],
-                [oracle_halfplane_slit(first, x, q, scale) for q in zs])
+    if kernel.startswith("half"):
+        got = halfplane_slit_many(first, x, pts).tolist() if kernel == "half-many" else [
+            halfplane_slit(first, x, q) for q in zs]
+        return got, [oracle_halfplane_slit(first, x, q, scale) for q in zs]
     if kernel == "disk":
         return [_disk_kernel(first, q) for q in zs], [oracle_disk_slit(first, q, scale) for q in zs]
     got = cyl_slit_many(first, x, pts).tolist() if kernel == "many" else [
@@ -796,7 +928,7 @@ class TestOracleSwitches:
             for kernel, first, x, pts in _switch_cases(switch, n, side):
                 got, want = _kernel_and_oracle(kernel, first, x, pts)
                 for q, a, b in zip(pts.tolist(), got, want):
-                    assert _excess(n, kernel != "half", a, b) <= 1.0, (kernel, side, q, a)
+                    assert _excess(n, not kernel.startswith("half"), a, b) <= 1.0, (kernel, side, q)
 
     @pytest.mark.parametrize("switch", _SWITCHES)
     def test_oracle_digits_suffice(self, switch):
@@ -807,4 +939,4 @@ class TestOracleSwitches:
                     _, once = _kernel_and_oracle(kernel, first, x, pts[:4])
                     _, twice = _kernel_and_oracle(kernel, first, x, pts[:4], scale=2)
                     for a, b in zip(once, twice):
-                        assert _excess(n, kernel != "half", a, b) <= 1e-10, (kernel, side)
+                        assert _excess(n, not kernel.startswith("half"), a, b) <= 1e-10, (kernel, side)

@@ -13,6 +13,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chl.conformal import CylinderParams, cyl_slit, cylinder_dist, halfplane_slit
 from chl.process import (
@@ -199,6 +201,24 @@ class TestSerialization:
         back = EventLog.from_jsonl(text)
         assert back == log
         assert back.to_jsonl() == text
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_jsonl_round_trip_arbitrary_logs(self, data):
+        # any log from_jsonl accepts: sorted times in (0, horizon], x in [-pi N, pi N)
+        n = data.draw(st.floats(0.1, 1e4))
+        params = CylinderParams(n, data.draw(st.floats(1e-6, n)))
+        horizon = data.draw(st.floats(1e-300, 1e300, exclude_min=True))
+        times = sorted(data.draw(st.lists(st.floats(0.0, horizon, exclude_min=True), max_size=30)))
+        half = params.half_period
+        x = st.one_of(st.sampled_from([-half, -0.0, 0.0]), st.floats(-half, half, exclude_max=True))
+        xs = data.draw(st.lists(x, min_size=len(times), max_size=len(times)))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        log = EventLog(params, horizon, seed, tuple(map(Event, times, xs)))
+        back = EventLog.from_jsonl(log.to_jsonl())
+        bits = [float(v).hex() for v in (*times, *xs)]
+        assert [float(v).hex() for v in (*back.times, *back.xs)] == bits
+        assert back == log
 
     def test_header_validation(self):
         bad = '{"N": 2.0, "lambda": 1.0, "delta": 0.5, "horizon": 1.0, "seed": 3}\n'

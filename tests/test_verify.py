@@ -2,14 +2,29 @@
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chl.conformal import CylinderParams, cyl_slit, halfplane_slit
-from chl.process import drift, restrict_log, sample_events
+from chl.conformal import (
+    CylinderParams,
+    cyl_slit,
+    cyl_slit_many,
+    halfplane_slit,
+    halfplane_slit_many,
+)
+from chl.process import (
+    compose,
+    drift,
+    orbit,
+    orbit_many,
+    restrict_log,
+    sample_events,
+    sample_many,
+)
 from chl import verify
 from chl.rng import SplitMix64, mix_seed
 from chl.verify import (
@@ -24,6 +39,9 @@ from chl.verify import (
     shift_commutation_check,
     slit_convergence_rate,
 )
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _cap_panels(monkeypatch, max_panels):
@@ -273,73 +291,48 @@ class TestCoupling:
         assert np.array_equal(base, wide)
         assert narrow.mean(axis=0)[1] > base.mean(axis=0)[1]
 
-    def test_thread_pool_matches_sequential(self):
-        seq = coupling_sup_distances(1.0, 1j, 0.4, [4.0, 8.0], 128, 77, threads=1)
-        par = coupling_sup_distances(1.0, 1j, 0.4, [4.0, 8.0], 128, 77, threads=2)
-        assert np.array_equal(seq, par)
-
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # a fork pool starts all of its workers at once; a fake pool records the size
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-        jobs = list(range(300))  # three blocks
-        assert verify._run_replicas(_abs_block, jobs, threads=5000) == jobs
-        assert sizes == [3]
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(ValueError):
-            verify._run_replicas(_abs_block, list(range(300)), threads)
-
 
 class TestReplicaBlocks:
-    """MC results do not depend on how the replicas are cut into blocks, nor on threads."""
+    """MC results do not depend on how the replicas are cut into blocks."""
 
     @pytest.mark.parametrize("replicas", [130, 257])
     def test_growth_independent_of_threads(self, replicas):
+        # mc_growth_check keeps a threads keyword that has no effect
         p, z, t = CylinderParams(4.0, 1.0), 1j, 0.5
-        seeds = [mix_seed(8, r) for r in range(replicas)]
-        worker = functools.partial(verify._growth_block, p, t, z)
-        values = verify._run_replicas(worker, seeds, threads=1)
-        assert len(values) == replicas
-        assert verify._run_replicas(worker, seeds, threads=2) == values
-        assert (mc_growth_check(p, z, t, replicas, 8, threads=1)
-                == mc_growth_check(p, z, t, replicas, 8, threads=2))
-
-    @pytest.mark.parametrize("replicas", [130, 257])
-    def test_coupling_independent_of_threads(self, replicas):
-        one = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], replicas, 9, threads=1)
-        two = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], replicas, 9, threads=2)
-        assert one.shape == (replicas, 2)
-        assert (one == two).all()
+        one = mc_growth_check(p, z, t, replicas, 8, threads=1)
+        assert one == mc_growth_check(p, z, t, replicas, 8, threads=2)
+        assert one == verify._summarize(_lockstep_growth(p, t, z, 8, replicas))[0]
 
     def test_independent_of_block_size(self, monkeypatch):
         p, z, t = CylinderParams(4.0, 1.0), 1j, 0.5
         growth = mc_growth_check(p, z, t, 257, 8)
         coupling = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 257, 9, window=2.0)
-        monkeypatch.setattr(verify, "_BLOCK", 7)
-        assert mc_growth_check(p, z, t, 257, 8) == growth
-        again = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 257, 9, window=2.0)
-        assert (again == coupling).all()
+        for block in (7, 128, 256, 512, 2000):
+            monkeypatch.setattr(verify, "_BLOCK", block)
+            assert mc_growth_check(p, z, t, 257, 8) == growth
+            again = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 257, 9, window=2.0)
+            assert (again == coupling).all()
 
     def test_results_flattened_in_seed_order(self):
-        seeds = list(range(-300, 0))  # three blocks, the last one short
-        assert verify._run_replicas(_abs_block, seeds, threads=1) == [abs(s) for s in seeds]
+        seeds = list(range(-1100, 0))  # three blocks, the last one short
+        assert verify._run_replicas(_abs_block, seeds).tolist() == [abs(s) for s in seeds]
+
+
+def _lockstep_growth(params, t, z, seed, replicas):
+    """The replicas of ``mc_growth_check`` at z, advanced in lock-step in one array."""
+    xs = sample_many(params, t, [mix_seed(seed, r) for r in range(replicas)])[2]
+    *_, w = orbit_many(cyl_slit_many, params, xs, z)
+    return w
+
+
+def _lockstep_budget(maps: int, n: float, modulus: float) -> float:
+    """Allowed |lock-step - scalar| after ``maps`` slit maps at radius ``n``.
+
+    A batched kernel may round each map differently from the scalar one (numpy's
+    ufuncs against ``cmath``), by the kernels' budget of order eps max(N, |w|),
+    where |w| bounds the orbit's modulus; the differences add up along the orbit.
+    """
+    return 16.0 * (maps + 1) * _EPS * max(n, modulus)
 
 
 class TestInlineCompositionOracles:
@@ -361,39 +354,82 @@ class TestInlineCompositionOracles:
         assert shift_commutation_check(p, xs, y, z_grid) == worst
 
     def test_mc_growth_replicas(self):
-        p, z, t = CylinderParams(4.0, 1.0), 1j, 0.5
-        values = []
-        for r in range(100):
-            w = z
-            for e in sample_events(p, t, mix_seed(5, r)).events:
-                w = cyl_slit(p, e.x, w)
-            values.append(w)
-        arr = np.array(values)
-        s = mc_growth_check(p, z, t, replicas=100, seed=5)
-        assert s.mean == complex(np.mean(arr))
-        assert (s.std_re, s.std_im) == (np.std(arr.real, ddof=1), np.std(arr.imag, ddof=1))
+        # t = 0.01 gives ragged tails: most of its replicas have no event at all
+        p, z = CylinderParams(4.0, 1.0), 1j
+        for t, replicas in ((0.5, 100), (0.01, 500)):
+            got = _lockstep_growth(p, t, z, 5, replicas)
+            counts = []
+            for r in range(replicas):
+                w, big = z, abs(z)
+                events = sample_events(p, t, mix_seed(5, r)).events
+                for e in events:
+                    w = cyl_slit(p, e.x, w)
+                    big = max(big, abs(w))
+                counts.append(len(events))
+                assert abs(got[r] - w) <= _lockstep_budget(len(events), p.radius_n, big), r
+            empty = [g for g, n in zip(got.tolist(), counts) if n == 0]
+            assert empty == [z] * len(empty)
+            assert mc_growth_check(p, z, t, replicas, seed=5) == verify._summarize(got)[0]
+        assert len(empty) > 250  # 399 of the 500
 
     @pytest.mark.parametrize("window", [None, 2.0])
     def test_coupling_sup_distances(self, window):
-        n_list, lam, z, t, seed = [2.0, 4.0], 1.0, 1j, 0.5, 31
-        want = []
-        for r in range(20):
-            master = sample_events(CylinderParams(n_list[-1], lam), t, mix_seed(seed, r))
-            row = []
-            for n in n_list:
-                sub = restrict_log(master, math.pi * n)
-                w_eff = math.pi * n if window is None else min(window, math.pi * n)
-                a = b = z
-                sup = 0.0
-                for e in sub.events:
-                    a = cyl_slit(sub.params, e.x, a)
-                    if abs(e.x) <= w_eff:
-                        b = halfplane_slit(lam, e.x, b)
-                    sup = max(sup, abs(a - b) ** 2)
-                row.append(sup)
-            want.append(row)
-        got = coupling_sup_distances(lam, z, t, n_list, 20, seed, window=window)
-        assert np.array_equal(got, np.array(want))
+        n_list, lam, t, seed = [2.0, 4.0], 1.0, 0.5, 31
+        for z in (1j, 0.5 + 0j):  # an interior and a boundary probe
+            got = coupling_sup_distances(lam, z, t, n_list, 20, seed, window=window)
+            for r in range(20):
+                master = sample_events(CylinderParams(n_list[-1], lam), t, mix_seed(seed, r))
+                for k, n in enumerate(n_list):
+                    sub = restrict_log(master, math.pi * n)
+                    w_eff = math.pi * n if window is None else min(window, math.pi * n)
+                    a = b = z
+                    sup, big, shl_maps = 0.0, abs(z), 0
+                    for e in sub.events:
+                        a = cyl_slit(sub.params, e.x, a)
+                        if abs(e.x) <= w_eff:
+                            b = halfplane_slit(lam, e.x, b)
+                            shl_maps += 1
+                        sup = max(sup, abs(a - b) ** 2)
+                        big = max(big, abs(a), abs(b))
+                    # |a - b| moves by at most the two orbits' budgets together
+                    err = _lockstep_budget(len(sub), n, big) + _lockstep_budget(shl_maps, n, big)
+                    assert abs(got[r, k] - sup) <= (2.0 * math.sqrt(sup) + err) * err, (z, r, n)
+
+
+@st.composite
+def _padded_logs(draw):
+    """(N, lam, z, rows): ragged abscissa rows in [-pi N, pi N), empty rows included.
+
+    Im z >= lam/10, and the maps never lower Im, so no point of an orbit comes
+    within lam/10 of a slit-base corner, where the maps are square-root
+    singular and input rounding alone exceeds any budget.
+    """
+    n = draw(st.floats(0.5, 64.0))
+    lam = draw(st.floats(0.05, 3.0))
+    half = math.pi * n
+    z = complex(draw(st.floats(-half, half)), draw(st.floats(0.1 * lam, 10.0 * n)))
+    rows = draw(st.lists(st.lists(st.floats(-half, half, exclude_max=True), max_size=25),
+                         min_size=1, max_size=8))
+    return n, lam, z, rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_padded_logs())
+def test_lockstep_growth_matches_compose(case):
+    # orbit_many over the +inf padded array, row by row against the scalar loop
+    n, lam, z, rows = case
+    p = CylinderParams(n, lam)
+    xs = np.full((len(rows), max(map(len, rows))), np.inf)
+    for r, row in enumerate(rows):
+        xs[r, :len(row)] = row
+    for slit, slit_many, first in ((cyl_slit, cyl_slit_many, p),
+                                   (halfplane_slit, halfplane_slit_many, lam)):
+        *_, got = orbit_many(slit_many, first, xs, z)
+        for r, row in enumerate(rows):
+            big = max(abs(w) for w in orbit(slit, first, row, z))
+            want = compose(slit, first, row, z)
+            assert abs(got[r] - want) <= _lockstep_budget(len(row), n, big), (slit, r)
+            assert row or got[r] == z
 
 
 def _abs_block(block):
