@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _RESIDUAL_FLOOR = 1e-14
+_BOUNDARY_BAND = 1e-3  # Im z below which the slit-base corners are split at and graded
 
 
 @dataclass(frozen=True)
@@ -135,29 +136,41 @@ def _feature_splits(params: CylinderParams, z: complex, a: float, b: float) -> l
     """Panel seeds around the sharp integrand feature at x = Re z (mod 2piN).
 
     For boundary z the integrand has square-root kinks where z sits exactly
-    on a slit-base corner, i.e. at x = Re z +- 2N asin(delta); seeding those
-    as panel edges turns the kinks into endpoint singularities, which the
-    open Kronrod rule resolves honestly (a kink strictly inside the node-free
-    edge gap could otherwise go unseen).
+    on a slit-base corner, i.e. at x = Re z +- 2N asin(delta); those corners
+    are seeded too, so each kink is a piece endpoint that ``_quad_over_x``
+    grades away.
     """
-    lam = params.lam
-    n = params.radius_n
-    corner = 2.0 * n * math.asin(params.delta)  # slit-base half-width
+    corner = 2.0 * params.radius_n * math.asin(params.delta)  # slit-base half-width
     splits = []
     for base in (z.real, z.real - params.period, z.real + params.period):
         splits.append(base)
-        if z.imag < 1e-3:
-            splits += [base - corner, base + corner, base - lam, base + lam,
-                       base - lam / n, base + lam / n]
+        if z.imag < _BOUNDARY_BAND:
+            splits += [base - corner, base + corner]
     return [s for s in splits if a < s < b]
 
 
 def _quad_over_x(params, z, integrand, tol, domain=None) -> QuadratureResult:
-    """Integral of ``integrand(x)`` over ``domain`` (default one period), split at z's features."""
+    """Integral of ``integrand(x)`` over ``domain`` (default one period), split at z's features.
+
+    Boundary z (Im z < 1e-3) integrate in a graded variable s in [0, k] over the k
+    pieces [e_i, e_{i+1}] between splits: x = e_i + h_i t^2 (3 - 2t), t = s - i, so a
+    sqrt(x - e) kink at a piece end becomes linear in t (Davis & Rabinowitz, 2.12).
+    """
     a, b = domain if domain is not None else (-params.half_period, params.half_period)
     if not (-params.half_period - 1e-12 <= a < b <= params.half_period + 1e-12):
         raise ValueError(f"domain [{a}, {b}] not inside [-pi N, pi N]")
-    return adaptive_quadrature(integrand, a, b, tol=tol, presplit=_feature_splits(params, z, a, b))
+    splits = _feature_splits(params, z, a, b)
+    if z.imag >= _BOUNDARY_BAND:
+        return adaptive_quadrature(integrand, a, b, tol=tol, presplit=splits)
+    edges = [a, *sorted(set(splits)), b]
+    k = len(edges) - 1
+
+    def graded(s):
+        i = min(int(s), k - 1)
+        t, h = s - i, edges[i + 1] - edges[i]
+        return integrand(edges[i] + h * t * t * (3.0 - 2.0 * t)) * (6.0 * h * t * (1.0 - t))
+
+    return adaptive_quadrature(graded, 0.0, float(k), tol=tol, presplit=range(1, k))
 
 
 def quad_mean_shift(params: CylinderParams, z: complex, tol: float = 1e-10) -> QuadratureResult:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,83 @@ class TestSquaredDeriv:
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             quad_squared_deriv(CylinderParams(2.0, 1.0), 1.0 + 0j)
+
+
+def _boundary_grid():
+    """(N, z) at the base, on a slit-base corner, on both seams and just above the axis."""
+    for n in (2.0, 8.0, 32.0):
+        p = CylinderParams(n, 1.0)
+        corner = 2.0 * n * math.asin(p.delta)
+        for z in (0j, complex(corner, 0.0), complex(p.half_period, 0.0),
+                  complex(-p.half_period, 0.0), 0.3 + 1e-5j, 0.3 + 1e-9j):
+            yield n, z
+
+
+def _mp_squared_shift(p, z, a, b):
+    """tanh-sinh over the corner-split pieces of [a, b], with the float integrand.
+
+    Above the axis a corner is a smoothed kink of width about Im z rather than
+    an endpoint singularity, so each piece is also cut at 1e-2 .. 1e-8 of its
+    length from both ends, where tanh-sinh would otherwise misjudge it.
+    """
+    edges = [a, *sorted(set(verify._feature_splits(p, z, a, b))), b]
+    cuts = set(edges)
+    for lo, hi in zip(edges, edges[1:]) if z.imag else ():
+        for k in (2, 4, 6, 8):
+            cuts |= {lo + (hi - lo) * 10.0**-k, hi - (hi - lo) * 10.0**-k}
+    return complex(mpmath.quad(lambda x: abs(cyl_slit(p, float(x), z) - z) ** 2, sorted(cuts)))
+
+
+class TestGradedBoundary:
+    """Boundary z integrate in the graded variable that flattens the corner kinks."""
+
+    @pytest.mark.parametrize("n,z", list(_boundary_grid()))
+    def test_mean_shift_is_drift(self, n, z):
+        p = CylinderParams(n, 1.0)
+        want = drift(p, 1.0)
+        res = quad_mean_shift(p, z, tol=1e-12)
+        assert res.converged
+        assert abs(res.value - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("n,z", list(_boundary_grid()))
+    def test_squared_shift_matches_tanh_sinh(self, n, z):
+        p = CylinderParams(n, 1.0)
+        hp = p.half_period
+        domains = [(-hp, hp)] + [(xi, hp) for xi in (4.0, 8.0, 16.0) if xi < hp]
+        for a, b in domains:  # on a tail domain a corner may fall outside it
+            res = quad_squared_shift(p, z, domain=(a, b), tol=1e-12)
+            gap = abs(res.value - _mp_squared_shift(p, z, a, b))
+            assert res.converged
+            assert gap <= 1e-11, f"[{a}, {b}]"
+            assert res.abs_error_estimate >= gap - 1e-13, f"[{a}, {b}]"
+
+    def test_panel_budget(self):
+        # square-root kinks graded to linear: a few panels per piece, where
+        # bisection in x needed about a hundred
+        rng = random.Random("graded-boundary")
+        for n in (2.0, 4.0, 8.0, 16.0, 32.0):
+            p = CylinderParams(n, 1.0)
+            for _ in range(18):
+                z = complex(p.half_period * (2.0 * rng.random() - 1.0), 0.0)
+                for quad in (quad_mean_shift, quad_squared_shift):
+                    res = quad(p, z, tol=1e-12)
+                    assert res.converged and res.subdivisions <= 20, (n, z, quad.__name__)
+
+    def test_interior_path_ungraded(self, monkeypatch):
+        # above the boundary band the integrand goes to the quadrature in x itself
+        seen = []
+        quadrature = verify.adaptive_quadrature
+
+        def spy(f, a, b, **kwargs):
+            seen.append((a, b))
+            return quadrature(f, a, b, **kwargs)
+
+        monkeypatch.setattr(verify, "adaptive_quadrature", spy)
+        p = CylinderParams(4.0, 1.0)
+        quad_mean_shift(p, 0.3 + 1e-3j)
+        quad_mean_shift(p, 0.3 + 0j)
+        assert seen == [(-p.half_period, p.half_period),
+                        (0.0, 4.0)]  # four pieces, cut at the base and its two corners
 
 
 class TestSlitConvergenceRate:
