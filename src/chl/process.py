@@ -215,6 +215,16 @@ def restrict_log(log: EventLog, half_width: float) -> EventLog:
     return EventLog(params, log.horizon_t, log.seed, events)
 
 
+def _restrict_many(xs: np.ndarray, half_width: float) -> np.ndarray:
+    """:func:`restrict_log` on each row of ``sample_many``'s abscissae, in time order.
+
+    Kept events come first, then ``+inf`` up to the longest kept row (width 0 if none).
+    """
+    keep = np.abs(xs) <= half_width
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max(initial=0)]
+    return np.take_along_axis(np.where(keep, xs, np.inf), order, axis=1)
+
+
 @dataclass(frozen=True)
 class ProcessEvaluator:
     """A view of an event log that evaluates one process variant.

@@ -35,6 +35,7 @@ from .conformal import (
 )
 from .process import (
     ProcessEvaluator,
+    _restrict_many,
     _restricted_params,
     compose,
     drift,
@@ -343,8 +344,8 @@ def coupling_sup_distances(
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas for a spread, got {replicas}")
     n_list = [float(n) for n in n_list]
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be ascending")
+    if not all(a < b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly ascending")
     if window is not None and not window >= lam:
         raise ValueError("truncation window must be >= slit length")
     master = CylinderParams(n_list[-1], lam)
@@ -355,9 +356,10 @@ def coupling_sup_distances(
         xs = sample_many(master, t, block)[2]
         out = np.zeros((len(block), len(radii)))
         for k, (params, half_width, w_eff) in enumerate(radii):
-            # restrict_log's events on its own cylinder; the SHL skips those outside the window
-            chl = orbit_many(cyl_slit_many, params, np.where(abs(xs) <= half_width, xs, np.inf), z)
-            shl = orbit_many(halfplane_slit_many, lam, np.where(abs(xs) <= w_eff, xs, np.inf), z)
+            # restrict_log's events, compacted; the SHL keeps their columns, masked to its window
+            sub = _restrict_many(xs, half_width)
+            chl = orbit_many(cyl_slit_many, params, sub, z)
+            shl = orbit_many(halfplane_slit_many, lam, np.where(abs(sub) <= w_eff, sub, np.inf), z)
             for c, h in zip(chl, shl):
                 np.maximum(out[:, k], abs(c - h) ** 2, out=out[:, k])
         return out

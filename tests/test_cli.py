@@ -135,8 +135,10 @@ class TestConverge:
 
     @pytest.mark.parametrize("argv", [
         ["--n-list", "4"],  # one radius: nothing to compare
+        ["--n-list", "4,4"],  # a repeated radius would be compared with itself
+        ["--n-list", "8,4"],
         ["--probe", "1i", "--probe", "2i"],  # converge reads one probe point
-    ], ids=["one-radius", "two-probes"])
+    ], ids=["one-radius", "repeated-radius", "descending-radii", "two-probes"])
     def test_ignored_input_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "c"
         assert main(["converge", "--replicas", "8", *argv, "--out", str(out)]) == 2

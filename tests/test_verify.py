@@ -19,6 +19,8 @@ from chl.conformal import (
     halfplane_slit_many,
 )
 from chl.process import (
+    _restrict_many,
+    _restricted_params,
     compose,
     drift,
     orbit,
@@ -353,6 +355,9 @@ class TestCoupling:
     def test_validation(self):
         with pytest.raises(ValueError):
             coupling_sup_distances(1.0, 1j, 0.5, [8.0, 4.0], 200, 1)
+        for n_list in ([4.0, 4.0], [4.0, 8.0, 8.0]):  # a radius compared with itself
+            with pytest.raises(ValueError, match="strictly ascending"):
+                coupling_sup_distances(1.0, 1j, 0.5, n_list, 200, 1)
         with pytest.raises(ValueError):
             coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0, 16.0], 200, 1, window=0.5)
         for replicas in (0, 1):  # no spread to report below two replicas
@@ -369,6 +374,71 @@ class TestCoupling:
         narrow = coupling_sup_distances(1.0, 1j, 0.5, n_list, 200, 18, window=2.0)
         assert np.array_equal(base, wide)
         assert narrow.mean(axis=0)[1] > base.mean(axis=0)[1]
+
+
+class TestRestrictMany:
+    """The compacted rows are restrict_log's abscissae, row by row, +inf padded."""
+
+    @staticmethod
+    def _check(master, t, seeds, half_width):
+        got = _restrict_many(sample_many(master, t, seeds)[2], half_width)
+        rows = [sample_events(master, t, s) for s in seeds]
+        if half_width <= master.half_period:
+            rows = [restrict_log(log, half_width) for log in rows]
+        assert got.shape == (len(seeds), max(len(log) for log in rows))
+        for row, log in zip(got, rows):
+            assert row[: len(log)].tolist() == list(log.xs)
+            assert np.isposinf(row[len(log):]).all()
+        return got, rows
+
+    def test_rows_with_and_without_events(self):
+        master, seeds = CylinderParams(8.0, 1.0), [mix_seed(3, r) for r in range(200)]
+        got, rows = self._check(master, 0.5, seeds, math.pi / 2)
+        assert 0 < 4 * got.shape[1] < sample_many(master, 0.5, seeds)[2].shape[1]
+        assert sum(len(log) == 0 for log in rows) > 20  # rows that keep no event
+
+    def test_no_row_keeps_an_event(self):
+        master = CylinderParams(8.0, 1e-3)
+        got, _ = self._check(master, 0.05, [mix_seed(4, r) for r in range(20)], 1e-3)
+        assert got.shape == (20, 0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_full_strip_keeps_every_event(self, scale):
+        master = CylinderParams(4.0, 1.0)
+        seeds = [mix_seed(5, r) for r in range(50)]
+        got, _ = self._check(master, 0.5, seeds, scale * master.half_period)
+        assert np.array_equal(got, sample_many(master, 0.5, seeds)[2])
+
+
+def _full_width_coupling(lam, z, t, n_list, replicas, seed, window=None):
+    """coupling_sup_distances without compaction: each radius over all master columns.
+
+    The events that a radius or the window leaves out are masked with +inf in place.
+    """
+    master = CylinderParams(n_list[-1], lam)
+    xs = sample_many(master, t, [mix_seed(seed, r) for r in range(replicas)])[2]
+    out = np.zeros((replicas, len(n_list)))
+    for k, n in enumerate(n_list):
+        params = _restricted_params(master, math.pi * n)
+        w_eff = math.pi * n if window is None else min(window, math.pi * n)
+        chl = orbit_many(cyl_slit_many, params, np.where(abs(xs) <= math.pi * n, xs, np.inf), z)
+        shl = orbit_many(halfplane_slit_many, lam, np.where(abs(xs) <= w_eff, xs, np.inf), z)
+        for c, h in zip(chl, shl):
+            np.maximum(out[:, k], abs(c - h) ** 2, out=out[:, k])
+    return out
+
+
+@pytest.mark.parametrize("n_list", [[4.0, 8.0, 16.0, 32.0], [1.0, 2.0], [0.5, 64.0]])
+@pytest.mark.parametrize("window", [None, 2.0, 2.0 * math.pi])
+def test_compacted_coupling_is_full_width_pass(n_list, window):
+    # compaction drops only entries that apply no map, so the bits stay
+    lam, t, seed, replicas = 1.0, 0.5, 7, 100
+    for z in (1j, 0.5 + 0j, 3 + 0.2j):  # interior, boundary and low probes
+        want = _full_width_coupling(lam, z, t, n_list, replicas, seed, window)
+        got = coupling_sup_distances(lam, z, t, n_list, replicas, seed, window=window)
+        assert np.array_equal(got, want), z
+    if n_list[0] == 0.5:  # N = 0.5 keeps no event of a fifth of the rows
+        assert (want[:, 0] == 0.0).sum() > 10
 
 
 class TestReplicaBlocks:
