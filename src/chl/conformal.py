@@ -31,16 +31,25 @@ the real boundary the two regimes (outside / inside the slit base) are split
 explicitly, which keeps boundary evaluation exact instead of relying on the
 sign of a rounded-to-zero imaginary part.
 
-The composed cylinder map is evaluated through the disk-coordinate closed form
+The composed cylinder map has three regimes, by height ``y = Im z``.  Below
+``y = N`` it is evaluated in the tan chart
+
+    S_0(z) = 2 N arctan(phi^delta(tan(z / 2N))),
+
+where ``tan(./2N)`` takes the cylinder onto the upper half-plane with the
+slit's base point at 0: the boundary (where the square root's real-axis split
+applies), the slit's tip and the low interior share this one formula, and
+``Im S`` carries no absolute error of order ``N eps``.  For ``N <= y < 30 N``
+it is the disk-coordinate closed form
 
     S_0(z) = i N Log( (zeta + 1 + s)^2 / (4 zeta (1 - delta^2)) ),
     zeta = exp(-i z / N),  s = sqrt((zeta - 1)^2 + 4 delta^2 zeta),
 
-which is algebraically identical to the five-map chain but free of the
-catastrophic cancellation of ``g_inv`` near its pole at i (the cylinder's
-point at infinity).  Far above the boundary (``Im z >= 30 N``, where the
-intermediate would sit within ~1e-12 of the pole) the evaluation switches to
-the exact-to-double-precision tail expansion
+algebraically identical to the five-map chain but free of the catastrophic
+cancellation of ``g_inv`` near its pole at i (the cylinder's point at
+infinity).  Far above the boundary (``Im z >= 30 N``, where the intermediate
+would sit within ~1e-12 of the pole) the evaluation switches to the
+exact-to-double-precision tail expansion
 ``z - i N log(1-delta^2) + 2 i N delta^2 exp(i z / N)``.
 
 All functions are pure; no shared mutable state.
@@ -69,11 +78,6 @@ __all__ = [
 # Above this height (in units of N) the g_inv intermediate is within ~1e-12 of
 # its pole; the tail expansion is then exact to double precision.
 _FAR_FIELD_RATIO = 30.0
-
-# Treat points this close (relative to N) to the boundary as boundary points:
-# below it the sign of the rounded imaginary part no longer identifies the
-# correct side of the branch cut.
-_BOUNDARY_RATIO = 1e-15
 
 # A slit square root returns its tip within this distance (times max(1, b)) of
 # 0: outside it z^2 stays normal and b/z^2 below 1e300; inside it the dropped
@@ -152,8 +156,8 @@ def _slit_sqrt(a: float, b: float, z: complex) -> complex:
         x = z.real
         rad = a - b / (x * x)
         if rad >= 0.0:
-            return complex(x * math.sqrt(rad), 0.0)
-        return complex(0.0, math.sqrt(b - a * x * x))
+            return x * math.sqrt(rad) + 0j
+        return 1j * math.sqrt(b - a * x * x)
     w = a - b / (z * z)
     if w.imag == 0.0:
         # Im(z^2) underflowed: the radicand's side of the cut is Re z's
@@ -177,20 +181,19 @@ def _slit_sqrt_many(a: float, b: float, u: np.ndarray) -> np.ndarray:
     """``_slit_sqrt(a, b, .)`` of every point of the complex array ``u``, its rules as masks."""
     out = np.full(u.shape, complex(0.0, math.sqrt(b)))  # the tip
     off = np.abs(u) > _TIP_RADIUS * max(1.0, b)
-    real = off & (u.imag == 0.0)
-    v = u.real[real]
-    rad = a - b / (v * v)
-    base = rad < 0.0
-    res = np.zeros(v.shape, dtype=complex)
-    res.real[~base] = v[~base] * np.sqrt(rad[~base])
-    res.imag[base] = np.sqrt(b - a * v[base] * v[base])
-    out[real] = res
-    if (inner := off & ~real).any():
-        q = u[inner]
+    if (real := off & (u.imag == 0.0)).any():
+        v = u.real[real]
+        rad = a - b / (v * v)
+        base = rad < 0.0
+        root = np.sqrt(np.where(base, b - a * v * v, rad))
+        out[real] = np.where(base, 1j * root, v * root)
+        off &= ~real
+    if off.any():
+        q = u[off]
         w = a - b / (q * q)
         flat = w.imag == 0.0  # Im(z^2) underflowed: the radicand's side of the cut is Re z's
         w.imag[flat] = np.copysign(0.0, q.real[flat])
-        out[inner] = q * np.sqrt(w)
+        out[off] = q * np.sqrt(w)
     return out
 
 
@@ -264,38 +267,23 @@ def _far_field(params: CylinderParams, w: complex) -> complex:
     return w - 1j * n * math.log1p(-d2) + 2j * n * d2 * cmath.exp(1j * w / n)
 
 
-def _cyl_slit_origin(params: CylinderParams, u: float, y: float) -> complex:
-    """S_0 evaluated at u + iy with u in the fundamental domain, y >= 0.
+def _tan_chart(params: CylinderParams, w: complex) -> tuple[complex, complex, complex]:
+    """``t = w/2N``, ``v = tan(t)`` and ``r = phi^delta(v)`` at w = u + iy, u in [-pi N, pi N), y >= 0.
 
-    Output Re lies within pi*N of u, also on the seam u = -pi*N: the continuous lift.
+    S_0 = 2N arctan(r), and its derivatives are rational in v and r.  The
+    slit-base corners, where r = 0, are square-root singular.
     """
-    n = params.radius_n
-    if y <= _BOUNDARY_RATIO * n:
-        # Boundary path: 2N arctan(phi^delta(tan(u/2N))), real outside the
-        # slit base and pure imaginary (on the slit) inside it.  It is
-        # _slit_sqrt's real split and tip test (d2 < 1) written out: a call
-        # costs a third more per boundary point.
-        v = math.tan(0.5 * u / n)
-        if abs(v) <= _TIP_RADIUS:
-            return complex(0.0, params.lam)
-        d2 = params.delta * params.delta
-        rad = (1.0 - d2) - d2 / (v * v)
-        if rad >= 0.0:
-            return complex(2.0 * n * math.atan(v * math.sqrt(rad)), 0.0)
-        return complex(0.0, 2.0 * n * math.atanh(math.sqrt(d2 - (1.0 - d2) * v * v)))
-    w = complex(u, y)
-    if y >= _FAR_FIELD_RATIO * n:
-        return _far_field(params, w)
-    s = 1j * n * cmath.log(_disk_slit_origin(params, cmath.exp(-1j * w / n)))
-    # the log's cut is the seam, where rounding picks its side: S_0 moves u by under pi N
-    return s if abs(s.real - u) < math.pi * n else s - math.copysign(2.0 * math.pi * n, s.real - u)
+    d = params.delta
+    t = 0.5 * w / params.radius_n
+    v = cmath.tan(t)
+    return t, v, _slit_sqrt(1.0 - d * d, d * d, v)
 
 
 def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
     """Cylinder slit map S_x(z): attach a slit of length lam over x.
 
     Evaluated as the continuous lift: ``Re(z - x)`` is reduced to the
-    fundamental domain, the origin map is applied there, and the removed
+    fundamental domain, the origin map S_0 is applied there, and the removed
     multiple of 2*pi*N is restored, so that
 
         S_x(z + 2*pi*N) = S_x(z) + 2*pi*N,   S_x(x) = x + i*lam,
@@ -303,27 +291,38 @@ def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
     and S_x is near the identity far from the slit.
     """
     z = complex(z)
+    n, y = params.radius_n, z.imag
     u = z.real - x
     u_red = _reduce(u, params.period)
-    return (x + (u - u_red)) + _cyl_slit_origin(params, u_red, z.imag)
+    w = complex(u_red, y)
+    if y >= _FAR_FIELD_RATIO * n:
+        s = _far_field(params, w)
+    elif y < n:
+        _, v, r = _tan_chart(params, w)
+        s = complex(0.0, params.lam) if abs(v) <= _TIP_RADIUS else 2.0 * n * cmath.atan(r)
+    else:
+        s = 1j * n * cmath.log(_disk_slit_origin(params, cmath.exp(-1j * w / n)))
+    if abs(s.real - u_red) >= math.pi * n:
+        # both charts cut along the seam, where rounding picks the side: S_0 moves u by under pi N
+        s -= math.copysign(2.0 * math.pi * n, s.real - u_red)
+    return (x + (u - u_red)) + s
 
 
 def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     """``cyl_slit(params, x, .)`` of every point of the array ``z``, one numpy pass.
 
     ``x`` is a float or an array shaped like ``z`` (one abscissa per point).
-    Each regime of the scalar path is a mask: the boundary path (with the
-    tip ``|tan(u/2N)| <= _TIP_RADIUS``), the far field ``Im z >= 30 N`` and
-    the disk-coordinate closed form with both square-root forms.  The reduction is exact, so the
-    restored multiple of the period is the scalar one; the transcendental
-    functions are numpy's, so results may differ from ``cyl_slit`` in the
-    last bits.  The ``|zeta| >= 1e130`` tail of ``_disk_slit_origin`` is left
-    out: interior points have ``Im z < 30 N``, so ``|zeta| < e^30``.
+    Each regime of the scalar path is a mask: the tan chart ``Im z < N`` (with
+    the tip ``|tan(u/2N)| <= _TIP_RADIUS``), the disk form and the far field
+    ``Im z >= 30 N``.  The reduction is exact, so the restored multiple of the
+    period is the scalar one; the transcendental functions are numpy's, so
+    results may differ from ``cyl_slit`` in the last bits.  The disk form
+    needs neither of ``_disk_slit_origin``'s special cases: there
+    ``e <= |zeta| < e^30``, so ``|zeta - 1| > 0.5 delta`` and no tail.
     """
     z = np.asarray(z, dtype=complex)
     n = params.radius_n
-    d = params.delta
-    d2 = d * d
+    d2 = params.delta * params.delta
     u = z.real - x
     u_red = _reduce_many(u, params.period)
     y = z.imag
@@ -331,66 +330,50 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     w.real, w.imag = u_red, y
     out = np.empty_like(z)
 
-    edge = y <= _BOUNDARY_RATIO * n
-    if edge.any():
-        # boundary path of _cyl_slit_origin, real arithmetic
-        v = np.tan(0.5 * u_red[edge] / n)
-        r = _slit_sqrt_many(1.0 - d2, d2, v + 0j)
-        r.real, r.imag = 2.0 * n * np.arctan(r.real), 2.0 * n * np.arctanh(r.imag)
+    if (low := y < n).any():
+        v = np.tan(0.5 * w[low] / n)
+        r = 2.0 * n * np.arctan(_slit_sqrt_many(1.0 - d2, d2, v))
         r[np.abs(v) <= _TIP_RADIUS] = complex(0.0, params.lam)  # the tip, exactly
-        out[edge] = r
+        out[low] = r
 
     far = y >= _FAR_FIELD_RATIO * n
     if far.any():
         wf = w[far]
         out[far] = wf - 1j * n * math.log1p(-d2) + 2j * n * d2 * np.exp(1j * wf / n)
 
-    mid = ~(edge | far)
-    zeta = np.exp(-1j * w[mid] / n)
-    dz1 = zeta - 1.0
-    s = np.empty_like(zeta)
-    fac = np.abs(dz1) >= 0.5 * d
-    zf, df = zeta[fac], dz1[fac]
-    s[fac] = df * np.sqrt(1.0 + 4.0 * d2 * zf / (df * df))
-    zn, dn = zeta[~fac], dz1[~fac]
-    s[~fac] = np.sqrt(dn * dn + 4.0 * d2 * zn)
-    top = zeta + 1.0 + s
-    out[mid] = 1j * n * np.log(top * top / (4.0 * zeta * (1.0 - d2)))
+    if (disk := ~(low | far)).any():
+        zeta = np.exp(-1j * w[disk] / n)
+        dz1 = zeta - 1.0
+        top = zeta + 1.0 + dz1 * np.sqrt(1.0 + 4.0 * d2 * zeta / (dz1 * dz1))
+        out[disk] = 1j * n * np.log(top * top / (4.0 * zeta * (1.0 - d2)))
     out.real -= params.period * np.round((out.real - u_red) / params.period)  # the seam lift
     return (x + (u - u_red)) + out
 
 
-def _tan_chart(params: CylinderParams, x: float, z: complex) -> tuple[complex, complex, complex]:
-    """``t = (z - x)/2N`` (Re reduced), ``v = tan(t)`` and ``u = phi^delta(v)``, for Im z > 0.
-
-    S_0 = 2N arctan(phi^delta(tan(./2N))), so its derivatives are rational in
-    v and u.  The slit-base corners, where u = 0, are square-root singular.
-    """
+def _deriv_chart(params: CylinderParams, x: float, z: complex) -> tuple[complex, complex, complex]:
+    """``_tan_chart`` at z - x (Re reduced), for Im z > 0 off the slit-base corners."""
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("slit-map derivatives require Im z > 0")
-    d = params.delta
-    t = 0.5 * complex(_reduce(z.real - x, params.period), z.imag) / params.radius_n
-    v = cmath.tan(t)
-    u = _slit_sqrt(1.0 - d * d, d * d, v)
-    if u == 0:
+    t, v, r = _tan_chart(params, complex(_reduce(z.real - x, params.period), z.imag))
+    if r == 0:
         raise ValueError("slit-map derivatives are singular at the slit base")
-    return t, v, u
+    return t, v, r
 
 
 def cyl_slit_deriv(params: CylinderParams, x: float, z: complex) -> complex:
-    """dS_x/dz = v/u in the terms of ``_tan_chart``; 2*pi*N periodic, tends to 1 far up."""
-    _, v, u = _tan_chart(params, x, z)
-    return v / u
+    """dS_x/dz = v/r in the terms of ``_tan_chart``; 2*pi*N periodic, tends to 1 far up."""
+    _, v, r = _deriv_chart(params, x, z)
+    return v / r
 
 
 def cyl_slit_deriv2(params: CylinderParams, x: float, z: complex) -> complex:
-    """d^2 S_x/dz^2 = -delta^2 (1 + v^2) / (2N u^3), as u^2 = (1-delta^2) v^2 - delta^2.
+    """d^2 S_x/dz^2 = -delta^2 (1 + v^2) / (2N r^3), as r^2 = (1-delta^2) v^2 - delta^2.
 
     ``1 + v^2`` is taken as ``1/cos(t)^2``: far above the boundary v tends
     to i, and the sum would cancel.
     """
-    t, _, u = _tan_chart(params, x, z)
+    t, _, r = _deriv_chart(params, x, z)
     c = cmath.cos(t)
     d = params.delta
-    return -(d * d) / (2.0 * params.radius_n * c * c * u * u * u)
+    return -(d * d) / (2.0 * params.radius_n * c * c * r * r * r)

@@ -121,8 +121,10 @@ class EventLog:
             params = CylinderParams(head["N"], head["lambda"], head["delta"])
             horizon, seed = head["horizon"], head["seed"]
             events = tuple(Event(r["t"], r["x"]) for r in records[1:])
-            if not (math.isfinite(horizon) and horizon > 0.0 and isinstance(seed, int)):
-                raise ValueError(f"bad horizon {horizon!r} or seed {seed!r}")
+            # a NaN delta would pass CylinderParams, which reads NaN as "derive it"
+            if not (math.isfinite(horizon) and horizon > 0.0 and isinstance(seed, int)
+                    and not math.isnan(head["delta"])):
+                raise ValueError(f"bad horizon {horizon!r}, seed {seed!r} or delta {head['delta']!r}")
             half, last = params.half_period, 0.0
             for k, e in enumerate(events, start=1):
                 if not (last <= e.time <= horizon and e.time > 0.0 and -half <= e.x < half):

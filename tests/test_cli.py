@@ -249,8 +249,8 @@ class TestConfigFile:
         math.nan, {"re": 0.0, "im": -1.0}, {"re": math.inf, "im": 1.0},
     ])
     def test_probe_outside_closed_upper_half_plane_rejected(self, value):
-        # the slit maps act on Im >= 0; below it cyl_slit would silently take the
-        # boundary path, and a nan probe would write nan trajectories
+        # the slit maps act on Im >= 0; below it cyl_slit would silently evaluate
+        # its tan chart off the half-plane, and a nan probe would write nan trajectories
         import argparse
         from chl.cli import _complex
         with pytest.raises(argparse.ArgumentTypeError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from chl.conformal import (
-    _BOUNDARY_RATIO,
     _FAR_FIELD_RATIO,
     _TIP_RADIUS,
     CylinderParams,
@@ -395,23 +395,29 @@ def _scalar_oracle(p: CylinderParams, x: float, z: np.ndarray) -> np.ndarray:
     return np.array([cyl_slit(p, x, complex(q)) for q in z])
 
 
+def _base(p: CylinderParams) -> float:
+    """Half-width 2N asin(delta) of the slit base: boundary offsets |u| < base map onto the slit."""
+    return 2.0 * p.radius_n * math.asin(p.delta)
+
+
 def _regime_points(p: CylinderParams, regime: str, seed: int) -> tuple[float, np.ndarray]:
     """(x, z): _MANY seeded points of one regime of the slit map at x."""
     rng = np.random.default_rng(seed)
     n, half, d = p.radius_n, p.half_period, p.delta
     x = rng.uniform(-half, half)
-    base = 2.0 * n * math.asin(d)  # slit base on the boundary: |u| < base
+    base = _base(p)
     if regime == "boundary-outside":
         u = rng.uniform(base, half, _MANY) * rng.choice([-1.0, 1.0], _MANY)
         return x, x + u + 0j
     if regime == "boundary-inside":
         return x, x + rng.uniform(-base, base, _MANY) + 0j
-    if regime == "interior":
+    if regime == "interior":  # the tan chart, 1e-12 N <= Im z < N
         u = rng.uniform(-half, half, _MANY)
-        y = n * np.exp(rng.uniform(math.log(1e-12), math.log(29.9), _MANY))
-        return x, (x + u) + 1j * y
+        return x, (x + u) + 1j * n * np.exp(rng.uniform(math.log(1e-12), 0.0, _MANY))
+    if regime == "disk-form":
+        return x, (x + rng.uniform(-half, half, _MANY)) + 1j * n * rng.uniform(1.0, 29.9, _MANY)
     if regime == "near-tip":
-        # zeta = exp(-i (z - x) / N) within delta/2 of 1: |z - x| < 0.45 N delta
+        # the tan chart next to the tip preimage, |z - x| < 0.45 N delta
         r = 0.45 * n * d * np.sqrt(rng.uniform(1e-6, 1.0, _MANY))
         return x, x + r * np.exp(1j * rng.uniform(1e-6, math.pi - 1e-6, _MANY))
     if regime == "far":
@@ -435,7 +441,7 @@ class TestCylSlitMany:
 
     @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
     @pytest.mark.parametrize("regime", ["boundary-outside", "boundary-inside", "interior",
-                                        "near-tip", "reduction-edges"])
+                                        "disk-form", "near-tip", "reduction-edges"])
     def test_matches_scalar_within_rounding(self, n, regime):
         p = CylinderParams(n, 1.0)
         x, z = _regime_points(p, regime, seed=int(n) * 7 + len(regime))
@@ -443,25 +449,26 @@ class TestCylSlitMany:
         got = cyl_slit_many(p, x, z)
         want = _scalar_oracle(p, x, z)
         assert got.shape == z.shape
-        bound = 32.0 * _EPS * np.maximum(n, np.abs(want))
-        assert np.all(np.abs(got - want) <= bound)
-        # the map lifts points; within ~N*eps of the boundary the lift is
-        # below the rounding of Im S (the scalar map undershoots there too)
-        assert np.all(got.imag >= z.imag - bound)
-        lifted = z.imag >= 1e-6 * n
-        assert np.all(got.imag[lifted] >= z.imag[lifted])
+        kept = _off_corners(_reduce_many(z.real - x, p.period) + 1j * z.imag, _base(p))
+        assert np.all((np.abs(got - want) <= 32.0 * _EPS * np.maximum(n, np.abs(want)))[kept])
+        # the map lifts points, also within rounding of the boundary
+        assert np.all(got.imag >= z.imag)
+        assert np.all(want.imag >= z.imag)
 
     @pytest.mark.parametrize("n", [1.0, 10.0, 32.0])
     def test_regime_samples_hit_their_branch(self, n):
-        # the samples above exercise the branch they are named for
+        # the samples above exercise the regime they are named for: the tan
+        # chart below Im z = N, the disk form up to 30 N, the far field above
         p = CylinderParams(n, 1.0)
-        d = p.delta
+        heights = {"interior": (0.0, n), "near-tip": (0.0, n), "disk-form": (n, _FAR_FIELD_RATIO * n),
+                   "far": (_FAR_FIELD_RATIO * n, math.inf)}
+        for regime, (low, high) in heights.items():
+            x, z = _regime_points(p, regime, seed=1)
+            assert np.all((low <= z.imag) & (z.imag < high) & (z.imag > 0.0)), regime
+        # near the tip preimage, but outside the tip override |tan((z - x)/2N)| <= _TIP_RADIUS
         x, z = _regime_points(p, "near-tip", seed=1)
-        assert np.all(np.abs(np.exp(-1j * (z - x) / n) - 1.0) < 0.5 * d)
-        assert np.all(z.imag > 1e-15 * n)
-        x, z = _regime_points(p, "interior", seed=2)
-        factored = np.abs(np.exp(-1j * (z - x) / n) - 1.0) >= 0.5 * d
-        assert np.count_nonzero(factored) >= 0.9 * _MANY
+        assert np.all(np.abs(z - x) < 0.5 * n * p.delta)
+        assert np.all(np.abs(np.tan(0.5 * (z - x) / n)) > _TIP_RADIUS)
         for regime in ("boundary-outside", "boundary-inside"):
             x, z = _regime_points(p, regime, seed=3)
             on_slit = cyl_slit_many(p, x, z).imag > 0.0
@@ -496,7 +503,7 @@ class TestCylSlitMany:
     def test_array_x_matches_scalar(self, n):
         # one abscissa per point: every regime's offsets z - x, each at its own x
         p = CylinderParams(n, 1.0)
-        regimes = ("boundary-outside", "boundary-inside", "interior", "near-tip", "far")
+        regimes = ("boundary-outside", "boundary-inside", "interior", "disk-form", "near-tip", "far")
         u = np.concatenate([z - x for x, z in (_regime_points(p, r, seed=k + 20)
                                                for k, r in enumerate(regimes))])
         x = np.random.default_rng(int(n)).uniform(-p.half_period, p.half_period, u.size)
@@ -504,7 +511,8 @@ class TestCylSlitMany:
         z = x + u
         got = cyl_slit_many(p, x, z)
         want = np.array([cyl_slit(p, a, q) for a, q in zip(x.tolist(), z.tolist())])
-        assert np.all(np.abs(got - want) <= 32.0 * _EPS * np.maximum(n, np.abs(want)))
+        kept = _off_corners(_reduce_many(z.real - x, p.period) + 1j * z.imag, _base(p))
+        assert np.all((np.abs(got - want) <= 32.0 * _EPS * np.maximum(n, np.abs(want)))[kept])
         assert np.all(got[:8] == x[:8] + 1j * p.lam)
 
 
@@ -604,13 +612,62 @@ def test_many_kernels_within_budget_of_scalar(case):
     pairs = list(zip(x.tolist(), z.tolist()))
     u = _reduce_many(z.real - x, p.period) + 1j * z.imag
     for got, want, kept in (
-        (cyl_slit_many(p, x, z), [cyl_slit(p, a, q) for a, q in pairs],
-         _off_corners(u, 2.0 * n * math.asin(p.delta))),
+        (cyl_slit_many(p, x, z), [cyl_slit(p, a, q) for a, q in pairs], _off_corners(u, _base(p))),
         (halfplane_slit_many(lam, x, z), [halfplane_slit(lam, a, q) for a, q in pairs],
          _off_corners(z - x, lam)),
     ):
         want = np.array(want)
         assert np.all((np.abs(got - want) <= _BUDGET_C * _EPS * (n + np.abs(want)))[kept])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_inputs())
+def test_kernels_lift_every_point(case):
+    # Im S_x(z) >= Im z on the closed half-plane, with no allowance for rounding.
+    # Below 2N times the least normal double the chart's Im(z)/2N is subnormal,
+    # so the input itself is rounded there: those points keep Im S >= 0
+    n, lam, x, z = case
+    p = CylinderParams(n, lam)
+    held = (z.imag == 0.0) | (z.imag >= 2.0 * n * sys.float_info.min)
+    for got in (cyl_slit_many(p, x, z),
+                np.array([cyl_slit(p, a, q) for a, q in zip(x.tolist(), z.tolist())])):
+        assert np.all(got.imag[held] >= z.imag[held])
+        assert np.all(got.imag >= 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_inputs(), st.integers(-2**30, 2**30))
+def test_shift_equivariance(case, k):
+    # S_{x+a}(z+a) = S_x(z) + a.  On the grid 2^-20, |.| < 2^11, the shifts and
+    # z - x are exact, so both sides evaluate the same S_0 and differ only by
+    # the rounding of the final sums
+    n, lam, x, z = case
+    p = CylinderParams(n, lam)
+    grid = 2.0**-20
+    x, re, a = np.round(x / grid) * grid, np.round(z.real / grid) * grid, k * grid
+    z = re + 1j * z.imag
+    for got, want in ((cyl_slit_many(p, x + a, z + a), cyl_slit_many(p, x, z) + a),
+                      (np.array([cyl_slit(p, b + a, q + a) for b, q in zip(x.tolist(), z.tolist())]),
+                       np.array([cyl_slit(p, b, q) for b, q in zip(x.tolist(), z.tolist())]) + a)):
+        assert np.all(np.abs(got - want) <= 4.0 * _EPS * (np.abs(x) + abs(a) + np.abs(z) + np.abs(want)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_inputs())
+def test_boundary_to_boundary_or_slit(case):
+    # a boundary point maps onto the boundary (Im S = 0 exactly) or onto the
+    # slit over x (Re S = x mod 2 pi N up to the rounding of Re z - x and the
+    # final sum, 0 < Im S <= lam up to the rounding of S_0)
+    n, lam, x, z = case
+    p = CylinderParams(n, lam)
+    z = z.real + 0j
+    for got in (cyl_slit_many(p, x, z),
+                np.array([cyl_slit(p, a, q) for a, q in zip(x.tolist(), z.tolist())])):
+        on_slit = got.imag > 0.0
+        assert np.all((got.imag == 0.0) | on_slit)
+        off_x = np.abs(_reduce_many(got.real - x, p.period))
+        assert np.all((off_x <= 4.0 * _EPS * (np.abs(x) + np.abs(z)))[on_slit])
+        assert np.all(got.imag[on_slit] <= lam * (1.0 + 8.0 * _EPS))
 
 
 class TestCylSlitDeriv:
@@ -833,7 +890,7 @@ class TestReduceToFundamental:
 
 
 # Every regime switch of the kernels, with the kernels that reach it.
-_SWITCHES = ("boundary", "far_field", "disk_tail", "tip_zone", "tip_radius_boundary",
+_SWITCHES = ("tan_disk", "far_field", "disk_tail", "tip_zone", "tip_radius_boundary",
              "tip_radius_sqrt", "underflow")
 _SIDES = (1.0 - 1e-9, 1.0 + 1e-9)  # relative offsets below and above a switch
 _SWITCH_POINTS = 16  # seeded points per switch, side, radius and kernel
@@ -853,15 +910,10 @@ def _switch_cases(switch: str, n: float, side: float) -> list:
     below, m = side < 1.0, _SWITCH_POINTS
     half, d = p.half_period, p.delta
     x = rng.uniform(-half, half)
-    if switch == "boundary":
-        # the slit-base corners +-2N asin(delta) are square-root singular:
-        # there rounding the input alone exceeds the budget, so the points
-        # keep a tenth of the base half-width away from them
-        base = 2.0 * n * math.asin(d)
-        u = np.concatenate([base * rng.uniform(-0.9, 0.9, m // 2),
-                            rng.choice([-1.0, 1.0], m // 2) * rng.uniform(1.1 * base, half, m // 2)])
-        z = (x + u) + 1j * (_BOUNDARY_RATIO * n * side)
-        assert np.all((z.imag <= _BOUNDARY_RATIO * n) == below)
+    if switch == "tan_disk":
+        # the tan chart below Im z = N, the disk form from there
+        z = (x + rng.uniform(-half, half, m)) + 1j * (n * side)
+        assert np.all((z.imag < n) == below)
         return [("cyl", p, x, z), ("many", p, x, z)]
     if switch == "far_field":
         z = (x + rng.uniform(-half, half, m)) + 1j * (_FAR_FIELD_RATIO * n * side)
@@ -873,14 +925,13 @@ def _switch_cases(switch: str, n: float, side: float) -> list:
         assert np.all((np.abs(zeta) >= 1e130) != below)
         return [("disk", p, None, zeta)]
     if switch == "tip_zone":
-        # |zeta - 1| = delta/2 picks the root form; Re(zeta - 1) > 0 keeps |zeta| > 1
+        # |zeta - 1| = delta/2 picks the disk kernel's root form; Re(zeta - 1) > 0
+        # keeps |zeta| > 1.  The slit kernels evaluate these points (Im z < N) in
+        # the tan chart, so here they check it next to the tip.
         zeta = 1.0 + 0.5 * d * side * np.exp(1j * rng.uniform(-1.5, 1.5, m))
         z = x + 1j * n * np.log(zeta)
         assert np.all((np.abs(zeta - 1.0) >= 0.5 * d) != below)
-        for q in z.tolist():
-            w = complex(_reduce(q.real - x, p.period), q.imag)
-            assert _BOUNDARY_RATIO * n < q.imag < _FAR_FIELD_RATIO * n
-            assert (abs(cmath.exp(-1j * w / n) - 1.0) >= 0.5 * d) != below
+        assert np.all((0.0 < z.imag) & (z.imag < n))
         return [("disk", p, None, zeta), ("cyl", p, x, z), ("many", p, x, z)]
     if switch == "tip_radius_boundary":
         # |tan(u/2N)| <= 1e-150 returns the tip; u = Re z - x is exact only at x = 0
@@ -929,6 +980,26 @@ class TestOracleSwitches:
                 got, want = _kernel_and_oracle(kernel, first, x, pts)
                 for q, a, b in zip(pts.tolist(), got, want):
                     assert _excess(n, not kernel.startswith("half"), a, b) <= 1.0, (kernel, side, q)
+
+    @pytest.mark.parametrize("n", [1.0, 16.0, 64.0])
+    @pytest.mark.parametrize("height", [1e-15, 1.0])
+    def test_continuous_across(self, height, n):
+        # across the switch at Im z = N and the height 1e-15 N where the
+        # boundary path once began, x = 0 so S = S_0: the two sides 1 -+ 1e-9 of
+        # the height differ by |S'| times the step plus 4 eps (1 + |S|)
+        p = CylinderParams(n, 1.0)
+        rng = np.random.default_rng([int(n), int(height >= 1.0)])
+        base = _base(p)  # a tenth of the base half-width off its singular corners
+        u = np.concatenate([base * rng.uniform(-0.9, 0.9, _SWITCH_POINTS // 2),
+                            rng.choice([-1.0, 1.0], _SWITCH_POINTS // 2)
+                            * rng.uniform(1.1 * base, p.half_period, _SWITCH_POINTS // 2)])
+        low, high = (u + 1j * height * n * side for side in _SIDES)
+        slope = np.array([abs(cyl_slit_deriv(p, 0.0, complex(a, height * n))) for a in u.tolist()])
+        for lo, hi in ((cyl_slit_many(p, 0.0, low), cyl_slit_many(p, 0.0, high)),
+                       (np.array([cyl_slit(p, 0.0, q) for q in low.tolist()]),
+                        np.array([cyl_slit(p, 0.0, q) for q in high.tolist()]))):
+            jump = np.abs(hi - lo) - slope * np.abs(high - low)
+            assert np.all(jump <= 4.0 * _EPS * (1.0 + np.abs(hi)))
 
     @pytest.mark.parametrize("switch", _SWITCHES)
     def test_oracle_digits_suffice(self, switch):

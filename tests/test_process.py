@@ -8,6 +8,7 @@ themselves.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import statistics
 
@@ -219,6 +220,39 @@ class TestSerialization:
         bits = [float(v).hex() for v in (*times, *xs)]
         assert [float(v).hex() for v in (*back.times, *back.xs)] == bits
         assert back == log
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_jsonl_rejects_every_breaking_mutation(self, data):
+        # one field of a valid log set to a value that breaks finiteness, the
+        # range (0, horizon] x [-pi N, pi N) or the time order: never accepted
+        n = data.draw(st.floats(0.1, 1e4))
+        params = CylinderParams(n, data.draw(st.floats(1e-6, n)))
+        horizon = data.draw(st.floats(1e-300, 1e300, exclude_min=True))
+        times = sorted(data.draw(st.lists(st.floats(0.0, horizon, exclude_min=True),
+                                          min_size=1, max_size=8)))
+        half = params.half_period
+        xs = data.draw(st.lists(st.floats(-half, half, exclude_max=True),
+                                min_size=len(times), max_size=len(times)))
+        lines = EventLog(params, horizon, 0, tuple(map(Event, times, xs))).to_jsonl().splitlines()
+        assert EventLog.from_jsonl("\n".join(lines)).times == tuple(times)
+        bad = [math.nan, math.inf, -math.inf]
+        mutations = [(0, key, v) for key in ("N", "lambda", "delta", "horizon") for v in bad]
+        mutations.append((0, "horizon", math.nextafter(times[-1], 0.0)))  # below the last time
+        for k, t in enumerate(times, start=1):
+            ts = bad + [0.0, -0.0, -t, math.nextafter(horizon, math.inf)]
+            if k > 1:
+                ts.append(math.nextafter(times[k - 2], 0.0))  # before its predecessor
+            if k < len(times):
+                ts.append(math.nextafter(times[k], math.inf))  # after its successor
+            mutations += [(k, "t", v) for v in ts]
+            mutations += [(k, "x", v) for v in bad + [half, math.nextafter(-half, -math.inf), 1e300]]
+        for k, key, value in mutations:
+            record = json.loads(lines[k])
+            record[key] = value
+            text = "\n".join(lines[:k] + [json.dumps(record)] + lines[k + 1:])
+            with pytest.raises(ValueError):
+                EventLog.from_jsonl(text)
 
     def test_header_validation(self):
         bad = '{"N": 2.0, "lambda": 1.0, "delta": 0.5, "horizon": 1.0, "seed": 3}\n'

@@ -190,6 +190,15 @@ class TestGradedBoundary:
         assert res.converged
         assert abs(res.value - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("z", [0.3 + 1e-5j, 0.3 + 1e-9j])
+    def test_mean_shift_within_tol_just_above_axis(self, z):
+        # at N = 32 the integrand's rounding summed over the 2 pi N period once
+        # exceeded tol by itself, so this asks for the tol, not a relative bound
+        p = CylinderParams(32.0, 1.0)
+        res = quad_mean_shift(p, z, tol=1e-12)
+        assert res.converged
+        assert abs(res.value - drift(p, 1.0)) <= 1e-12
+
     @pytest.mark.parametrize("n,z", list(_boundary_grid()))
     def test_squared_shift_matches_tanh_sinh(self, n, z):
         p = CylinderParams(n, 1.0)
