@@ -7,7 +7,6 @@ from .conformal import (
     cyl_slit_deriv2,
     cyl_slit_many,
     cylinder_dist,
-    delta_of,
     halfplane_slit,
 )
 from .process import (

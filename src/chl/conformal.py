@@ -59,13 +59,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "CylinderParams",
-    "delta_of",
     "halfplane_slit",
     "halfplane_slit_many",
     "cyl_slit",
@@ -85,51 +84,31 @@ _FAR_FIELD_RATIO = 30.0
 _TIP_RADIUS = 1e-150
 
 
-def delta_of(radius_n: float, lam: float) -> float:
-    """Slit parameter delta(N, lam) = 1 - 2/(1 + exp(lam/N)) = tanh(lam/2N).
-
-    This is the half-plane slit size whose conjugated cylinder slit has
-    length exactly ``lam`` (obtained by following the base point 0 through
-    the map chain).
-
-    Raises
-    ------
-    ValueError
-        If either argument is not a positive finite real, or if lam/N is so
-        large that tanh rounds to 1 and the slit would span the cylinder.
-    """
-    if not (math.isfinite(radius_n) and radius_n > 0.0):
-        raise ValueError(f"radius_n must be positive and finite, got {radius_n}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    d = math.tanh(0.5 * lam / radius_n)
-    if d >= 1.0:
-        raise ValueError(f"slit length {lam} too large for cylinder radius {radius_n}")
-    return d
-
-
 @dataclass(frozen=True)
 class CylinderParams:
     """Cylinder radius N, target slit length lam and derived slit parameter.
 
-    ``delta`` may be supplied (e.g. when read back from a file header) in
-    which case it is validated against the closed form; omitted, it is
-    computed as ``tanh(lam / 2N)``.
+    ``delta = tanh(lam / 2N) = 1 - 2/(1 + exp(lam/N))`` is the half-plane slit
+    size whose conjugated cylinder slit has length exactly ``lam`` (follow the
+    base point 0 through the map chain).  Raises ``ValueError`` unless N and
+    lam are positive and finite and lam/N is small enough that tanh stays
+    below 1; otherwise the slit would span the cylinder.
     """
 
     radius_n: float
     lam: float
-    delta: float = float("nan")
+    delta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        d = delta_of(self.radius_n, self.lam)
-        if math.isnan(self.delta):
-            object.__setattr__(self, "delta", d)
-        elif not math.isclose(self.delta, d, rel_tol=1e-12, abs_tol=0.0):
-            raise ValueError(
-                f"inconsistent delta {self.delta!r}; expected {d!r} "
-                f"for N={self.radius_n}, lam={self.lam}"
-            )
+        n, lam = self.radius_n, self.lam
+        if not (math.isfinite(n) and n > 0.0):
+            raise ValueError(f"radius_n must be positive and finite, got {n}")
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
+        d = math.tanh(0.5 * lam / n)
+        if d >= 1.0:
+            raise ValueError(f"slit length {lam} too large for cylinder radius {n}")
+        object.__setattr__(self, "delta", d)
 
     @property
     def period(self) -> float:

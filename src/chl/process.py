@@ -107,8 +107,9 @@ class EventLog:
     def from_jsonl(cls, text: str) -> "EventLog":
         """Parse the JSONL form, rejecting what ``sample_events`` cannot produce.
 
-        Raises ``ValueError`` for a header with missing fields or a delta
-        inconsistent with N and lambda, for a ``true``/``false`` in any
+        Raises ``ValueError`` for a header with missing fields, a delta off
+        ``tanh(lambda / 2N)`` by over 1e-12 relative or a seed outside
+        ``[0, 2**64)``, for a ``true``/``false`` or a too large integer in any
         field, and for event times that are not finite, sorted and in
         ``(0, horizon]`` or abscissae outside ``[-pi*N, pi*N)``.
         """
@@ -118,20 +119,20 @@ class EventLog:
         try:
             records = [json.loads(ln, object_pairs_hook=_no_bools) for ln in lines]
             head = records[0]
-            params = CylinderParams(head["N"], head["lambda"], head["delta"])
-            horizon, seed = head["horizon"], head["seed"]
+            params = CylinderParams(head["N"], head["lambda"])
+            horizon, seed, delta = head["horizon"], head["seed"], head["delta"]
             events = tuple(Event(r["t"], r["x"]) for r in records[1:])
-            # a NaN delta would pass CylinderParams, which reads NaN as "derive it"
-            if not (math.isfinite(horizon) and horizon > 0.0 and isinstance(seed, int)
-                    and not math.isnan(head["delta"])):
-                raise ValueError(f"bad horizon {horizon!r}, seed {seed!r} or delta {head['delta']!r}")
+            if not (math.isfinite(horizon) and horizon > 0.0
+                    and isinstance(seed, int) and 0 <= seed <= _MASK
+                    and math.isclose(delta, params.delta, rel_tol=1e-12, abs_tol=0.0)):
+                raise ValueError(f"bad horizon {horizon!r}, seed {seed!r} or delta {delta!r}")
             half, last = params.half_period, 0.0
             for k, e in enumerate(events, start=1):
                 if not (last <= e.time <= horizon and e.time > 0.0 and -half <= e.x < half):
                     raise ValueError(f"event {k} {(e.time, e.x)} is unsorted or outside "
                                      f"(0, {horizon!r}] x [-pi N, pi N)")
                 last = e.time
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed event log: {exc!r}") from exc
         return cls(params, horizon, seed, events)
 
@@ -177,7 +178,8 @@ def sample_many(
     xs[xs >= half] = -half
     pad = idx >= ends
     times[pad] = xs[pad] = np.inf
-    order = np.lexsort((np.broadcast_to(idx, times.shape), xs, times), axis=-1)
+    # lexsort is stable, so ties in (time, abscissa) keep draw order
+    order = np.lexsort((xs, times), axis=-1)
     return counts, np.take_along_axis(times, order, -1), np.take_along_axis(xs, order, -1)
 
 

@@ -33,6 +33,10 @@ _U64 = {c: np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, 11, 27, 30, 31)}
 # enough that the starting term stays comfortably above the underflow floor.
 _POISSON_CHUNK = 500.0
 
+# Largest mean poisson_many accepts: its chunk list grows as mu / 500 and far
+# above this exhausts memory, or never ends once mu - 500 == mu.
+_MAX_MEAN = 1e9
+
 
 def _avalanche(z: int) -> int:
     """SplitMix64 finalizer: bijective 64-bit mix with full avalanche."""
@@ -114,9 +118,10 @@ def poisson_many(seeds: np.ndarray, mu: float) -> tuple[np.ndarray, int]:
     ``mu > 500``) so ``exp(-chunk)`` never underflows; each chunk takes one
     draw and the counts add, which leaves the law unchanged.  Returns the
     counts (``int64``, one per seed) and the number of draws taken per stream.
+    A mean above ``_MAX_MEAN`` raises ``ValueError``.
     """
-    if mu < 0.0 or not math.isfinite(mu):
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
+    if not 0.0 <= mu <= _MAX_MEAN:
+        raise ValueError(f"Poisson mean must be in [0, {_MAX_MEAN:g}], got {mu}")
     chunks = []
     while mu > _POISSON_CHUNK:
         chunks.append(_POISSON_CHUNK)

@@ -360,6 +360,8 @@ class TestFlags:
         ["render", "--samples", "1"],
         ["simulate", "--t", "0"],
         ["simulate", "--n", "-1"],
+        ["simulate", "--n", "1e300"],
+        ["converge", "--n-list", "4,1e300", "--replicas", "8"],
     ])
     def test_run_time_rejection_writes_no_config(self, tmp_path, capsys, argv):
         # a value checked when the command runs: exit 2, one line, and not even

@@ -31,7 +31,6 @@ from chl.conformal import (
     cyl_slit_deriv2,
     cyl_slit_many,
     cylinder_dist,
-    delta_of,
     halfplane_slit,
     halfplane_slit_many,
 )
@@ -158,7 +157,7 @@ def _excess(n: float, periodic: bool, got, want) -> float:
 
 class TestDeltaOf:
     def test_closed_form_n1_lam1(self):
-        d = delta_of(1.0, 1.0)
+        d = CylinderParams(1.0, 1.0).delta
         assert d == pytest.approx(0.46211715726000974, abs=1e-15)
         # cross-check against an independent series evaluation of tanh(1/2)
         assert d == pytest.approx(tanh_by_series(0.5), abs=1e-15)
@@ -167,21 +166,21 @@ class TestDeltaOf:
 
     def test_large_n_linearization(self):
         # delta(N, lam) ~ lam / 2N for N >> lam
-        d = delta_of(1e6, 1.0)
+        d = CylinderParams(1e6, 1.0).delta
         assert abs(d - 5.0e-7) / 5.0e-7 <= 1e-12
 
     def test_small_lam_linearization(self):
-        d = delta_of(1.0, 1e-8)
+        d = CylinderParams(1.0, 1e-8).delta
         assert abs(d - 5.0e-9) / 5.0e-9 <= 1e-12
 
     @pytest.mark.parametrize("n,lam", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -3.0)])
     def test_domain_errors(self, n, lam):
         with pytest.raises(ValueError):
-            delta_of(n, lam)
+            CylinderParams(n, lam)
 
     def test_saturation_guard(self):
         with pytest.raises(ValueError):
-            delta_of(1.0, 100.0)
+            CylinderParams(1.0, 100.0)
 
 
 class TestCylinderParams:
@@ -194,11 +193,6 @@ class TestCylinderParams:
             assert 0.0 < p.delta < 1.0
             assert p.delta == pytest.approx(math.tanh(lam / (2 * n)), rel=1e-15)
             assert p.delta == pytest.approx(1 - 2 / (1 + math.exp(lam / n)), rel=4e-15)
-
-    def test_explicit_delta_validated(self):
-        CylinderParams(2.0, 1.0, delta_of(2.0, 1.0))
-        with pytest.raises(ValueError):
-            CylinderParams(2.0, 1.0, 0.5)
 
 
 class TestElementaryMaps:
@@ -816,7 +810,7 @@ class TestTipPreimage:
                 assert abs(got - complex(x, lam)) <= 4.0 * _EPS * lam, (x, z, got)
 
     def test_cyl_phi_delta(self, lam):
-        d = delta_of(self.N, lam)
+        d = CylinderParams(self.N, lam).delta
         for interior in (False, True):
             for x, z in zip(*_tip_points(44, interior)):
                 got = _phi_delta(d, z - x)

@@ -128,7 +128,9 @@ class TestArraySampler:
         assert counts.tolist() == [_poisson(SplitMix64(s), mu) for s in seeds]
 
     def test_poisson_mean_validated(self):
-        for mu in (-1.0, math.inf, math.nan):
+        # above 1e9 the 500-wide chunk list would exhaust memory, or never end
+        # once mu - 500 == mu
+        for mu in (-1.0, math.inf, math.nan, 1e300, math.nextafter(1e9, math.inf)):
             with pytest.raises(ValueError):
                 poisson_many(np.zeros(1, dtype=np.uint64), mu)
 
@@ -239,6 +241,7 @@ class TestSerialization:
         bad = [math.nan, math.inf, -math.inf]
         mutations = [(0, key, v) for key in ("N", "lambda", "delta", "horizon") for v in bad]
         mutations.append((0, "horizon", math.nextafter(times[-1], 0.0)))  # below the last time
+        mutations += [(0, "seed", v) for v in (-1, 2**64)]  # sample_events masks to [0, 2^64)
         for k, t in enumerate(times, start=1):
             ts = bad + [0.0, -0.0, -t, math.nextafter(horizon, math.inf)]
             if k > 1:
@@ -254,10 +257,31 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 EventLog.from_jsonl(text)
 
+    def test_header_delta_tolerance(self):
+        # the header's delta is redundant: it must match tanh(lam / 2N) to 1e-12 relative
+        log = sample_events(CylinderParams(2.5, 0.9), 1.0, 5)
+        head, *rest = log.to_jsonl().splitlines()
+        record = json.loads(head)
+        for factor, ok in [(1 + 5e-13, True), (1 - 5e-13, True),
+                           (1 + 2e-12, False), (1 - 2e-12, False)]:
+            record["delta"] = log.params.delta * factor
+            text = "\n".join([json.dumps(record), *rest])
+            if ok:
+                assert EventLog.from_jsonl(text) == log
+            else:
+                with pytest.raises(ValueError):
+                    EventLog.from_jsonl(text)
+
     def test_header_validation(self):
         bad = '{"N": 2.0, "lambda": 1.0, "delta": 0.5, "horizon": 1.0, "seed": 3}\n'
         with pytest.raises(ValueError):
             EventLog.from_jsonl(bad)
+        # a JSON integer too large for a double, in any float field of the header
+        good = json.loads(sample_events(CylinderParams(2.0, 1.0), 1.0, 3).to_jsonl().splitlines()[0])
+        for key in ("N", "lambda", "delta", "horizon"):
+            text = json.dumps({**good, key: 10**400})
+            with pytest.raises(ValueError):
+                EventLog.from_jsonl(text)
         with pytest.raises(ValueError):
             EventLog.from_jsonl("")
 
