@@ -12,7 +12,6 @@ from .conformal import (
 from .process import (
     Event,
     EventLog,
-    ProcessEvaluator,
     backward_chl_trajectory,
     compose,
     drift,

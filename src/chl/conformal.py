@@ -83,6 +83,10 @@ _FAR_FIELD_RATIO = 30.0
 # term a|z|^2/2b is below 1e-280 relative for b in [1e-20, 1e20].
 _TIP_RADIUS = 1e-150
 
+# Beyond this |z| a slit square root returns z*sqrt(a): z*z overflows from about
+# 1.3e154, and the dropped b/2a|z|^2 is below 1e-280 relative for b/a up to 1e20.
+_FAR_RADIUS = 1e150
+
 
 @dataclass(frozen=True)
 class CylinderParams:
@@ -126,11 +130,15 @@ def _slit_sqrt(a: float, b: float, z: complex) -> complex:
 
     a, b > 0.  Continuous on Im z > 0, fixes the sign at the two real ends,
     and sends 0 to i*sqrt(b) (the slit tip), as it does every z within
-    ``_TIP_RADIUS * max(1, b)`` of 0.  Real z inside the slit base
-    (a z^2 < b) lands on the slit i*(0, sqrt(b)].
+    ``_TIP_RADIUS * max(1, b)`` of 0; every z beyond ``_FAR_RADIUS`` goes to
+    z*sqrt(a).  Real z inside the slit base (a z^2 < b) lands on the slit
+    i*(0, sqrt(b)].
     """
-    if abs(z) <= (_TIP_RADIUS * b if b > 1.0 else _TIP_RADIUS):
+    r = abs(z)
+    if r <= (_TIP_RADIUS * b if b > 1.0 else _TIP_RADIUS):
         return complex(0.0, math.sqrt(b))
+    if r > _FAR_RADIUS:
+        return z * math.sqrt(a)
     if z.imag == 0.0:
         x = z.real
         rad = a - b / (x * x)
@@ -159,7 +167,11 @@ def halfplane_slit(lam: float, x: float, z: complex) -> complex:
 def _slit_sqrt_many(a: float, b: float, u: np.ndarray) -> np.ndarray:
     """``_slit_sqrt(a, b, .)`` of every point of the complex array ``u``, its rules as masks."""
     out = np.full(u.shape, complex(0.0, math.sqrt(b)))  # the tip
-    off = np.abs(u) > _TIP_RADIUS * max(1.0, b)
+    r = np.abs(u)
+    off = r > _TIP_RADIUS * max(1.0, b)
+    if (far := r > _FAR_RADIUS).any():
+        out[far] = u[far] * math.sqrt(a)
+        off &= ~far
     if (real := off & (u.imag == 0.0)).any():
         v = u.real[real]
         rad = a - b / (v * v)

@@ -3,18 +3,18 @@
 An :class:`EventLog` is the time-sorted record of one Poisson point process
 on the cylinder boundary strip ``[-pi*N, pi*N) x (0, t]`` with unit space-time
 intensity, regenerated bit-identically from ``(params, horizon_t, seed)``.
-The same log can drive every process variant:
+The same log drives every process variant, each a function of ``(log, z, s)``:
 
-* ``forward-chl``  - compose cylinder slit maps, earliest event outermost;
-* ``backward-chl`` - newest event outermost (one new map application per
-  event, so full trajectories cost O(n));
-* ``forward-shl`` / ``backward-shl`` - half-plane slit maps restricted to a
-  truncation window ``|x| <= window_w``, approximating the stationary
-  half-plane process driven by the same arrivals;
-* ``disk-hl``      - the backward cylinder composition evaluated through disk
+* ``eval_forward_chl`` - cylinder slit maps, earliest event outermost;
+* ``eval_backward_chl`` - newest event outermost (one new map application
+  per event, so full trajectories cost O(n));
+* ``eval_forward_shl`` / ``eval_backward_shl`` - half-plane slit maps over
+  the events in a truncation window ``|x| <= window``, approximating the
+  stationary half-plane process driven by the same arrivals;
+* ``eval_disk_hl`` - the backward cylinder composition through disk
   coordinates (one exponential chart in, one out), the classical
   disk-process conjugation.  Pointwise it is the same map as
-  ``backward-chl``, which makes it the sharpest available oracle.
+  ``eval_backward_chl``, which makes it the sharpest available oracle.
 
 Each variant is :func:`compose` over a selection of the log's abscissae in
 one of two orders.  Evaluation at time ``s`` is cadlag: an event at exactly
@@ -44,8 +44,6 @@ from .rng import _MASK, poisson_many, uniform_at
 __all__ = [
     "Event",
     "EventLog",
-    "ProcessEvaluator",
-    "KINDS",
     "sample_events",
     "sample_many",
     "restrict_log",
@@ -54,11 +52,12 @@ __all__ = [
     "orbit_many",
     "backward_chl_trajectory",
     "drift",
+    "eval_forward_chl",
+    "eval_backward_chl",
+    "eval_forward_shl",
+    "eval_backward_shl",
+    "eval_disk_hl",
 ]
-
-KINDS = ("forward-chl", "backward-chl", "forward-shl", "backward-shl", "disk-hl")
-_SHL_KINDS = ("forward-shl", "backward-shl")
-
 
 @dataclass(frozen=True)
 class Event:
@@ -229,34 +228,6 @@ def _restrict_many(xs: np.ndarray, half_width: float) -> np.ndarray:
     return np.take_along_axis(np.where(keep, xs, np.inf), order, axis=1)
 
 
-@dataclass(frozen=True)
-class ProcessEvaluator:
-    """A view of an event log that evaluates one process variant.
-
-    ``window_w`` is required for the half-plane (SHL) variants and must be
-    at least the slit length; it must be omitted for the cylinder variants.
-    """
-
-    log: EventLog
-    kind: str
-    window_w: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown process kind {self.kind!r}")
-        if self.kind in _SHL_KINDS:
-            if self.window_w is None:
-                raise ValueError(f"{self.kind} requires a truncation window")
-            if not self.window_w >= self.log.params.lam:
-                raise ValueError("truncation window must be >= slit length")
-        elif self.window_w is not None:
-            raise ValueError(f"{self.kind} does not take a truncation window")
-
-    def at(self, z: complex, s: float) -> complex:
-        """Value of this process variant at ``z`` and time ``s``."""
-        return _EVALUATORS[self.kind](self, z, s)
-
-
 def compose(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) -> complex:
     """Apply ``slit(first, x, .)`` for each ``x`` of ``xs`` in order: ``xs[0]`` innermost.
 
@@ -289,34 +260,35 @@ def orbit_many(slit_many: Callable, first, xs: np.ndarray, z: complex) -> Iterat
         yield w
 
 
-def _xs_up_to(ev: ProcessEvaluator, s: float) -> list[float]:
+def _xs_up_to(log: EventLog, s: float, window: float | None = None) -> list[float]:
     """Abscissae of events with time <= s (cadlag), inside the SHL window if any."""
-    xs = ev.log.xs[: bisect.bisect_right(ev.log.times, s)]
-    w = ev.window_w
-    return [x for x in xs if w is None or abs(x) <= w]
+    if window is not None and not window >= log.params.lam:
+        raise ValueError("truncation window must be >= slit length")
+    xs = log.xs[: bisect.bisect_right(log.times, s)]
+    return [x for x in xs if window is None or abs(x) <= window]
 
 
-def eval_forward_chl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
+def eval_forward_chl(log: EventLog, z: complex, s: float) -> complex:
     """Forward cylinder process: S_{x_1} o ... o S_{x_n}(z), earliest outermost."""
-    return compose(cyl_slit, ev.log.params, _xs_up_to(ev, s)[::-1], z)
+    return compose(cyl_slit, log.params, _xs_up_to(log, s)[::-1], z)
 
 
-def eval_backward_chl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
+def eval_backward_chl(log: EventLog, z: complex, s: float) -> complex:
     """Backward cylinder process: S_{x_n} o ... o S_{x_1}(z), newest outermost."""
-    return compose(cyl_slit, ev.log.params, _xs_up_to(ev, s), z)
+    return compose(cyl_slit, log.params, _xs_up_to(log, s), z)
 
 
-def eval_backward_shl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
-    """Backward half-plane process over in-window events, newest outermost."""
-    return compose(halfplane_slit, ev.log.params.lam, _xs_up_to(ev, s), z)
+def eval_backward_shl(log: EventLog, z: complex, s: float, window: float) -> complex:
+    """Backward half-plane process over events with ``|x| <= window``, newest outermost."""
+    return compose(halfplane_slit, log.params.lam, _xs_up_to(log, s, window), z)
 
 
-def eval_forward_shl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
-    """Forward half-plane process over in-window events, earliest outermost."""
-    return compose(halfplane_slit, ev.log.params.lam, _xs_up_to(ev, s)[::-1], z)
+def eval_forward_shl(log: EventLog, z: complex, s: float, window: float) -> complex:
+    """Forward half-plane process over events with ``|x| <= window``, earliest outermost."""
+    return compose(halfplane_slit, log.params.lam, _xs_up_to(log, s, window)[::-1], z)
 
 
-def eval_disk_hl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
+def eval_disk_hl(log: EventLog, z: complex, s: float) -> complex:
     """Backward cluster map evaluated through disk coordinates.
 
     Each slit map is the conjugated disk slit ``r_x^-1 o D_0 o r_x``; the
@@ -327,16 +299,17 @@ def eval_disk_hl(ev: ProcessEvaluator, z: complex, s: float) -> complex:
     principal log cannot see the winding of the lifted composition.  Its loop
     stays separate from :func:`compose`, so it remains an independent oracle.
     """
-    p = ev.log.params
+    p = log.params
     n = p.radius_n
     zeta = cmath.exp(-1j * complex(z) / n)
-    for x in _xs_up_to(ev, s):
+    for x in _xs_up_to(log, s):
         rot = cmath.exp(1j * x / n)
         zeta = _disk_slit_origin(p, rot * zeta) / rot
     return 1j * n * cmath.log(zeta)
 
 
-# benchmarks/tracer.py binds these names (and the functions above) to time them.
+# Nothing in chl reads this table: it stays only because benchmarks/tracer.py
+# binds it (and the functions above) to time them, until the tracer reads counters.
 _EVALUATORS = {
     "forward-chl": eval_forward_chl,
     "backward-chl": eval_backward_chl,

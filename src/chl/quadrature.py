@@ -129,8 +129,8 @@ def adaptive_quadrature(
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     edges = [a, *sorted(p for p in set(presplit) if a < p < b), b]
     # heap of (-error, tie-break counter, a, b, value, halves); total error kept incrementally
     heap = []

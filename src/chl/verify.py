@@ -34,11 +34,12 @@ from .conformal import (
     halfplane_slit_many,
 )
 from .process import (
-    ProcessEvaluator,
     _restrict_many,
     _restricted_params,
     compose,
     drift,
+    eval_backward_chl,
+    eval_disk_hl,
     orbit_many,
     sample_events,
     sample_many,
@@ -582,14 +583,12 @@ def _check_disk_conjugation(tol: float) -> CheckResult:
         n = 2.0 + 6.0 * rng.next_float()
         params = CylinderParams(n, 0.3 + 1.2 * rng.next_float())
         log = sample_events(params, 50.0 / params.period, 50_000 + k)
-        bwd = ProcessEvaluator(log, "backward-chl")
-        dsk = ProcessEvaluator(log, "disk-hl")
         for _ in range(20):
             z = complex(
                 0.6 * params.half_period * (2.0 * rng.next_float() - 1.0),
                 0.05 + 3.0 * rng.next_float(),
             )
-            a, b = bwd.at(z, log.horizon_t), dsk.at(z, log.horizon_t)
+            a, b = eval_backward_chl(log, z, log.horizon_t), eval_disk_hl(log, z, log.horizon_t)
             worst = max(worst, cylinder_dist(params, a, b))
     passed = worst <= 1e-9
     return CheckResult(
@@ -722,6 +721,8 @@ DEFAULT_SUITE = tuple(name for name in CHECK_NAMES if name != "coupling_decay")
 
 def run_suite(only: Sequence[str] | None = None, tol: float = 1e-10) -> list[CheckResult]:
     """Run the named checks (default: the full deterministic suite)."""
+    if not 0.0 < tol < math.inf:  # also for checks that integrate nothing
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     names = list(only) if only else list(DEFAULT_SUITE)
     unknown = [n for n in names if n not in CHECK_NAMES]
     if unknown:

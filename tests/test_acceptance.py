@@ -14,7 +14,7 @@ import numpy as np
 
 from chl.cli import main
 from chl.conformal import CylinderParams, cylinder_dist
-from chl.process import Event, EventLog, ProcessEvaluator, drift
+from chl.process import Event, EventLog, drift, eval_backward_chl, eval_disk_hl
 from chl.rng import SplitMix64
 from chl.verify import (
     coupling_sup_distances,
@@ -105,15 +105,13 @@ def test_criterion_04_disk_conjugation_identity():
         n = 2.0 + 6.0 * rng.next_float()
         params = CylinderParams(n, 0.3 + 1.2 * rng.next_float())
         log = _random_fixed_count_log(params, 50, 100_000 + k)
-        bwd = ProcessEvaluator(log, "backward-chl")
-        dsk = ProcessEvaluator(log, "disk-hl")
         for _ in range(20):
             z = complex(
                 0.7 * params.half_period * (2.0 * rng.next_float() - 1.0),
                 0.05 + 3.0 * rng.next_float(),
             )
-            a = bwd.at(z, 1.0)
-            b = dsk.at(z, 1.0)
+            a = eval_backward_chl(log, z, 1.0)
+            b = eval_disk_hl(log, z, 1.0)
             worst = max(worst, cylinder_dist(params, a, b))
     elapsed = time.perf_counter() - start
     report(

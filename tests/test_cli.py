@@ -133,6 +133,15 @@ class TestConverge:
         summary = json.loads((out / "converge.json").read_text())
         assert summary["slit_rate"] == {"slope": 0.0, "r_squared": 0.0}
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_probe_writes_finite_means(self, tmp_path):
+        # the slit maps meet a probe this far out without an overflow to nan
+        out = tmp_path / "c"
+        assert main(["converge", "--replicas", "8", "--n-list", "4,8",
+                     "--probe", "1e200+1e200i", "--out", str(out)]) == 0
+        rows = (out / "coupling.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for r in rows for v in r.split(","))
+
     @pytest.mark.parametrize("argv", [
         ["--n-list", "4"],  # one radius: nothing to compare
         ["--n-list", "4,4"],  # a repeated radius would be compared with itself
@@ -377,8 +386,10 @@ class TestFlags:
         ("converge", ["--probe", "nan+1i", "--replicas", "8"], "coupling.csv"),
         ("converge", ["--window", "nan", "--replicas", "8"], "coupling.csv"),
         ("verify", ["--only", "quad_mean_shift", "--tol", "nan"], "report.json"),
+        ("verify", ["--only", "quad_mean_shift", "--tol", "inf"], "report.json"),
+        ("verify", ["--only", "shift_commutation", "--tol", "nan"], "report.json"),
     ], ids=["simulate-nan-probe", "simulate-lower-probe", "converge-nan-probe",
-            "nan-window", "nan-tol"])
+            "nan-window", "nan-tol", "inf-tol", "nan-tol-no-quadrature"])
     def test_nan_or_lower_half_plane_flag_exits_2(self, tmp_path, capsys, command, argv,
                                                   artifact):
         # never a silent nan: exit 2 with one message line and no artifact, whether

@@ -526,6 +526,10 @@ def _half_regime_points(lam: float, regime: str, seed: int) -> tuple[np.ndarray,
     if regime == "interior":
         u = lam * rng.uniform(-5.0, 5.0, _MANY)
         return x, x + u + 1j * lam * np.exp(rng.uniform(math.log(1e-12), math.log(10.0), _MANY))
+    if regime == "far":  # beyond _FAR_RADIUS; z * z overflows from about 1.3e154
+        u = 10.0 ** rng.uniform(150.0, 300.0, _MANY) * np.exp(1j * rng.uniform(0.0, math.pi, _MANY))
+        u[:16] = sign[:16] * np.abs(u[:16])  # on the real axis
+        return x, x + u
     x = np.zeros(_MANY)
     if regime == "tip-radius":
         r = _TIP_RADIUS * max(1.0, lam * lam) * rng.choice(_SIDES, _MANY)
@@ -541,7 +545,7 @@ class TestHalfplaneSlitMany:
 
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 40.0])
     @pytest.mark.parametrize("regime", ["boundary-outside", "boundary-inside", "interior",
-                                        "tip-radius", "underflow"])
+                                        "tip-radius", "underflow", "far"])
     def test_matches_scalar(self, regime, lam):
         x, z = _half_regime_points(lam, regime, seed=len(regime) + int(lam))
         got = halfplane_slit_many(lam, x, z)
@@ -562,6 +566,9 @@ class TestHalfplaneSlitMany:
             assert all((1.0 - lam * lam / (q * q)).imag == 0.0 for q in z.tolist())
             # the root keeps Re z's side of the cut: next to the tip, not below it
             assert np.all(np.abs(got - 1j * lam) <= 4.0 * _EPS * lam)
+        if regime == "far":  # finite, and the identity up to rounding
+            assert np.all(np.abs(want - z) <= 4.0 * _EPS * np.abs(z))
+            assert np.all(got[:16] == want[:16])
 
     def test_empty_and_scalar_x(self):
         assert halfplane_slit_many(1.0, 0.3, np.empty(0, dtype=complex)).shape == (0,)

@@ -21,10 +21,14 @@ from chl.conformal import CylinderParams, cyl_slit, cylinder_dist, halfplane_sli
 from chl.process import (
     Event,
     EventLog,
-    ProcessEvaluator,
     backward_chl_trajectory,
     compose,
     drift,
+    eval_backward_chl,
+    eval_backward_shl,
+    eval_disk_hl,
+    eval_forward_chl,
+    eval_forward_shl,
     orbit,
     restrict_log,
     sample_events,
@@ -351,161 +355,139 @@ class TestCompose:
 class TestEvaluatorValidation:
     def test_window_rules(self):
         log = sample_events(CylinderParams(2.0, 1.0), 0.5, 3)
-        with pytest.raises(ValueError):
-            ProcessEvaluator(log, "backward-shl")  # window required
-        with pytest.raises(ValueError):
-            ProcessEvaluator(log, "backward-shl", 0.5)  # below slit length
-        with pytest.raises(ValueError):
-            ProcessEvaluator(log, "backward-chl", 3.0)  # window not allowed
-        with pytest.raises(ValueError):
-            ProcessEvaluator(log, "sideways")
-        with pytest.raises(ValueError):
-            ProcessEvaluator(log, "forward-shl", math.nan)  # keeps no event: a frozen orbit
-        ProcessEvaluator(log, "forward-shl", log.params.half_period)
+        for shl in (eval_forward_shl, eval_backward_shl):
+            with pytest.raises(ValueError):
+                shl(log, 1j, 0.5, 0.5)  # below slit length
+            with pytest.raises(ValueError):
+                shl(log, 1j, 0.5, math.nan)  # keeps no event: a frozen orbit
+            shl(log, 1j, 0.5, log.params.half_period)
 
-    def test_at_dispatches_by_kind(self):
+    def test_each_variant_matches_its_loop(self):
         log = sample_events(CylinderParams(2.0, 1.0), 0.5, 3)
         p, z, s = log.params, 0.4 + 0.9j, 0.5
         assert len(log) >= 2
         w = z
         for x in reversed(log.xs):  # earliest outermost
             w = cyl_slit(p, x, w)
-        assert ProcessEvaluator(log, "forward-chl").at(z, s) == w
+        assert eval_forward_chl(log, z, s) == w
         w = z
         for x in log.xs:  # every event is inside the full-strip window
             w = halfplane_slit(p.lam, x, w)
-        assert ProcessEvaluator(log, "backward-shl", p.half_period).at(z, s) == w
-        bwd = ProcessEvaluator(log, "backward-chl").at(z, s)
-        assert cylinder_dist(p, ProcessEvaluator(log, "disk-hl").at(z, s), bwd) <= 1e-12
+        assert eval_backward_shl(log, z, s, p.half_period) == w
+        bwd = eval_backward_chl(log, z, s)
+        assert cylinder_dist(p, eval_disk_hl(log, z, s), bwd) <= 1e-12
 
 
 class TestForwardChl:
     def test_empty_log_identity(self):
         log = make_log(CylinderParams(2.0, 1.0), [])
-        ev = ProcessEvaluator(log, "forward-chl")
-        assert ev.at(2 + 3j, 5.0) == 2 + 3j
+        assert eval_forward_chl(log, 2 + 3j, 5.0) == 2 + 3j
 
     def test_single_event_tip(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(1.0, 2.0)])
-        ev = ProcessEvaluator(log, "forward-chl")
-        assert ev.at(2.0 + 0j, 1.0) == pytest.approx(2.0 + 1j)
+        assert eval_forward_chl(log, 2.0 + 0j, 1.0) == pytest.approx(2.0 + 1j)
 
     def test_two_event_composition_oracle(self):
         p = CylinderParams(2.0, 1.0)
         x1, x2 = -1.2, 2.8
         log = make_log(p, [(0.3, x1), (0.7, x2)])
-        ev = ProcessEvaluator(log, "forward-chl")
         z = 0.5 + 1.5j
         want = cyl_slit(p, x1, cyl_slit(p, x2, z))  # earliest outermost
-        assert ev.at(z, 1.0) == pytest.approx(want)
+        assert eval_forward_chl(log, z, 1.0) == pytest.approx(want)
 
     def test_cadlag_at_event_times(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.5, 0.0)])
-        ev = ProcessEvaluator(log, "forward-chl")
         z = 0.01 + 0.01j  # near the new slit, so the jump is visible
-        at = ev.at(z, 0.5)
-        just_after = ev.at(z, 0.5 + 1e-12)
-        just_before = ev.at(z, 0.5 - 1e-12)
+        at = eval_forward_chl(log, z, 0.5)
+        just_after = eval_forward_chl(log, z, 0.5 + 1e-12)
+        just_before = eval_forward_chl(log, z, 0.5 - 1e-12)
         assert at == just_after
         assert abs(at - just_before) > 0.1
 
 
 class TestBackwardChl:
     def test_empty_log_identity(self):
-        ev = ProcessEvaluator(make_log(CylinderParams(2.0, 1.0), []), "backward-chl")
-        assert ev.at(0.3 + 2j, 4.0) == 0.3 + 2j
+        log = make_log(CylinderParams(2.0, 1.0), [])
+        assert eval_backward_chl(log, 0.3 + 2j, 4.0) == 0.3 + 2j
 
     def test_single_event_matches_forward(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.4, 1.0)])
-        f = ProcessEvaluator(log, "forward-chl")
-        b = ProcessEvaluator(log, "backward-chl")
         z = 1 + 1j
-        assert f.at(z, 1.0) == b.at(z, 1.0)
+        assert eval_forward_chl(log, z, 1.0) == eval_backward_chl(log, z, 1.0)
 
     def test_reverse_composition_oracle(self):
         p = CylinderParams(3.0, 0.8)
         rng = SplitMix64(21)
         pairs = sorted((rng.next_float(), p.half_period * (2 * rng.next_float() - 1)) for _ in range(7))
         log = make_log(p, pairs)
-        ev = ProcessEvaluator(log, "backward-chl")
         z = -2 + 0.7j
         w = z
         for _, x in pairs:  # oldest first, newest ends up outermost
             w = cyl_slit(p, x, w)
-        assert ev.at(z, 1.0) == pytest.approx(w)
+        assert eval_backward_chl(log, z, 1.0) == pytest.approx(w)
 
     def test_trajectory_matches_pointwise_eval(self):
         p = CylinderParams(2.0, 1.0)
         log = sample_events(p, 1.0, 31337)
-        ev = ProcessEvaluator(log, "backward-chl")
         traj = backward_chl_trajectory(log, 1j)
         assert len(traj) == len(log) + 1
         assert traj[0] == (0.0, 1j)
         for (t_k, w_k) in traj[1:]:
-            assert ev.at(1j, t_k) == pytest.approx(w_k)
+            assert eval_backward_chl(log, 1j, t_k) == pytest.approx(w_k)
 
 
 class TestShl:
     def test_window_excludes_everything(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.2, 3.0), (0.5, -4.0)])
-        ev = ProcessEvaluator(log, "backward-shl", 1.0)
-        assert ev.at(1j, 1.0) == 1j  # both events outside |x| <= 1
+        assert eval_backward_shl(log, 1j, 1.0, 1.0) == 1j  # both events outside |x| <= 1
 
     def test_single_in_window_event(self):
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.2, 1.5)])
-        ev = ProcessEvaluator(log, "backward-shl", 2.0)
         z = 0.3 + 0.4j
-        assert ev.at(z, 1.0) == halfplane_slit(1.0, 1.5, z)
+        assert eval_backward_shl(log, z, 1.0, 2.0) == halfplane_slit(1.0, 1.5, z)
 
     def test_window_beyond_domain_changes_nothing(self):
         p = CylinderParams(2.0, 1.0)
         log = sample_events(p, 0.7, 555)
-        narrow = ProcessEvaluator(log, "backward-shl", p.half_period)
-        wide = ProcessEvaluator(log, "backward-shl", p.period)
-        z = 1 + 1j
-        assert narrow.at(z, 0.7) == wide.at(z, 0.7)
+        narrow = eval_backward_shl(log, 1 + 1j, 0.7, p.half_period)
+        assert narrow == eval_backward_shl(log, 1 + 1j, 0.7, p.period)
 
     def test_forward_empty_identity(self):
         p = CylinderParams(2.0, 1.0)
-        ev = ProcessEvaluator(make_log(p, []), "forward-shl", p.half_period)
-        assert ev.at(2 - 0.5j + 1j, 1.0) == 2 + 0.5j
+        assert eval_forward_shl(make_log(p, []), 2 - 0.5j + 1j, 1.0, p.half_period) == 2 + 0.5j
 
     def test_forward_two_event_oracle(self):
         p = CylinderParams(2.0, 1.0)
         x1, x2 = 0.5, -1.0
         log = make_log(p, [(0.1, x1), (0.9, x2)])
-        ev = ProcessEvaluator(log, "forward-shl", p.half_period)
         z = 1j
         want = halfplane_slit(1.0, x1, halfplane_slit(1.0, x2, z))
-        assert ev.at(z, 1.0) == pytest.approx(want)
+        assert eval_forward_shl(log, z, 1.0, p.half_period) == pytest.approx(want)
 
 
 class TestDiskConjugation:
     def test_empty_and_single(self):
         p = CylinderParams(2.0, 1.0)
         empty = make_log(p, [])
-        ev = ProcessEvaluator(empty, "disk-hl")
         z = 0.4 + 1.1j
-        assert cylinder_dist(p, ev.at(z, 1.0), z) <= 1e-12
+        assert cylinder_dist(p, eval_disk_hl(empty, z, 1.0), z) <= 1e-12
         one = make_log(p, [(0.3, 1.7)])
-        ev1 = ProcessEvaluator(one, "disk-hl")
-        assert cylinder_dist(p, ev1.at(z, 1.0), cyl_slit(p, 1.7, z)) <= 1e-11
+        assert cylinder_dist(p, eval_disk_hl(one, z, 1.0), cyl_slit(p, 1.7, z)) <= 1e-11
 
     def test_far_field_agreement(self):
         # exercises the tail expansions of both coordinate systems at heights
         # where neither the quadratic disk form nor the Cayley chain is usable
         p = CylinderParams(2.0, 1.0)
         log = make_log(p, [(0.2, 1.0), (0.5, -2.0), (0.8, 0.3)])
-        b = ProcessEvaluator(log, "backward-chl")
-        d = ProcessEvaluator(log, "disk-hl")
         for y in (70.0, 650.0):  # y/N = 35 and 325, beyond both switch points
             z = complex(0.5, y)
-            assert cylinder_dist(p, b.at(z, 1.0), d.at(z, 1.0)) <= 1e-9
+            b, d = eval_backward_chl(log, z, 1.0), eval_disk_hl(log, z, 1.0)
+            assert cylinder_dist(p, b, d) <= 1e-9
 
     def test_equals_backward_chl_on_random_logs(self):
         # the module's strongest oracle: same composition, different coordinates
@@ -514,15 +496,13 @@ class TestDiskConjugation:
             n = 2.0 + 6.0 * rng.next_float()
             p = CylinderParams(n, 0.4 + 1.2 * rng.next_float())
             log = sample_events(p, 50.0 / p.period, 9000 + k)
-            b = ProcessEvaluator(log, "backward-chl")
-            d = ProcessEvaluator(log, "disk-hl")
             for _ in range(20):
                 z = complex(
                     0.6 * p.half_period * (2 * rng.next_float() - 1),
                     0.05 + 3.0 * rng.next_float(),
                 )
-                a = b.at(z, log.horizon_t)
-                c = d.at(z, log.horizon_t)
+                a = eval_backward_chl(log, z, log.horizon_t)
+                c = eval_disk_hl(log, z, log.horizon_t)
                 assert cylinder_dist(p, a, c) <= 1e-9
 
 
@@ -572,13 +552,12 @@ class TestClusterMapGeometry:
     def test_images_stay_in_upper_half_plane_and_injective(self):
         p = CylinderParams(3.0, 1.0)
         log = sample_events(p, 1.0, 777)
-        ev = ProcessEvaluator(log, "backward-chl")
         grid = [
             complex(-8 + 16 * i / 19, 0.05 + 3 * j / 9)
             for i in range(20)
             for j in range(10)
         ]
-        images = [ev.at(z, 1.0) for z in grid]
+        images = [eval_backward_chl(log, z, 1.0) for z in grid]
         assert all(w.imag >= 0.0 for w in images)
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):

@@ -158,6 +158,8 @@ class TestNonConvergence:
             adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):  # no estimate is <= nan: it could never converge
             adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=math.nan)
+        with pytest.raises(ValueError):  # every estimate is <= inf: it would always converge
+            adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=math.inf)
 
 
 _SQRT = lambda x: complex(math.sqrt(abs(x + 0.3)))
