@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -52,6 +53,12 @@ def _positive(value) -> int:
     if int(value) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
     return int(value)
+
+
+def _finite(value) -> float:
+    if not math.isfinite(v := float(value)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+    return v
 
 
 def _complex(value) -> complex:
@@ -102,7 +109,7 @@ _OPTIONS = {
     "tol": _Option("--tol", float, _NUMBER, "quadrature tolerance"),
     "n_list": _Option("--n-list", _radii, (list,), "ascending radii, e.g. 4,8,16,32"),
     "replicas": _Option("--replicas", int, (int,), "Monte Carlo replicas"),
-    "window": _Option("--window", float, _NUMBER, "SHL truncation half-width (default pi*N)"),
+    "window": _Option("--window", _finite, _NUMBER, "SHL truncation half-width (default pi*N)"),
     "input": _Option("--input", Path, (str,), "existing events.jsonl"),
     "samples": _Option("--samples", int, (int,), "points per slit (default 16)"),
     "forward": _Option("--forward", bool, (bool,), "draw the forward cluster", "store_true"),

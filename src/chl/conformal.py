@@ -252,6 +252,33 @@ def _disk_slit_origin(params: CylinderParams, zeta: complex) -> complex:
     return top * top / (4.0 * zeta * (1.0 - d2))
 
 
+def _disk_slit_many(params: CylinderParams, zeta: np.ndarray) -> np.ndarray:
+    """``_disk_slit_origin(params, .)`` of every point of the array ``zeta``, its rules as masks.
+
+    Points off both special cases (the tail and the near-tip root) take the
+    factored root in one pass over the whole array.
+    """
+    d = params.delta
+    d2 = d * d
+    dz1 = zeta - 1.0
+    tail = np.abs(zeta) >= 1e130
+    tip = np.abs(dz1) < 0.5 * d
+    q, dq1 = zeta, dz1
+    if (odd := tail | tip).any():
+        q = np.where(odd, 2.0, zeta)  # a stand-in off both rules, overwritten below
+        dq1 = q - 1.0
+    top = q + 1.0 + dq1 * np.sqrt(1.0 + 4.0 * d2 * q / (dq1 * dq1))
+    out = top * top / (4.0 * q * (1.0 - d2))
+    if tip.any():
+        q, dq1 = zeta[tip], dz1[tip]
+        top = q + 1.0 + np.sqrt(dq1 * dq1 + 4.0 * d2 * q)
+        out[tip] = top * top / (4.0 * q * (1.0 - d2))
+    if tail.any():
+        q = zeta[tail]
+        out[tail] = (q + 2.0 * d2 + d2 * (2.0 - d2) / q) / (1.0 - d2)
+    return out
+
+
 def _far_field(params: CylinderParams, w: complex) -> complex:
     """S_0(w) at the cylinder's top: w - iN log(1-delta^2) + 2iN delta^2 exp(iw/N)."""
     n, d2 = params.radius_n, params.delta * params.delta
@@ -307,8 +334,8 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     the tip ``|tan(u/2N)| <= _TIP_RADIUS``), the disk form and the far field
     ``Im z >= 30 N``.  The reduction is exact, so the restored multiple of the
     period is the scalar one; the transcendental functions are numpy's, so
-    results may differ from ``cyl_slit`` in the last bits.  The disk form
-    needs neither of ``_disk_slit_origin``'s special cases: there
+    results may differ from ``cyl_slit`` in the last bits.  The disk form is
+    ``_disk_slit_many``, whose special cases its points never meet: there
     ``e <= |zeta| < e^30``, so ``|zeta - 1| > 0.5 delta`` and no tail.
     """
     z = np.asarray(z, dtype=complex)
@@ -333,10 +360,7 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
         out[far] = wf - 1j * n * math.log1p(-d2) + 2j * n * d2 * np.exp(1j * wf / n)
 
     if (disk := ~(low | far)).any():
-        zeta = np.exp(-1j * w[disk] / n)
-        dz1 = zeta - 1.0
-        top = zeta + 1.0 + dz1 * np.sqrt(1.0 + 4.0 * d2 * zeta / (dz1 * dz1))
-        out[disk] = 1j * n * np.log(top * top / (4.0 * zeta * (1.0 - d2)))
+        out[disk] = 1j * n * np.log(_disk_slit_many(params, np.exp(-1j * w[disk] / n)))
     out.real -= params.period * np.round((out.real - u_red) / params.period)  # the seam lift
     return (x + (u - u_red)) + out
 

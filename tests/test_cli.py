@@ -385,16 +385,23 @@ class TestFlags:
         ("simulate", ["--probe", "0-1i", "--trajectory"], "trajectory.csv"),
         ("converge", ["--probe", "nan+1i", "--replicas", "8"], "coupling.csv"),
         ("converge", ["--window", "nan", "--replicas", "8"], "coupling.csv"),
+        ("converge", ["--window", "inf", "--replicas", "8"], "coupling.csv"),
+        ("converge", ["--config", '{"window": Infinity, "replicas": 8}'], "coupling.csv"),
         ("verify", ["--only", "quad_mean_shift", "--tol", "nan"], "report.json"),
         ("verify", ["--only", "quad_mean_shift", "--tol", "inf"], "report.json"),
         ("verify", ["--only", "shift_commutation", "--tol", "nan"], "report.json"),
     ], ids=["simulate-nan-probe", "simulate-lower-probe", "converge-nan-probe",
-            "nan-window", "nan-tol", "inf-tol", "nan-tol-no-quadrature"])
+            "nan-window", "inf-window", "inf-window-config", "nan-tol", "inf-tol",
+            "nan-tol-no-quadrature"])
     def test_nan_or_lower_half_plane_flag_exits_2(self, tmp_path, capsys, command, argv,
                                                   artifact):
         # never a silent nan: exit 2 with one message line and no artifact, whether
         # the value is rejected while the flags are parsed or when the command runs
         out = tmp_path / "o"
+        if "--config" in argv:  # the value after it is the config file's text
+            i = argv.index("--config") + 1
+            (tmp_path / "cfg.json").write_text(argv[i])
+            argv = [*argv[:i], str(tmp_path / "cfg.json"), *argv[i + 1:]]
         try:
             code = main([command, *argv, "--out", str(out)])
         except SystemExit as exc:

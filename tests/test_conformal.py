@@ -22,6 +22,7 @@ from chl.conformal import (
     _FAR_FIELD_RATIO,
     _TIP_RADIUS,
     CylinderParams,
+    _disk_slit_many,
     _disk_slit_origin,
     _reduce,
     _reduce_many,
@@ -135,10 +136,10 @@ def oracle_disk_slit(params: CylinderParams, zeta: complex, scale: int = 1):
         return _f_inv(n, _g_inv(_upper_root(1 - d2, d2, _g(mpc(zeta)), on_axis=False)))
 
 
-def _disk_kernel(params: CylinderParams, zeta: complex):
-    """``_disk_slit_origin`` taken to the cylinder by i N Log in mpmath, adding no rounding."""
+def _disk_to_cylinder(params: CylinderParams, value: complex):
+    """A disk kernel's value taken to the cylinder by i N Log in mpmath, adding no rounding."""
     with mp.workdps(_DIGITS):
-        return _f_inv(mpf(params.radius_n), mpc(_disk_slit_origin(params, zeta)))
+        return _f_inv(mpf(params.radius_n), mpc(value))
 
 
 # One error budget for every regime switch and every kernel: C eps (N + |S|).
@@ -508,6 +509,41 @@ class TestCylSlitMany:
         kept = _off_corners(_reduce_many(z.real - x, p.period) + 1j * z.imag, _base(p))
         assert np.all((np.abs(got - want) <= 32.0 * _EPS * np.maximum(n, np.abs(want)))[kept])
         assert np.all(got[:8] == x[:8] + 1j * p.lam)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDiskSlitMany:
+    """The batched disk kernel against ``_disk_slit_origin``, rule by rule."""
+
+    @pytest.mark.parametrize("n", [1.0, 16.0, 64.0])
+    def test_matches_scalar(self, n):
+        # seeded points on both sides of the near-tip switch |zeta - 1| = delta/2
+        # (Re(zeta - 1) > 0 keeps |zeta| > 1) and of the tail switch
+        # |zeta| = 1e130, up to |zeta| = 1e300
+        p = CylinderParams(n, 1.0)
+        rng = np.random.default_rng([int(n), 21])
+        sides = rng.choice(_SIDES, _MANY)
+        angle = np.exp(1j * rng.uniform(-1.5, 1.5, _MANY))
+        tip = 0.5 * p.delta * np.concatenate([
+            sides[: _MANY // 2], np.exp(rng.uniform(math.log(1e-6), math.log(1e6), _MANY // 2))])
+        tail = 1e130 * np.concatenate([
+            sides[: _MANY // 2], 10.0 ** rng.uniform(-6.0, 170.0, _MANY // 2)])
+        near, high = 1.0 + tip * angle, tail * np.exp(1j * rng.uniform(-3.1, 3.1, _MANY))
+        for inside in (np.abs(near - 1.0) < 0.5 * p.delta, np.abs(high) >= 1e130):
+            assert 0.1 * _MANY < np.count_nonzero(inside) < 0.9 * _MANY  # both sides
+        zeta = np.concatenate([near, high])
+        assert np.all(np.abs(zeta) > 1.0) and np.abs(zeta).max() <= 1e300
+        got = _disk_slit_many(p, zeta)
+        want = np.array([_disk_slit_origin(p, q) for q in zeta.tolist()])
+        assert got.shape == zeta.shape
+        assert np.all(np.abs(got - want) <= 4.0 * _EPS * np.abs(want))
+
+    def test_empty_and_shape(self):
+        p = CylinderParams(2.0, 1.0)
+        assert _disk_slit_many(p, np.empty(0, dtype=complex)).shape == (0,)
+        zeta = np.array([[1.0 + 0.01j, 3.0 - 4.0j], [1e200j, -2.0]])
+        want = np.array([_disk_slit_origin(p, q) for q in zeta.ravel().tolist()]).reshape(2, 2)
+        assert np.all(np.abs(_disk_slit_many(p, zeta) - want) <= 4.0 * _EPS * np.abs(want))
 
 
 def _half_regime_points(lam: float, regime: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -903,8 +939,9 @@ def _switch_cases(switch: str, n: float, side: float) -> list:
     ``first`` is the kernel's first argument: the params, or ``lam = N`` for
     ``halfplane_slit``, which is ``lam * halfplane_slit(1, ./lam)`` and so
     scales with the same budget.  The points are z, or zeta for the disk
-    kernel.  Each case asserts, with the kernel's own float test, that its
-    points fall on the side of the switch they are meant for.
+    kernels (``_disk_slit_origin`` and ``_disk_slit_many``).  Each case
+    asserts, with the kernel's own float test, that its points fall on the
+    side of the switch they are meant for.
     """
     p = CylinderParams(n, 1.0)
     rng = np.random.default_rng([_SWITCHES.index(switch), int(n), int(side > 1.0)])
@@ -919,21 +956,24 @@ def _switch_cases(switch: str, n: float, side: float) -> list:
     if switch == "far_field":
         z = (x + rng.uniform(-half, half, m)) + 1j * (_FAR_FIELD_RATIO * n * side)
         assert np.all((z.imag >= _FAR_FIELD_RATIO * n) != below)
-        return [("cyl", p, x, z), ("many", p, x, z), ("disk", p, None, np.exp(-1j * (z - x) / n))]
+        zeta = np.exp(-1j * (z - x) / n)
+        return [("cyl", p, x, z), ("many", p, x, z), ("disk", p, None, zeta),
+                ("disk-many", p, None, zeta)]
     if switch == "disk_tail":
-        # only the disk kernel gets here: the others stay below |zeta| = e^30
+        # only the disk kernels get here: the others stay below |zeta| = e^30
         zeta = 1e130 * side * np.exp(1j * rng.uniform(-math.pi, math.pi, m))
         assert np.all((np.abs(zeta) >= 1e130) != below)
-        return [("disk", p, None, zeta)]
+        return [("disk", p, None, zeta), ("disk-many", p, None, zeta)]
     if switch == "tip_zone":
-        # |zeta - 1| = delta/2 picks the disk kernel's root form; Re(zeta - 1) > 0
+        # |zeta - 1| = delta/2 picks the disk kernels' root form; Re(zeta - 1) > 0
         # keeps |zeta| > 1.  The slit kernels evaluate these points (Im z < N) in
         # the tan chart, so here they check it next to the tip.
         zeta = 1.0 + 0.5 * d * side * np.exp(1j * rng.uniform(-1.5, 1.5, m))
         z = x + 1j * n * np.log(zeta)
         assert np.all((np.abs(zeta - 1.0) >= 0.5 * d) != below)
         assert np.all((0.0 < z.imag) & (z.imag < n))
-        return [("disk", p, None, zeta), ("cyl", p, x, z), ("many", p, x, z)]
+        return [("disk", p, None, zeta), ("disk-many", p, None, zeta), ("cyl", p, x, z),
+                ("many", p, x, z)]
     if switch == "tip_radius_boundary":
         # |tan(u/2N)| <= 1e-150 returns the tip; u = Re z - x is exact only at x = 0
         z = 2.0 * n * _TIP_RADIUS * side * np.array([1.0, -1.0]) + 0j
@@ -963,8 +1003,11 @@ def _kernel_and_oracle(kernel: str, first, x, pts: np.ndarray, scale: int = 1) -
         got = halfplane_slit_many(first, x, pts).tolist() if kernel == "half-many" else [
             halfplane_slit(first, x, q) for q in zs]
         return got, [oracle_halfplane_slit(first, x, q, scale) for q in zs]
-    if kernel == "disk":
-        return [_disk_kernel(first, q) for q in zs], [oracle_disk_slit(first, q, scale) for q in zs]
+    if kernel.startswith("disk"):
+        got = _disk_slit_many(first, pts).tolist() if kernel == "disk-many" else [
+            _disk_slit_origin(first, q) for q in zs]
+        return [_disk_to_cylinder(first, v) for v in got], [oracle_disk_slit(first, q, scale)
+                                                           for q in zs]
     got = cyl_slit_many(first, x, pts).tolist() if kernel == "many" else [
         cyl_slit(first, x, q) for q in zs]
     return got, [oracle_cyl_slit(first, x, q, scale) for q in zs]

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 import pytest
 
-from chl.conformal import CylinderParams, _reduce, cyl_slit, cyl_slit_many, cylinder_dist
+from chl.conformal import (
+    _FAR_FIELD_RATIO,
+    CylinderParams,
+    _disk_slit_many,
+    _reduce,
+    cyl_slit,
+    cyl_slit_many,
+    cylinder_dist,
+)
 from chl.process import Event, EventLog, sample_events
 from chl.render import export_csv, export_svg, trace_cluster
 
@@ -62,18 +72,27 @@ class TestTraceCluster:
 
     def test_lock_step_equals_per_particle_composition(self):
         # the lock-step loop is a restructuring only: each particle's segment
-        # pushed map by map through the same kernel gives the same bits
+        # pushed map by map through the same two charts gives the same bits --
+        # the base sample through cyl_slit_many on the cylinder, the others
+        # through _disk_slit_many in disk coordinates zeta = exp(-iz/N), where
+        # map x is zeta -> D(rho zeta)/rho with rho = exp(ix/N)
         p = CylinderParams(3.0, 0.8)
+        n = p.radius_n
         log = sample_events(p, 18.0 / p.period, 4711)
         xs = log.xs
-        heights = p.lam * np.arange(5) / 4
+        lift = np.exp(p.lam * np.arange(1, 5) / 4 / n)  # |zeta| of samples 1..4 at birth
         for forward in (False, True):
             rows = trace_cluster(log, samples_per_slit=5, forward=forward)
             assert rows.shape == (len(log), 5)
+            assert rows.imag.max() < _FAR_FIELD_RATIO * n  # no sample leaves disk coordinates
             for k, row in enumerate(rows):
-                pts = xs[k] + 1j * heights
+                base = np.array([complex(xs[k], 0.0)])
+                zeta = lift / cmath.exp(1j * xs[k] / n)
                 for x in (xs[:k][::-1] if forward else xs[k + 1:]):
-                    pts = cyl_slit_many(p, x, pts)
+                    rho = cmath.exp(1j * x / n)
+                    base = cyl_slit_many(p, x, base)
+                    zeta = _disk_slit_many(p, rho * zeta) / rho
+                pts = np.concatenate([base, 1j * n * np.log(zeta)])
                 want = [complex(_reduce(q.real, p.period), q.imag) for q in pts]
                 assert row.tolist() == want
 
@@ -107,6 +126,22 @@ class TestTraceCluster:
             for row, pts in zip(rows, want):
                 for a, b in zip(row, reduced(pts)):
                     assert cylinder_dist(p, a, b) <= 1e-11
+
+    def test_tall_cluster_matches_scalar_composition(self):
+        # at N = 0.1 the cluster grows to about 1100 N, beyond the 709 N where
+        # zeta = exp(-iz/N) overflows: samples leave disk coordinates at 30 N
+        p = CylinderParams(0.1, 1.0)
+        log = sample_events(p, 200.0, 1)
+        assert len(log) == 127
+        rows = trace_cluster(log)
+        assert np.all(np.isfinite(rows)) and rows.imag.max() > 1000 * p.radius_n
+        heights = p.lam * np.arange(16) / 15
+        for k, row in enumerate(rows):
+            pts = [complex(log.xs[k], h) for h in heights]
+            for x in log.xs[k + 1:]:
+                pts = [cyl_slit(p, x, q) for q in pts]
+            assert max(cylinder_dist(p, a, b) for a, b in zip(row.tolist(), pts)) <= 1e-10, k
+        assert np.all(np.isfinite(trace_cluster(log, forward=True)))
 
     def test_no_negative_imaginary_parts(self):
         p = CylinderParams(10.0, 1.0)
