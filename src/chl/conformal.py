@@ -252,31 +252,72 @@ def _disk_slit_origin(params: CylinderParams, zeta: complex) -> complex:
     return top * top / (4.0 * zeta * (1.0 - d2))
 
 
-def _disk_slit_many(params: CylinderParams, zeta: np.ndarray) -> np.ndarray:
-    """``_disk_slit_origin(params, .)`` of every point of the array ``zeta``, its rules as masks.
+def _principal_sqrt(w: np.ndarray) -> np.ndarray:
+    """Principal square root of every point of the complex array ``w``, in real arithmetic.
 
-    Points off both special cases (the tail and the near-tip root) take the
-    factored root in one pass over the whole array.
+    With ``t = sqrt((|w| + |Re w|)/2)`` and ``k = Im w / 2t`` the root is
+    ``t + ik`` where ``Re w >= 0`` and ``|k| + it`` with the sign of ``Im w``
+    (a signed zero too) elsewhere: the principal branch, in the form of Kahan,
+    *Branch cuts for complex elementary functions* (1987).  ``w = 0`` gives 0.
+    """
+    re, im = w.real, w.imag
+    t = np.abs(w)
+    t += np.abs(re)
+    t *= 0.5
+    np.sqrt(t, out=t)
+    np.maximum(t, 1e-300, out=t)  # only w = 0 has t = 0; every other t is above 1e-162
+    k = 0.5 * im
+    k /= t
+    out = np.empty_like(w)
+    out.real, out.imag = t, k
+    if re.min(initial=0.0) < 0.0:
+        neg = np.flatnonzero(re < 0.0)
+        out.real[neg] = np.abs(k[neg])
+        out.imag[neg] = np.copysign(t[neg], im[neg])
+    return out
+
+
+def _disk_slit_many(params: CylinderParams, zeta: np.ndarray, rho=1.0) -> np.ndarray:
+    """``_disk_slit_origin(params, rho * zeta) / rho`` of every point of the array ``zeta``.
+
+    ``rho`` is a unit complex number, or an array of them like ``zeta``: with
+    ``rho = exp(ix/N)`` the map is the slit map over ``x`` in disk coordinates.
+    With ``xi = rho zeta`` the rotation back folds into one product,
+    ``D(xi)/rho = (xi + 1 + s)^2 / (4 (1 - delta^2) rho^2 zeta)``.  The rules
+    of the scalar map are masks: the tail ``|xi| >= 1e130`` and the near-tip
+    root at ``|xi - 1| < delta/2``; every other point takes the factored root
+    in one pass over the whole array, its square root in real arithmetic.
     """
     d = params.delta
     d2 = d * d
-    dz1 = zeta - 1.0
-    tail = np.abs(zeta) >= 1e130
-    tip = np.abs(dz1) < 0.5 * d
-    q, dq1 = zeta, dz1
-    if (odd := tail | tip).any():
-        q = np.where(odd, 2.0, zeta)  # a stand-in off both rules, overwritten below
-        dq1 = q - 1.0
-    top = q + 1.0 + dq1 * np.sqrt(1.0 + 4.0 * d2 * q / (dq1 * dq1))
-    out = top * top / (4.0 * q * (1.0 - d2))
-    if tip.any():
-        q, dq1 = zeta[tip], dz1[tip]
-        top = q + 1.0 + np.sqrt(dq1 * dq1 + 4.0 * d2 * q)
-        out[tip] = top * top / (4.0 * q * (1.0 - d2))
+    xi = zeta * rho
+    dz1 = xi - 1.0
+    r = np.abs(dz1)  # from 1e130 on |xi - 1| is |xi| to the last bit
+    q = xi
+    if (tail := r >= 1e130).any():
+        q = np.where(tail, 2.0, xi)  # a stand-in off both rules, overwritten below
+        dz1[tail] = 1.0
+    if (tip := np.flatnonzero(r < 0.5 * d)).size:
+        near, d_near = xi[tip], dz1[tip]
+        dz1[tip] = 1.0  # a stand-in, overwritten below
+    s = q * (4.0 * d2)
+    s /= dz1 * dz1
+    s += 1.0
+    # complex products out of place: numpy's in-place complex multiply rounds
+    # differently on short arrays, and results must not depend on the length
+    s = _principal_sqrt(s) * dz1
+    s += q + 1.0
+    if tip.size:
+        # near the tip preimage xi = 1 the radicand clusters around 4 d^2, where
+        # the principal root is already the correct branch
+        s[tip] = near + 1.0 + np.sqrt(d_near * d_near + 4.0 * d2 * near)
+    s = s * s
+    s /= zeta * (rho * rho * (4.0 * (1.0 - d2)))
     if tail.any():
-        q = zeta[tail]
-        out[tail] = (q + 2.0 * d2 + d2 * (2.0 - d2) / q) / (1.0 - d2)
-    return out
+        q = xi[tail]
+        back = np.broadcast_to(rho, zeta.shape)[tail]
+        s[tail] = (q + 2.0 * d2 + d2 * (2.0 - d2) / q) / (1.0 - d2) / back
+    return s
 
 
 def _far_field(params: CylinderParams, w: complex) -> complex:
@@ -297,6 +338,44 @@ def _tan_chart(params: CylinderParams, w: complex) -> tuple[complex, complex, co
     return t, v, _slit_sqrt(1.0 - d * d, d * d, v)
 
 
+def _axis_slit(params: CylinderParams, u: float) -> complex:
+    """S_0(u) at real u in [-pi N, pi N): the tan chart in real arithmetic.
+
+    Outside the slit base the value is real, its imaginary part exactly 0.0;
+    inside, ``2N arctan(i rho) = 2iN atanh(rho)`` lies on the slit.  ``v`` and
+    the radicand are the tan chart's own, bit for bit.
+    """
+    n, d2 = params.radius_n, params.delta * params.delta
+    v = math.tan(0.5 * u / n)
+    if abs(v) <= _TIP_RADIUS:
+        return complex(0.0, params.lam)
+    a = 1.0 - d2
+    rad = a - d2 / (v * v)
+    if rad >= 0.0:
+        return complex(2.0 * n * math.atan(v * math.sqrt(rad)), 0.0)
+    return complex(0.0, 2.0 * n * math.atanh(math.sqrt(d2 - a * v * v)))
+
+
+def _axis_slit_many(params: CylinderParams, u: np.ndarray) -> np.ndarray:
+    """``_axis_slit`` of every point of the real array ``u``, its rules as masks."""
+    n, d2 = params.radius_n, params.delta * params.delta
+    a = 1.0 - d2
+    v = np.tan(0.5 * u / n)
+    vv = v * v
+    np.maximum(vv, 1e-300, out=vv)  # below it lies the tip, |v| <= _TIP_RADIUS, set below
+    rad = a - d2 / vv
+    inside = rad < 0.0
+    np.maximum(rad, 0.0, out=rad)
+    out = np.zeros(u.shape, dtype=complex)
+    out.real = 2.0 * n * np.arctan(v * np.sqrt(rad))
+    if inside.any():
+        v = v[inside]
+        h = 2.0 * n * np.arctanh(np.sqrt(d2 - a * v * v))
+        h[np.abs(v) <= _TIP_RADIUS] = params.lam
+        out.imag[inside] = h
+    return out
+
+
 def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
     """Cylinder slit map S_x(z): attach a slit of length lam over x.
 
@@ -312,6 +391,8 @@ def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
     n, y = params.radius_n, z.imag
     u = z.real - x
     u_red = _reduce(u, params.period)
+    if y == 0.0:
+        return (x + (u - u_red)) + _axis_slit(params, u_red)
     w = complex(u_red, y)
     if y >= _FAR_FIELD_RATIO * n:
         s = _far_field(params, w)
@@ -330,10 +411,11 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     """``cyl_slit(params, x, .)`` of every point of the array ``z``, one numpy pass.
 
     ``x`` is a float or an array shaped like ``z`` (one abscissa per point).
-    Each regime of the scalar path is a mask: the tan chart ``Im z < N`` (with
-    the tip ``|tan(u/2N)| <= _TIP_RADIUS``), the disk form and the far field
-    ``Im z >= 30 N``.  The reduction is exact, so the restored multiple of the
-    period is the scalar one; the transcendental functions are numpy's, so
+    Each regime of the scalar path is a mask: the real axis (``_axis_slit_many``),
+    the tan chart ``Im z < N`` (with the tip ``|tan(u/2N)| <= _TIP_RADIUS``),
+    the disk form and the far field ``Im z >= 30 N``.  The reduction is exact,
+    so the restored multiple of the period is the scalar one; the
+    transcendental functions are numpy's, so
     results may differ from ``cyl_slit`` in the last bits.  The disk form is
     ``_disk_slit_many``, whose special cases its points never meet: there
     ``e <= |zeta| < e^30``, so ``|zeta - 1| > 0.5 delta`` and no tail.
@@ -344,11 +426,14 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     u = z.real - x
     u_red = _reduce_many(u, params.period)
     y = z.imag
+    if (axis := y == 0.0).all():
+        return (x + (u - u_red)) + _axis_slit_many(params, u_red)
     w = np.empty_like(z)
     w.real, w.imag = u_red, y
     out = np.empty_like(z)
-
-    if (low := y < n).any():
+    if axis.any():
+        out[axis] = _axis_slit_many(params, u_red[axis])
+    if (low := (y < n) & ~axis).any():
         v = np.tan(0.5 * w[low] / n)
         r = 2.0 * n * np.arctan(_slit_sqrt_many(1.0 - d2, d2, v))
         r[np.abs(v) <= _TIP_RADIUS] = complex(0.0, params.lam)  # the tip, exactly
@@ -359,7 +444,7 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
         wf = w[far]
         out[far] = wf - 1j * n * math.log1p(-d2) + 2j * n * d2 * np.exp(1j * wf / n)
 
-    if (disk := ~(low | far)).any():
+    if (disk := ~(axis | low | far)).any():
         out[disk] = 1j * n * np.log(_disk_slit_many(params, np.exp(-1j * w[disk] / n)))
     out.real -= params.period * np.round((out.real - u_red) / params.period)  # the seam lift
     return (x + (u - u_red)) + out

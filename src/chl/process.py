@@ -18,7 +18,11 @@ The same log drives every process variant, each a function of ``(log, z, s)``:
 
 Each variant is :func:`compose` over a selection of the log's abscissae in
 one of two orders.  Evaluation at time ``s`` is cadlag: an event at exactly
-``s`` is included.
+``s`` is included.  Batched, many points go through one map per call: the
+cylinder slit maps of Monte Carlo and of the cluster trace by the lock-step
+engine ``_LockStep``, which carries points in three kinds (real points on
+the boundary, disk coordinates ``exp(-iz/N)`` above it, and cylinder points
+far up), and the half-plane maps by :func:`orbit_many`.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .conformal import (
+    _FAR_FIELD_RATIO,
     CylinderParams,
+    _disk_slit_many,
     _disk_slit_origin,
     cyl_slit,
+    cyl_slit_many,
     halfplane_slit,
 )
 from .rng import _MASK, poisson_many, uniform_at
@@ -233,7 +240,7 @@ def compose(slit: Callable[..., complex], first, xs: Iterable[float], z: complex
 
     ``slit`` is ``cyl_slit`` with ``first`` the cylinder params, or
     ``halfplane_slit`` with ``first`` the slit length.  Every process variant runs
-    this loop; Monte Carlo (:func:`orbit_many`) and ``trace_cluster`` batch it.
+    this loop; ``_LockStep`` and :func:`orbit_many` batch it.
     """
     return orbit(slit, first, xs, z)[-1]
 
@@ -247,7 +254,7 @@ def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) 
 
 
 def orbit_many(slit_many: Callable, first, xs: np.ndarray, z: complex) -> Iterator[np.ndarray]:
-    """Lock-step :func:`orbit` of each row of the 2-D ``xs``, by a kernel like ``cyl_slit_many``.
+    """Lock-step :func:`orbit` of each row of the 2-D ``xs``, by a kernel like ``halfplane_slit_many``.
 
     Yields ``z``, then the images after each column, as one array updated in
     place.  A ``+inf`` entry (``sample_many``'s padding, or a masked event) applies no map.
@@ -258,6 +265,112 @@ def orbit_many(slit_many: Callable, first, xs: np.ndarray, z: complex) -> Iterat
         live = np.isfinite(col)
         w[live] = slit_many(first, col[live], w[live])
         yield w
+
+
+# A point moves in disk coordinates zeta = exp(-iz/N) from the height _ZETA_LOW * N,
+# where |zeta| - 1 = Im z / N still resolves its height to about N eps, up to 30 N,
+# |zeta| = e^30: further up zeta would overflow.
+_ZETA_LOW = 1e-9
+_ZETA_HIGH = math.exp(_FAR_FIELD_RATIO)
+
+
+def _from_zeta(n: float, zeta: np.ndarray) -> np.ndarray:
+    """``i N Log(zeta)`` in real arithmetic: ``-N arg(zeta) + i N log|zeta|``."""
+    out = np.empty_like(zeta)
+    out.real = np.arctan2(zeta.imag, zeta.real) * -n
+    out.imag = np.log(np.abs(zeta)) * n
+    return out
+
+
+def _live(f, x, at: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``f(x, pts)``, where ``x`` is a float or one abscissa per point (``x[at]``, ``+inf``: no map)."""
+    if not pts.size:
+        return pts
+    if np.ndim(x) == 0:
+        return f(x, pts)
+    xs = x[at]
+    if (live := np.isfinite(xs)).all():
+        return f(xs, pts)
+    out = pts.copy()
+    out[live] = f(xs[live], pts[live])
+    return out
+
+
+class _LockStep:
+    """Points pushed through cylinder slit maps in lock-step: ``push``, then ``step`` by map.
+
+    A point of height ``1e-9 N <= Im z < 30 N`` is held as ``zeta = exp(-iz/N)``
+    and moves by ``zeta -> D(rho zeta)/rho``, ``rho = exp(ix/N)``
+    (``_disk_slit_many``): one square root per point-map, and no chart between
+    consecutive maps.  The other points stay on the cylinder and move by
+    ``cyl_slit_many``: real points on the boundary by its real tan-chart step
+    (a point that lands inside a slit base leaves the axis onto the slit),
+    points lifted but still lower than ``1e-9 N``, and points above 30 N.  A
+    zeta point keeps no winding: :meth:`points` takes its representative
+    within pi N of ``near``.
+    """
+
+    def __init__(self, params: CylinderParams, z=()) -> None:
+        self.params, self.size, self.pending = params, 0, []
+        self.zeta = self.cyl = self.fresh = np.empty(0, dtype=complex)
+        self.zeta_at = self.cyl_at = self.fresh_at = np.empty(0, dtype=np.intp)
+        self.push(np.asarray(z, dtype=complex))
+
+    def push(self, z: np.ndarray) -> None:
+        """Add the cylinder points ``z`` after those already held."""
+        at = np.arange(self.size, self.size + len(z))
+        self.size += len(z)
+        self.pending.append((z, at))
+        self.fresh, self.fresh_at = np.concatenate([self.fresh, z]), np.concatenate([self.fresh_at, at])
+
+    def _file(self) -> None:
+        """Hold the points pushed since the last map, and those whose height left their chart."""
+        n = self.params.radius_n
+        zeta, zeta_at, cyl, cyl_at = self.zeta, self.zeta_at, self.cyl, self.cyl_at
+        z, at = [q for q, _ in self.pending], [a for _, a in self.pending]
+        # |zeta| < 1.5 max(|Re zeta|, |Im zeta|): a cheap bound before the moduli
+        if zeta.size and 1.5 * max(zeta.view(np.float64).max(),
+                                    -zeta.view(np.float64).min()) >= _ZETA_HIGH:
+            up = np.abs(zeta) >= _ZETA_HIGH
+            z, at = [*z, _from_zeta(n, zeta[up])], [*at, zeta_at[up]]
+            zeta, zeta_at = zeta[~up], zeta_at[~up]
+        if cyl.size and (down := (cyl.imag >= _ZETA_LOW * n)
+                                 & (cyl.imag < _FAR_FIELD_RATIO * n)).any():
+            z, at = [*z, cyl[down]], [*at, cyl_at[down]]
+            cyl, cyl_at = cyl[~down], cyl_at[~down]
+        if z:
+            z, at = np.concatenate(z), np.concatenate(at)
+            disk = (z.imag >= _ZETA_LOW * n) & (z.imag < _FAR_FIELD_RATIO * n)
+            zeta = np.concatenate([zeta, np.exp(z[disk] * (-1j / n))])
+            zeta_at = np.concatenate([zeta_at, at[disk]])
+            cyl, cyl_at = np.concatenate([cyl, z[~disk]]), np.concatenate([cyl_at, at[~disk]])
+        self.zeta, self.zeta_at, self.cyl, self.cyl_at = zeta, zeta_at, cyl, cyl_at
+        self.pending = []
+
+    def step(self, x) -> None:
+        """Apply S_x to every point: ``x`` a float, or one abscissa per point (``+inf``: no map)."""
+        p, n = self.params, self.params.radius_n
+        self._file()
+        self.zeta = _live(lambda xs, q: _disk_slit_many(p, q, np.exp(xs * (1j / n))),
+                          x, self.zeta_at, self.zeta)
+        self.cyl = _live(lambda xs, q: cyl_slit_many(p, xs, q), x, self.cyl_at, self.cyl)
+        unmoved = np.isinf(x[self.fresh_at]) if np.ndim(x) else np.zeros(self.fresh.size, bool)
+        self.fresh, self.fresh_at = self.fresh[unmoved], self.fresh_at[unmoved]
+
+    def points(self, near=None) -> np.ndarray:
+        """Every point on the cylinder, in push order; within pi N of ``Re near`` unless None.
+
+        A point no map has moved is returned as pushed, bit for bit.
+        """
+        self._file()  # each point is read in the chart its last map left it for
+        out = np.empty(self.size, dtype=complex)
+        out[self.zeta_at] = _from_zeta(self.params.radius_n, self.zeta)
+        out[self.cyl_at] = self.cyl
+        if near is not None:
+            period = self.params.period
+            out.real -= period * np.round((out.real - np.real(near)) / period)
+        out[self.fresh_at] = self.fresh
+        return out
 
 
 def _xs_up_to(log: EventLog, s: float, window: float | None = None) -> list[float]:

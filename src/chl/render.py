@@ -5,10 +5,8 @@ cluster (the default) it is then moved by the maps of events k+1..n, newest
 outermost; in the forward cluster by the maps of events 1..k-1, earliest
 outermost.  At fixed time the two clusters share one law but are different
 pictures of it; pathwise the forward cluster is the backward cluster of the
-reversed event order, and is traced as such.  The trace carries the samples
-above the boundary in disk coordinates ``zeta = exp(-iz/N)``, where the
-cylinder slit map is the disk slit map conjugated by a rotation, so that
-consecutive maps compose with no chart between them.
+reversed event order, and is traced as such, by the lock-step engine of
+``process`` that Monte Carlo uses too.
 
 A cluster is one ``(particles, samples)`` complex array, row k the sampled
 polyline of particle k, from the trace to both exports: an SVG figure
@@ -17,19 +15,12 @@ polyline of particle k, from the trace to both exports: an SVG figure
 
 from __future__ import annotations
 
-import cmath
-import math
+import sys
 
 import numpy as np
 
-from .conformal import (
-    _FAR_FIELD_RATIO,
-    CylinderParams,
-    _disk_slit_many,
-    _reduce_many,
-    cyl_slit_many,
-)
-from .process import EventLog
+from .conformal import CylinderParams, _reduce_many
+from .process import EventLog, _LockStep
 
 __all__ = ["trace_cluster", "export_svg", "export_csv"]
 
@@ -37,9 +28,11 @@ _STROKE = "#1a3a6b"
 _STROKE_WIDTH = 0.35
 _BACKGROUND = "white"
 _WIDTH_PX = 900
-
-# |zeta| at height 30 N: a sample that gets there leaves disk coordinates
-_FAR_ZETA = math.exp(_FAR_FIELD_RATIO)
+# Largest error from exact composition the trace may carry, in units of lam;
+# against an mpmath composition the error stayed below a third of its bound
+# (len(log) + 1) eps pi N
+_MAX_ERROR = 1e-10
+_EPS = sys.float_info.epsilon
 
 
 def trace_cluster(
@@ -58,50 +51,26 @@ def trace_cluster(
     event k every particle already placed is pushed through map k in one
     pass, O(n^2 * samples) point-maps in total.
 
-    The samples above the boundary travel in disk coordinates
-    ``zeta = exp(-iz/N)``, where map k is ``zeta -> D(rho zeta)/rho`` with
-    ``D`` the slit map at the origin (``_disk_slit_many``) and
-    ``rho = exp(i x_k/N)``: the charts between consecutive maps cancel, and
-    one ``i N Log`` at the end brings them back.  Two kinds of sample stay on
-    the cylinder and go through ``cyl_slit_many``: the base sample, which
-    lies on the boundary, where the disk form's root sits on its branch cut;
-    and any sample once it reaches height ``30 N`` (``_FAR_FIELD_RATIO``),
-    where zeta would overflow further up.  Heights never fall, so such a
-    sample stays far.
+    Each sample moves by ``process._LockStep``: the base sample by the real
+    step along the boundary until it lands on a slit, the others in disk
+    coordinates ``zeta = exp(-iz/N)``.  Raises ``ValueError`` where the trace
+    could be off from exact composition by more than ``1e-10 lam``: its
+    coordinates resolve about ``eps pi N``, and each map can add that much.
     """
     if samples_per_slit < 2:
         raise ValueError("samples_per_slit must be at least 2")
     params = log.params
-    n = params.radius_n
+    if (len(log) + 1) * _EPS * params.half_period > _MAX_ERROR * params.lam:
+        raise ValueError(f"lambda/N = {params.lam / params.radius_n:.3g} is too small to trace "
+                         f"{len(log)} events within {_MAX_ERROR:g} lambda")
     xs = log.xs[::-1] if forward else log.xs
     m = samples_per_slit
-    lift = np.exp(params.lam * np.arange(1, m) / (m - 1) / n)  # |zeta| at birth
-    base = np.empty(len(xs), dtype=complex)  # sample 0 of each particle, on the cylinder
-    size = len(xs) * (m - 1)
-    pts = np.empty(size, dtype=complex)  # the samples in disk coordinates, pts[:live] ...
-    at = np.empty(size, dtype=np.intp)  # ... at these flat indices of the (particles, m-1) block
-    live = 0
-    far_at, far = np.empty(0, dtype=np.intp), np.empty(0, dtype=complex)  # left for the cylinder
-    for k, x in enumerate(xs):
-        rho = cmath.exp(1j * x / n)
-        pts[:live] = _disk_slit_many(params, rho * pts[:live]) / rho
-        base[:k] = cyl_slit_many(params, x, base[:k])
-        if far.size:
-            far = cyl_slit_many(params, x, far)
-        base[k] = x
-        pts[live : live + m - 1] = lift / rho
-        at[live : live + m - 1] = range(k * (m - 1), (k + 1) * (m - 1))
-        live += m - 1
-        if (up := np.abs(pts[:live]) >= _FAR_ZETA).any():
-            far_at = np.concatenate([far_at, at[:live][up]])
-            far = np.concatenate([far, 1j * n * np.log(pts[:live][up])])
-            kept = live - np.count_nonzero(up)
-            pts[:kept], at[:kept] = pts[:live][~up], at[:live][~up]
-            live = kept
-    disk = np.empty(size, dtype=complex)
-    disk[at[:live]] = 1j * n * np.log(pts[:live])
-    disk[far_at] = far
-    rows = np.concatenate([base[:, None], disk.reshape(len(xs), m - 1)], axis=1)
+    segment = 1j * (params.lam * np.arange(m) / (m - 1))
+    steps = _LockStep(params)
+    for x in xs:
+        steps.step(x)
+        steps.push(x + segment)
+    rows = steps.points().reshape(len(xs), m)
     rows.real = _reduce_many(rows.real, params.period)
     return rows[::-1] if forward else rows
 

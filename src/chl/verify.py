@@ -16,6 +16,7 @@ Three kinds of evidence are produced, mirroring the strength of each claim:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,12 +29,12 @@ from .conformal import (
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
-    cyl_slit_many,
     cylinder_dist,
     halfplane_slit,
     halfplane_slit_many,
 )
 from .process import (
+    _LockStep,
     _restrict_many,
     _restricted_params,
     compose,
@@ -310,6 +311,7 @@ def mc_growth_check(
 
     The exact mean is ``z + drift(params, t)`` for every finite N (the
     martingale part has mean zero); callers compare against the 99% CI.
+    Each replica's value is the representative within pi N of ``Re z``.
     ``threads`` has no effect: the replicas run in lock-step, in this process.
     """
     if replicas < 100:
@@ -318,8 +320,10 @@ def mc_growth_check(
         return _summarize(np.full(replicas, complex(z)))[0]
 
     def grow(block: list) -> np.ndarray:
-        *_, w = orbit_many(cyl_slit_many, params, sample_many(params, t, block)[2], z)
-        return w
+        steps = _LockStep(params, np.full(len(block), complex(z)))
+        for col in np.transpose(sample_many(params, t, block)[2]):
+            steps.step(col)
+        return steps.points(z)
 
     return _summarize(_run_replicas(grow, [mix_seed(seed, r) for r in range(replicas)]))[0]
 
@@ -359,9 +363,12 @@ def coupling_sup_distances(
         for k, (params, half_width, w_eff) in enumerate(radii):
             # restrict_log's events, compacted; the SHL keeps their columns, masked to its window
             sub = _restrict_many(xs, half_width)
-            chl = orbit_many(cyl_slit_many, params, sub, z)
+            chl = _LockStep(params, np.full(len(block), complex(z)))
+            c = chl.points()
             shl = orbit_many(halfplane_slit_many, lam, np.where(abs(sub) <= w_eff, sub, np.inf), z)
-            for c, h in zip(chl, shl):
+            for col, h in zip(np.transpose(sub), itertools.islice(shl, 1, None)):
+                chl.step(col)
+                c = chl.points(c)  # each map moves Re by less than pi N
                 np.maximum(out[:, k], abs(c - h) ** 2, out=out[:, k])
         return out
 

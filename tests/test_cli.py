@@ -380,6 +380,19 @@ class TestFlags:
         assert capsys.readouterr().err.count("\n") == 1
         assert not list(out.iterdir())
 
+    def test_render_refuses_tiny_lambda_over_n(self, tmp_path, capsys):
+        # where (events + 1) eps pi N exceeds 1e-10 lambda the trace could be off
+        # by more than that: 32 events at N = 1e6 exit 2; at N = 1e3 they render
+        for n, events, code in (("1e6", 32, 2), ("1e16", 32, 2), ("1e3", 32, 0)):
+            out = tmp_path / n
+            t = repr(events / (2.0 * math.pi * float(n)))
+            assert main(["render", "--n", n, "--t", t, "--seed", "1", "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if code == 2:
+                assert err.count("\n") == 1 and "lambda/N" in err and not list(out.iterdir())
+            else:
+                assert (out / "cluster.svg").is_file() and (out / "config.json").is_file()
+
     @pytest.mark.parametrize("command, argv, artifact", [
         ("simulate", ["--probe", "nan+1i", "--trajectory"], "trajectory.csv"),
         ("simulate", ["--probe", "0-1i", "--trajectory"], "trajectory.csv"),

@@ -27,6 +27,7 @@ from chl.conformal import (
     _reduce,
     _reduce_many,
     _slit_sqrt,
+    _tan_chart,
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
@@ -331,6 +332,27 @@ class TestCylSlit:
             x = p.half_period * (2 * rng.next_float() - 1)
             assert _excess(n, True, cyl_slit(p, x, z), oracle_cyl_slit(p, x, z)) <= 1.0, z
 
+    @pytest.mark.parametrize("n", [0.3, 1.0, 16.0, 1e6])
+    def test_axis_path_matches_tan_chart(self, n):
+        # on Im z = 0 cyl_slit takes the tan chart in real arithmetic: the same
+        # tan and radicand, math.atan/atanh for cmath.atan.  Outside the slit
+        # base Im S is exactly 0.0; everywhere S is within 4 eps max(1, |S|) of
+        # 2N atan(phi^delta(tan(u/2N))), across the corners, the tip and the seam
+        p = CylinderParams(n, 1.0)
+        base, half = _base(p), p.half_period
+        rng = np.random.default_rng([int(n * 10), 23])
+        u = np.concatenate([
+            rng.uniform(-half, half, 500), rng.uniform(-base, base, 200),
+            base * (1.0 + np.exp(rng.uniform(-30.0, 0.0, 100)) * rng.choice([-1.0, 1.0], 100)),
+            -base * (1.0 + np.exp(rng.uniform(-30.0, 0.0, 100)) * rng.choice([-1.0, 1.0], 100)),
+            [0.0, -0.0, 1e-300, -half, half * (1.0 - 1e-16), base, -base]])
+        for q in _reduce_many(u, p.period).tolist():  # x = 0 and Re z in [-pi N, pi N): no lift
+            got = cyl_slit(p, 0.0, complex(q, 0.0))
+            _, v, r = _tan_chart(p, complex(q, 0.0))
+            want = 1j * p.lam if abs(v) <= _TIP_RADIUS else 2.0 * n * cmath.atan(r)
+            assert abs(got - want) <= 4.0 * _EPS * max(1.0, abs(want)), q
+            assert got.imag > 0.0 if r.imag > 0.0 or abs(v) <= _TIP_RADIUS else got.imag == 0.0, q
+
     def test_reflection_symmetry(self):
         p = CylinderParams(4.0, 1.3)
         rng = SplitMix64(17)
@@ -537,6 +559,30 @@ class TestDiskSlitMany:
         want = np.array([_disk_slit_origin(p, q) for q in zeta.tolist()])
         assert got.shape == zeta.shape
         assert np.all(np.abs(got - want) <= 4.0 * _EPS * np.abs(want))
+
+    @pytest.mark.parametrize("n", [1.0, 16.0, 64.0])
+    def test_real_radicand_and_rotation(self, n):
+        # real zeta, on both sides of the unit disk and of the near-tip switch, makes
+        # the factored radicand 1 + 4 d^2 zeta/(zeta - 1)^2 real, with Im +0.0 or -0.0
+        p = CylinderParams(n, 1.0)
+        re = np.concatenate([1.0 + 0.5 * p.delta * np.array(_SIDES), [1.5, 3.0, 1e3, 1e140],
+                             -np.array([1.0, 1.5, 3.0, 1e3, 1e140])])
+        zeta = np.concatenate([re, re]) + 0j
+        zeta.imag[re.size:] = -0.0
+        assert {math.copysign(1.0, q.imag) for q in zeta.tolist()} == {1.0, -1.0}
+        want = np.array([_disk_slit_origin(p, q) for q in zeta.tolist()])
+        got = _disk_slit_many(p, zeta)
+        assert np.all(np.abs(got - want) <= 4.0 * _EPS * np.abs(want))
+        # with a rotation: D(rho zeta)/rho, rho a scalar or one per point; the
+        # products rho zeta and ./rho round once more on each side
+        rng = np.random.default_rng([int(n), 22])
+        zeta = np.exp(rng.uniform(1e-6, 3.0, _MANY) + 1j * rng.uniform(-math.pi, math.pi, _MANY))
+        for rho in (np.exp(1j * rng.uniform(-math.pi, math.pi, _MANY)), cmath.exp(0.7j)):
+            rhos = np.broadcast_to(rho, zeta.shape).tolist()
+            want = np.array([_disk_slit_origin(p, r * q) / r for q, r in zip(zeta.tolist(), rhos)])
+            kept = np.abs(zeta * rho - 1.0) > 0.1 * p.delta  # off the slit-base corners
+            err = np.abs(_disk_slit_many(p, zeta, rho) - want) / (_EPS * np.abs(want))
+            assert np.all(err[kept] <= 8.0)
 
     def test_empty_and_shape(self):
         p = CylinderParams(2.0, 1.0)
@@ -928,7 +974,7 @@ class TestReduceToFundamental:
 
 # Every regime switch of the kernels, with the kernels that reach it.
 _SWITCHES = ("tan_disk", "far_field", "disk_tail", "tip_zone", "tip_radius_boundary",
-             "tip_radius_sqrt", "underflow")
+             "base_corner", "tip_radius_sqrt", "underflow")
 _SIDES = (1.0 - 1e-9, 1.0 + 1e-9)  # relative offsets below and above a switch
 _SWITCH_POINTS = 16  # seeded points per switch, side, radius and kernel
 
@@ -974,6 +1020,15 @@ def _switch_cases(switch: str, n: float, side: float) -> list:
         assert np.all((0.0 < z.imag) & (z.imag < n))
         return [("disk", p, None, zeta), ("disk-many", p, None, zeta), ("cyl", p, x, z),
                 ("many", p, x, z)]
+    if switch == "base_corner":
+        # real points on both sides of the slit-base corners u = +-2N asin(delta),
+        # inside the base onto the slit, outside it along the axis.  The corner is
+        # square-root singular, where rounding the input to tan(u/2N) costs
+        # eps/2(1 - side) relative in S: the sides are 1 -+ 1e-3 of the corner
+        side = 1.0 + (side - 1.0) * 1e6
+        z = _base(p) * side * rng.choice([-1.0, 1.0], m) + 0j
+        assert all((abs(cyl_slit(p, 0.0, q).imag) > 0.0) == below for q in z.tolist())
+        return [("cyl", p, 0.0, z), ("many", p, 0.0, z)]
     if switch == "tip_radius_boundary":
         # |tan(u/2N)| <= 1e-150 returns the tip; u = Re z - x is exact only at x = 0
         z = 2.0 * n * _TIP_RADIUS * side * np.array([1.0, -1.0]) + 0j

@@ -21,6 +21,7 @@ from chl.conformal import CylinderParams, cyl_slit, cylinder_dist, halfplane_sli
 from chl.process import (
     Event,
     EventLog,
+    _LockStep,
     backward_chl_trajectory,
     compose,
     drift,
@@ -350,6 +351,83 @@ class TestCompose:
             w = cyl_slit(log.params, e.x, w)
             want.append((e.time, w))
         assert backward_chl_trajectory(log, 1j) == want
+
+
+class TestLockStep:
+    """The lock-step engine of render and Monte Carlo against scalar cyl_slit composition."""
+
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_boundary_points_and_slit_bases(self, per_point):
+        # a boundary probe 0.5 + 0j and six more boundary points; every 3rd map
+        # is attached exactly over one of them, which goes to that slit's tip.
+        # per_point: one abscissa per point, and +inf (no map) for about a third
+        p = CylinderParams(4.0, 1.0)
+        rng = np.random.default_rng(24)
+        z = np.array([0.5, -2.0, 3.0, -4.5, 5.5, -9.7, 11.0, 1j, 0.3 + 1e-12j])
+        steps = _LockStep(p, z)
+        want, tips = z.tolist(), 0
+        for k in range(60):
+            x = rng.uniform(-p.half_period, p.half_period)
+            real = [q.real for q in want if q.imag == 0.0]
+            if k % 3 == 0 and real:
+                x = real[k % len(real)]  # exactly on a boundary point's slit base
+            xs = np.where(rng.uniform(size=z.size) < 0.3, np.inf, x) if per_point else np.full(z.size, x)
+            steps.step(xs if per_point else x)
+            tips += sum(a == q.real and q.imag == 0.0 for a, q in zip(xs.tolist(), want))
+            want = [cyl_slit(p, a, q) if math.isfinite(a) else q for a, q in zip(xs.tolist(), want)]
+            got = steps.points(z)
+            assert all(cylinder_dist(p, a, b) <= 1e-11 for a, b in zip(got.tolist(), want)), k
+        assert tips >= 3
+
+    def test_points_outside_every_base_stay_real(self):
+        # boundary points never inside a slit base move along the axis: Im S is
+        # exactly 0.0 after every map, as for scalar cyl_slit
+        p = CylinderParams(4.0, 1.0)
+        base = 2.0 * p.radius_n * math.asin(p.delta)
+        rng = np.random.default_rng(25)
+        z = np.array([-9.0, -3.0, 2.0, 8.5]) + 0j
+        steps = _LockStep(p, z)
+        want, maps = z.tolist(), 0
+        for _ in range(200):
+            x = rng.uniform(-p.half_period, p.half_period)
+            if min(abs(math.remainder(q.real - x, p.period)) for q in want) < 1.5 * base:
+                continue
+            steps.step(x)
+            want = [cyl_slit(p, x, q) for q in want]
+            got = steps.points()
+            assert np.all(got.imag == 0.0) and all(q.imag == 0.0 for q in want)
+            assert np.all(np.abs(got - np.array(want)) <= 1e-12 * p.period)
+            maps += 1
+        assert maps >= 30
+
+    def test_points_keep_the_lift_across_the_seam(self):
+        # a zeta point keeps no winding: points(near) takes it within pi N of
+        # near, which follows the lifted orbit while each map moves it less than
+        # pi N.  Slits just across the seam draw these points over it
+        p = CylinderParams(2.0, 1.0)
+        half = p.half_period
+        z = np.array([half - 0.05 + 0.5j, half - 0.2 + 0.05j])
+        rng = np.random.default_rng(26)
+        steps = _LockStep(p, z)
+        want, c = z.tolist(), z
+        for _ in range(12):
+            x = -half + rng.uniform(0.3, 1.0)
+            steps.step(x)
+            want = [cyl_slit(p, x, q) for q in want]
+            c = steps.points(c)
+            assert np.all(np.abs(c - np.array(want)) <= 1e-11)
+        assert max(q.real for q in want) > half  # crossed the seam
+
+    def test_unmapped_points_keep_their_bits(self):
+        # a point that no map has moved is returned exactly as pushed
+        p = CylinderParams(4.0, 1.0)
+        z = np.array([1j, 0.5 + 0j, 2.0 + 200j, 0.25 + 1e-12j])
+        steps = _LockStep(p, z)
+        steps.step(np.array([np.inf, np.inf, np.inf, np.inf]))
+        assert steps.points(z).tolist() == z.tolist()
+        steps.step(np.array([0.3, np.inf, 0.3, np.inf]))
+        got = steps.points(z)
+        assert got[[1, 3]].tolist() == z[[1, 3]].tolist() and got[0] != z[0]
 
 
 class TestEvaluatorValidation:

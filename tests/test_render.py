@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 import pytest
 
-from chl.conformal import (
-    _FAR_FIELD_RATIO,
-    CylinderParams,
-    _disk_slit_many,
-    _reduce,
-    cyl_slit,
-    cyl_slit_many,
-    cylinder_dist,
-)
-from chl.process import Event, EventLog, sample_events
+from chl.conformal import CylinderParams, _reduce, cyl_slit, cylinder_dist
+from chl.process import Event, EventLog, _LockStep, sample_events
 from chl.render import export_csv, export_svg, trace_cluster
 
 
@@ -72,29 +62,24 @@ class TestTraceCluster:
 
     def test_lock_step_equals_per_particle_composition(self):
         # the lock-step loop is a restructuring only: each particle's segment
-        # pushed map by map through the same two charts gives the same bits --
-        # the base sample through cyl_slit_many on the cylinder, the others
-        # through _disk_slit_many in disk coordinates zeta = exp(-iz/N), where
-        # map x is zeta -> D(rho zeta)/rho with rho = exp(ix/N)
+        # pushed map by map through a _LockStep of its own gives the same bits,
+        # and stays within 1e-11 of scalar cyl_slit composition
         p = CylinderParams(3.0, 0.8)
-        n = p.radius_n
         log = sample_events(p, 18.0 / p.period, 4711)
         xs = log.xs
-        lift = np.exp(p.lam * np.arange(1, 5) / 4 / n)  # |zeta| of samples 1..4 at birth
+        segment = 1j * (p.lam * np.arange(5) / 4)
         for forward in (False, True):
             rows = trace_cluster(log, samples_per_slit=5, forward=forward)
             assert rows.shape == (len(log), 5)
-            assert rows.imag.max() < _FAR_FIELD_RATIO * n  # no sample leaves disk coordinates
             for k, row in enumerate(rows):
-                base = np.array([complex(xs[k], 0.0)])
-                zeta = lift / cmath.exp(1j * xs[k] / n)
+                steps = _LockStep(p, xs[k] + segment)
+                scalar = (xs[k] + segment).tolist()
                 for x in (xs[:k][::-1] if forward else xs[k + 1:]):
-                    rho = cmath.exp(1j * x / n)
-                    base = cyl_slit_many(p, x, base)
-                    zeta = _disk_slit_many(p, rho * zeta) / rho
-                pts = np.concatenate([base, 1j * n * np.log(zeta)])
-                want = [complex(_reduce(q.real, p.period), q.imag) for q in pts]
-                assert row.tolist() == want
+                    steps.step(x)
+                    scalar = [cyl_slit(p, x, q) for q in scalar]
+                pts = steps.points()
+                assert row.tolist() == [complex(_reduce(q.real, p.period), q.imag) for q in pts.tolist()]
+                assert max(cylinder_dist(p, a, b) for a, b in zip(row.tolist(), scalar)) <= 1e-11
 
     def test_both_modes_equal_inline_loops(self):
         p = CylinderParams(3.0, 0.8)

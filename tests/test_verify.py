@@ -19,6 +19,7 @@ from chl.conformal import (
     halfplane_slit_many,
 )
 from chl.process import (
+    _LockStep,
     _restrict_many,
     _restricted_params,
     compose,
@@ -430,9 +431,13 @@ def _full_width_coupling(lam, z, t, n_list, replicas, seed, window=None):
     for k, n in enumerate(n_list):
         params = _restricted_params(master, math.pi * n)
         w_eff = math.pi * n if window is None else min(window, math.pi * n)
-        chl = orbit_many(cyl_slit_many, params, np.where(abs(xs) <= math.pi * n, xs, np.inf), z)
+        chl = _LockStep(params, np.full(replicas, complex(z)))
+        c = chl.points()
         shl = orbit_many(halfplane_slit_many, lam, np.where(abs(xs) <= w_eff, xs, np.inf), z)
-        for c, h in zip(chl, shl):
+        next(shl)
+        for col, h in zip(np.transpose(np.where(abs(xs) <= math.pi * n, xs, np.inf)), shl):
+            chl.step(col)
+            c = chl.points(c)
             np.maximum(out[:, k], abs(c - h) ** 2, out=out[:, k])
     return out
 
@@ -477,10 +482,12 @@ class TestReplicaBlocks:
 
 
 def _lockstep_growth(params, t, z, seed, replicas):
-    """The replicas of ``mc_growth_check`` at z, advanced in lock-step in one array."""
+    """The replicas of ``mc_growth_check`` at z, advanced in lock-step by one ``_LockStep``."""
     xs = sample_many(params, t, [mix_seed(seed, r) for r in range(replicas)])[2]
-    *_, w = orbit_many(cyl_slit_many, params, xs, z)
-    return w
+    steps = _LockStep(params, np.full(replicas, complex(z)))
+    for col in np.transpose(xs):
+        steps.step(col)
+    return steps.points(z)
 
 
 def _lockstep_budget(maps: int, n: float, modulus: float) -> float:
