@@ -434,8 +434,8 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     if axis.any():
         out[axis] = _axis_slit_many(params, u_red[axis])
     if (low := (y < n) & ~axis).any():
-        v = np.tan(0.5 * w[low] / n)
-        r = 2.0 * n * np.arctan(_slit_sqrt_many(1.0 - d2, d2, v))
+        _, v, r = _tan_chart_many(params, w[low])
+        r = 2.0 * n * np.arctan(r)
         r[np.abs(v) <= _TIP_RADIUS] = complex(0.0, params.lam)  # the tip, exactly
         out[low] = r
 
@@ -450,30 +450,49 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     return (x + (u - u_red)) + out
 
 
-def _deriv_chart(params: CylinderParams, x: float, z: complex) -> tuple[complex, complex, complex]:
-    """``_tan_chart`` at z - x (Re reduced), for Im z > 0 off the slit-base corners."""
-    z = complex(z)
-    if not z.imag > 0.0:
+def _tan_chart_many(params: CylinderParams, w: np.ndarray) -> tuple:
+    """``_tan_chart`` of every point of the complex array ``w``, numpy's ``tan`` and root."""
+    d2 = params.delta * params.delta
+    t = 0.5 * w / params.radius_n
+    v = np.tan(t)
+    return t, v, _slit_sqrt_many(1.0 - d2, d2, v)
+
+
+def _deriv_chart(params: CylinderParams, x, z) -> tuple:
+    """``_tan_chart_many`` at z - x (Re reduced) over the broadcast points, flat, and their shape.
+
+    Raises ``ValueError`` unless Im z > 0 at every point, off the slit-base
+    corners.  A single point is a one-element array too: numpy's scalar
+    complex arithmetic rounds differently from its array loops.
+    """
+    z, x = np.broadcast_arrays(np.asarray(z, dtype=complex), x)
+    if not (z.imag > 0.0).all():
         raise ValueError("slit-map derivatives require Im z > 0")
-    t, v, r = _tan_chart(params, complex(_reduce(z.real - x, params.period), z.imag))
-    if r == 0:
+    w = np.empty(z.size, dtype=complex)
+    w.real, w.imag = _reduce_many(z.real.ravel() - x.ravel(), params.period), z.imag.ravel()
+    t, v, r = _tan_chart_many(params, w)
+    if (r == 0).any():
         raise ValueError("slit-map derivatives are singular at the slit base")
-    return t, v, r
+    return t, v, r, z.shape
 
 
-def cyl_slit_deriv(params: CylinderParams, x: float, z: complex) -> complex:
-    """dS_x/dz = v/r in the terms of ``_tan_chart``; 2*pi*N periodic, tends to 1 far up."""
-    _, v, r = _deriv_chart(params, x, z)
-    return v / r
+def cyl_slit_deriv(params: CylinderParams, x, z):
+    """dS_x/dz = v/r in the terms of ``_tan_chart``; 2*pi*N periodic, tends to 1 far up.
+
+    ``x`` and ``z`` are scalars or arrays that broadcast; arrays give an array,
+    each element the element-wise call's, bit for bit.
+    """
+    _, v, r, shape = _deriv_chart(params, x, z)
+    return (v / r).reshape(shape)[()]
 
 
-def cyl_slit_deriv2(params: CylinderParams, x: float, z: complex) -> complex:
+def cyl_slit_deriv2(params: CylinderParams, x, z):
     """d^2 S_x/dz^2 = -delta^2 (1 + v^2) / (2N r^3), as r^2 = (1-delta^2) v^2 - delta^2.
 
     ``1 + v^2`` is taken as ``1/cos(t)^2``: far above the boundary v tends
-    to i, and the sum would cancel.
+    to i, and the sum would cancel.  Scalars or arrays, as ``cyl_slit_deriv``.
     """
-    t, _, r = _deriv_chart(params, x, z)
-    c = cmath.cos(t)
+    t, _, r, shape = _deriv_chart(params, x, z)
+    c = np.cos(t)
     d = params.delta
-    return -(d * d) / (2.0 * params.radius_n * c * c * r * r * r)
+    return (-(d * d) / (2.0 * params.radius_n * c * c * r * r * r)).reshape(shape)[()]

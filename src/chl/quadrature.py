@@ -13,6 +13,18 @@ is reached, or until the estimate stalls at rounding noise (see
 A panel carries its two half values, which become its children's
 whole-panel values when it is bisected: each K15 panel is evaluated once.
 
+The integrand maps a float64 array of nodes to a complex array of the same
+shape, and each call evaluates many panels.  The initial pieces, each whole
+panel with its halves, take one call.  After that the bisections run one at
+a time, worst first, but their children are evaluated ahead in passes: when
+the worst panel's children are not yet known, one call evaluates those of
+the worst panel and of every other panel whose estimate is above ``tol``.
+Worst-first bisects each of these before it can stop, since the summed
+estimate is at least theirs; a pass takes no more of them than the panel cap
+and the next stall checkpoint leave room for.  Each panel's Kronrod and
+Gauss sums run in one fixed order, centre node first, so the panels, the
+values and the estimates are those of evaluating one node at a time.
+
 The node and weight constants are the 15-point Kronrod values written out in
 full, so each double is the correctly rounded constant; the test suite
 checks them against 30-digit values that integrate monomials exactly in
@@ -28,6 +40,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
+
+import numpy as np
 
 __all__ = ["QuadratureResult", "adaptive_quadrature"]
 
@@ -66,6 +80,8 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# The nodes off the centre and their weights, as arrays.
+_XGK_OFF, _WGK_OFF, _WG_OFF = np.array(_XGK[:7]), np.array(_WGK[:7]), np.array(_WG[:3])
 
 
 @dataclass(frozen=True)
@@ -78,24 +94,30 @@ class QuadratureResult:
     converged: bool
 
 
-def _panel(f: Callable[[float], complex], a: float, b: float) -> tuple[complex, float]:
-    """Kronrod value and |K15 - G7| error estimate on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(mid)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        x = half * _XGK[i]
-        fs = f(mid - x) + f(mid + x)
-        kron += _WGK[i] * fs
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * fs
-    return half * kron, abs(half * (kron - gauss))
+def _kronrod(f: Callable[[np.ndarray], np.ndarray], lo: list, hi: list) -> tuple[list, list]:
+    """Kronrod values and |K15 - G7| estimates of the panels [lo[j], hi[j]], one call of ``f``.
+
+    A panel's sums run centre first, then the pairs ``f(mid - x_i) + f(mid + x_i)``
+    for i = 0..6 (``np.add.accumulate`` adds in order), so its value does not
+    depend on the panels evaluated with it.
+    """
+    lo, hi = np.array(lo), np.array(hi)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = _XGK_OFF[:, None] * half
+    # row 0 the centres, rows 1..7 mid - x_i and rows 8..14 mid + x_i
+    fx = f(np.concatenate((mid[None], mid - x, mid + x)).ravel()).reshape(15, len(mid))
+    fs = fx[1:8] + fx[8:]
+    kron = np.add.accumulate(np.concatenate((_WGK[7] * fx[:1], _WGK_OFF[:, None] * fs)))[-1]
+    gauss = np.add.accumulate(np.concatenate((_WG[3] * fx[:1], _WG_OFF[:, None] * fs[1::2])))[-1]
+    gap = half * (kron - gauss)
+    # np.hypot is C's hypot, as Python's abs of a complex; np.abs may differ in the last bit
+    return (half * kron).tolist(), np.hypot(gap.real, gap.imag).tolist()
 
 
-def _verified(f: Callable[[float], complex], a: float, b: float, whole: complex) -> tuple:
-    """(value, error estimate, half values) of [a, b], given its Kronrod value ``whole``.
+def _verified(f: Callable[[np.ndarray], np.ndarray], pieces: list) -> list:
+    """(value, error estimate, half values) of each piece (a, b, whole), one call of ``f``.
+
+    ``whole`` is the piece's Kronrod value, or None to evaluate it in the same call.
 
     |K15 - G7| alone can be fooled: a kink sitting between the outermost
     node and the panel edge is invisible to both embedded rules, and
@@ -105,17 +127,59 @@ def _verified(f: Callable[[float], complex], a: float, b: float, whole: complex)
     shows up as a parent/children discrepancy and keeps the panel alive.
     A panel at float resolution has no halves and error 0.
     """
-    mid = 0.5 * (a + b)
-    if mid <= a or mid >= b:
-        return whole, 0.0, None
-    left, err_left = _panel(f, a, mid)
-    right, err_right = _panel(f, mid, b)
-    value = left + right
-    return value, max(abs(whole - value), err_left + err_right), (left, right)
+    lo, hi = [], []
+    for a, b, whole in pieces:
+        mid = 0.5 * (a + b)
+        if whole is None:
+            lo.append(a)
+            hi.append(b)
+        if a < mid < b:
+            lo += (a, mid)
+            hi += (mid, b)
+    kron, err = _kronrod(f, lo, hi) if lo else ([], [])
+    out = []
+    j = 0
+    for a, b, whole in pieces:
+        if whole is None:
+            whole = kron[j]
+            j += 1
+        if not a < 0.5 * (a + b) < b:
+            out.append((whole, 0.0, None))
+            continue
+        left, right = kron[j], kron[j + 1]
+        value = left + right
+        out.append((value, max(abs(whole - value), err[j] + err[j + 1]), (left, right)))
+        j += 2
+    return out
+
+
+def _evaluate_ahead(f: Callable, heap: list, tol: float, ahead: dict, room: int) -> None:
+    """Children of the worst panel and of every other one above ``tol`` into ``ahead``, one call.
+
+    ``ahead`` maps a queued panel's counter to its children's (value, error,
+    halves); panels already there are skipped.  The panels above ``tol`` sit
+    at the top of the heap, so the walk visits only them and their children.
+    At most ``room`` panels are evaluated, the worst ones.
+    """
+    due, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        if i < len(heap) and (i == 0 or heap[i][0] < -tol):
+            stack += (2 * i + 1, 2 * i + 2)
+            if heap[i][1] not in ahead:
+                due.append(heap[i])
+    due = heapq.nsmallest(room, due)
+    children = []
+    for _, _, lo, hi, _, halves in due:
+        mid = 0.5 * (lo + hi)
+        children += ((lo, mid, halves[0]), (mid, hi, halves[1]))
+    done = _verified(f, children)
+    for k, panel in enumerate(due):
+        ahead[panel[1]] = done[2 * k:2 * k + 2]
 
 
 def adaptive_quadrature(
-    f: Callable[[float], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-10,
@@ -124,6 +188,7 @@ def adaptive_quadrature(
 ) -> QuadratureResult:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
+    ``f`` maps a float64 array of nodes to a complex array of the same shape.
     ``presplit`` points strictly inside (a, b) seed the initial panel edges,
     which saves refinement when the integrand has a known sharp feature.
     """
@@ -132,25 +197,27 @@ def adaptive_quadrature(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     edges = [a, *sorted(p for p in set(presplit) if a < p < b), b]
+    pieces = [(lo, hi, None) for lo, hi in zip(edges, edges[1:])]
     # heap of (-error, tie-break counter, a, b, value, halves); total error kept incrementally
     heap = []
-    count = 0
     total_err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, err, halves = _verified(f, lo, hi, _panel(f, lo, hi)[0])
+    for count, ((lo, hi, _), (val, err, halves)) in enumerate(zip(pieces, _verified(f, pieces))):
         heap.append((-err, count, lo, hi, val, halves))
         total_err += err
-        count += 1
+    count = len(heap)
     heapq.heapify(heap)
     panels = len(heap)
     checkpoint, checkpoint_err = _STALL_FROM, math.inf
+    ahead = {}  # the children of queued panels, evaluated ahead of their bisection
     # a worst panel without halves has error 0, and so has every panel: only rounding is left
     while total_err > tol and panels < max_panels and heap[0][5] is not None:
-        neg_err, _, lo, hi, _, halves = heapq.heappop(heap)
+        if heap[0][1] not in ahead:
+            _evaluate_ahead(f, heap, tol, ahead, max(1, min(max_panels, checkpoint) - panels))
+        neg_err, key, lo, hi, _, _ = heapq.heappop(heap)
         total_err += neg_err
         mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi, whole in ((lo, mid, halves[0]), (mid, hi, halves[1])):
-            sub_val, sub_err, sub_halves = _verified(f, sub_lo, sub_hi, whole)
+        for sub_lo, sub_hi, (sub_val, sub_err, sub_halves) in zip((lo, mid), (mid, hi),
+                                                                  ahead.pop(key)):
             heapq.heappush(heap, (-sub_err, count, sub_lo, sub_hi, sub_val, sub_halves))
             total_err += sub_err
             count += 1

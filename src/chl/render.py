@@ -30,7 +30,7 @@ _BACKGROUND = "white"
 _WIDTH_PX = 900
 # Largest error from exact composition the trace may carry, in units of lam;
 # against an mpmath composition the error stayed below a third of its bound
-# (len(log) + 1) eps pi N
+# (len(log) + 1) eps max(pi N, tallest height)
 _MAX_ERROR = 1e-10
 _EPS = sys.float_info.epsilon
 
@@ -54,15 +54,14 @@ def trace_cluster(
     Each sample moves by ``process._LockStep``: the base sample by the real
     step along the boundary until it lands on a slit, the others in disk
     coordinates ``zeta = exp(-iz/N)``.  Raises ``ValueError`` where the trace
-    could be off from exact composition by more than ``1e-10 lam``: its
-    coordinates resolve about ``eps pi N``, and each map can add that much.
+    could be off from exact composition by more than ``1e-10 lam``: a point
+    resolves about ``eps max(pi N, Im z)``, its abscissa or its height, and
+    each map can add that much; the bound takes the tallest point traced.
     """
     if samples_per_slit < 2:
         raise ValueError("samples_per_slit must be at least 2")
     params = log.params
-    if (len(log) + 1) * _EPS * params.half_period > _MAX_ERROR * params.lam:
-        raise ValueError(f"lambda/N = {params.lam / params.radius_n:.3g} is too small to trace "
-                         f"{len(log)} events within {_MAX_ERROR:g} lambda")
+    _check_resolution(log, params.half_period)  # the abscissae alone may decide, before the trace
     xs = log.xs[::-1] if forward else log.xs
     m = samples_per_slit
     segment = 1j * (params.lam * np.arange(m) / (m - 1))
@@ -71,8 +70,17 @@ def trace_cluster(
         steps.step(x)
         steps.push(x + segment)
     rows = steps.points().reshape(len(xs), m)
+    _check_resolution(log, max(params.half_period, rows.imag.max(initial=0.0)))
     rows.real = _reduce_many(rows.real, params.period)
     return rows[::-1] if forward else rows
+
+
+def _check_resolution(log: EventLog, top: float) -> None:
+    """Raise ``ValueError`` where ``(len(log) + 1) eps top`` exceeds ``1e-10 lam``."""
+    params = log.params
+    if (len(log) + 1) * _EPS * top > _MAX_ERROR * params.lam:
+        raise ValueError(f"cannot trace {len(log)} events within {_MAX_ERROR:g} lambda: lambda/N "
+                         f"= {params.lam / params.radius_n:.3g}, max(pi N, height) = {top:.3g}")
 
 
 def _seam_runs(params: CylinderParams, row: np.ndarray) -> list[np.ndarray]:

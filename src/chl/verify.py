@@ -29,6 +29,7 @@ from .conformal import (
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
+    cyl_slit_many,
     cylinder_dist,
     halfplane_slit,
     halfplane_slit_many,
@@ -155,6 +156,8 @@ def _feature_splits(params: CylinderParams, z: complex, a: float, b: float) -> l
 def _quad_over_x(params, z, integrand, tol, domain=None) -> QuadratureResult:
     """Integral of ``integrand(x)`` over ``domain`` (default one period), split at z's features.
 
+    ``integrand`` maps an array of abscissae x to a complex array, as ``adaptive_quadrature``'s.
+
     Boundary z (Im z < 1e-3) integrate in a graded variable s in [0, k] over the k
     pieces [e_i, e_{i+1}] between splits: x = e_i + h_i t^2 (3 - 2t), t = s - i, so a
     sqrt(x - e) kink at a piece end becomes linear in t (Davis & Rabinowitz, 2.12).
@@ -165,11 +168,11 @@ def _quad_over_x(params, z, integrand, tol, domain=None) -> QuadratureResult:
     splits = _feature_splits(params, z, a, b)
     if z.imag >= _BOUNDARY_BAND:
         return adaptive_quadrature(integrand, a, b, tol=tol, presplit=splits)
-    edges = [a, *sorted(set(splits)), b]
+    edges = np.array([a, *sorted(set(splits)), b])
     k = len(edges) - 1
 
     def graded(s):
-        i = min(int(s), k - 1)
+        i = np.minimum(s.astype(np.intp), k - 1)
         t, h = s - i, edges[i + 1] - edges[i]
         return integrand(edges[i] + h * t * t * (3.0 - 2.0 * t)) * (6.0 * h * t * (1.0 - t))
 
@@ -183,7 +186,8 @@ def quad_mean_shift(params: CylinderParams, z: complex, tol: float = 1e-10) -> Q
     z-independence is itself part of what the callers assert.
     """
     z = complex(z)
-    return _quad_over_x(params, z, lambda x: cyl_slit(params, x, z) - z, tol)
+    return _quad_over_x(params, z, lambda x: cyl_slit_many(params, x, np.full(x.shape, z)) - z,
+                        tol)
 
 
 def quad_squared_shift(
@@ -198,8 +202,9 @@ def quad_squared_shift(
     [xi, pi*N] decays like 1/xi.
     """
     z = complex(z)
-    return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit(params, x, z) - z) ** 2),
-                        tol, domain)
+    return _quad_over_x(
+        params, z, lambda x: np.abs(cyl_slit_many(params, x, np.full(x.shape, z)) - z) ** 2 + 0j,
+        tol, domain)
 
 
 def quad_squared_deriv(params: CylinderParams, z: complex, tol: float = 1e-10) -> QuadratureResult:
@@ -207,7 +212,7 @@ def quad_squared_deriv(params: CylinderParams, z: complex, tol: float = 1e-10) -
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("quad_squared_deriv requires Im z > 0")
-    return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit_deriv(params, x, z) - 1.0) ** 2),
+    return _quad_over_x(params, z, lambda x: np.abs(cyl_slit_deriv(params, x, z) - 1.0) ** 2 + 0j,
                         tol)
 
 
@@ -277,7 +282,7 @@ def shift_commutation_check(
 
 def _quad_second_deriv(params: CylinderParams, z: complex, tol: float) -> QuadratureResult:
     """Integral of |S_x''(z)|^2 over attachment points x in [0, pi*N]."""
-    return _quad_over_x(params, z, lambda x: complex(abs(cyl_slit_deriv2(params, x, z)) ** 2),
+    return _quad_over_x(params, z, lambda x: np.abs(cyl_slit_deriv2(params, x, z)) ** 2 + 0j,
                         tol, domain=(0.0, params.half_period))
 
 

@@ -28,6 +28,7 @@ from chl.conformal import (
     _reduce_many,
     _slit_sqrt,
     _tan_chart,
+    _tan_chart_many,
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
@@ -753,6 +754,16 @@ def test_boundary_to_boundary_or_slit(case):
         assert np.all(got.imag[on_slit] <= lam * (1.0 + 8.0 * _EPS))
 
 
+def _on_corner(p: CylinderParams, corner: float) -> list[float]:
+    """Re z within 64 ulps of the slit-base corner whose chart has r == 0 at Im z = 5e-324."""
+    u = np.array([corner])
+    for _ in range(64):
+        u = np.concatenate(([np.nextafter(u[0], -np.inf)], u, [np.nextafter(u[-1], np.inf)]))
+    w = u + 5e-324j
+    w.real = _reduce_many(w.real, p.period)
+    return u[_tan_chart_many(p, w)[2] == 0].tolist()
+
+
 class TestCylSlitDeriv:
     def test_far_field_near_one(self):
         p = CylinderParams(5.0, 1.0)
@@ -795,10 +806,10 @@ class TestCylSlitDeriv:
     def test_values_pinned(self):
         # S' is shared with S'' through one chart; its values must not move
         cases = {
-            (1.0, 1.0, 0.0, 0.3 + 0.2j): 0.24372089622080378 - 0.31628507035966075j,
-            (8.0, 0.5, 1.25, -7.5 + 3j): 1.0013256467054672 + 0.0008921020813125824j,
-            (32.0, 2.0, -40.0, 100 + 0.01j): 1.000734022354072 + 1.6279814918567366e-07j,
-            (5.0, 1.0, 0.0, 10j): 0.9964229756285947 + 0j,
+            (1.0, 1.0, 0.0, 0.3 + 0.2j): 0.2437208962208038 - 0.31628507035966075j,
+            (8.0, 0.5, 1.25, -7.5 + 3j): 1.0013256467054672 + 0.0008921020813126632j,
+            (32.0, 2.0, -40.0, 100 + 0.01j): 1.000734022354072 + 1.627981491856736e-07j,
+            (5.0, 1.0, 0.0, 10j): 0.9964229756285948 + 0j,
         }
         for (n, lam, x, z), want in cases.items():
             assert cyl_slit_deriv(CylinderParams(n, lam), x, z) == want
@@ -837,9 +848,50 @@ class TestCylSlitDeriv2:
         for z in (0j, complex(corner, 0.0), complex(1.0, -0.5)):
             with pytest.raises(ValueError, match="Im z > 0"):
                 cyl_slit_deriv2(p, 0.0, z)
-        # Im z = 5e-324 halves to 0 in the chart: this point rounds onto the corner
-        with pytest.raises(ValueError, match="slit base"):
-            cyl_slit_deriv2(p, 0.0, complex(0.9897431959297259, 5e-324))
+        # Im z = 5e-324 halves to 0 in the chart, and some Re z within a few ulps
+        # of the corner round onto it there
+        on_corner = _on_corner(p, corner)
+        assert on_corner
+        for u in on_corner:
+            with pytest.raises(ValueError, match="slit base"):
+                cyl_slit_deriv2(p, 0.0, complex(u, 5e-324))
+
+
+class TestDerivArrays:
+    """The derivatives take arrays: each element is its own scalar call, bit for bit."""
+
+    @pytest.mark.parametrize("deriv", [cyl_slit_deriv, cyl_slit_deriv2])
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 15, 60, 257])
+    def test_elementwise_bits(self, deriv, size):
+        rng = np.random.default_rng(size)
+        for n in (0.5, 4.0, 32.0):
+            p = CylinderParams(n, 1.0)
+            z = (p.half_period * rng.uniform(-1.5, 1.5, size)
+                 + 1j * n * 10.0 ** rng.uniform(-3.0, 1.6, size))
+            xs = p.half_period * rng.uniform(-1.0, 1.0, size)
+            for x in (0.7, xs):
+                got = deriv(p, x, z)
+                one = [deriv(p, a, q) for a, q in zip(np.broadcast_to(x, z.shape).tolist(),
+                                                       z.tolist())]
+                assert got.shape == z.shape
+                assert got.tobytes() == np.array(one).tobytes(), (n, size)
+            # one z over many x, as a quadrature calls it
+            got = deriv(p, xs, complex(z[0]))
+            assert got.tobytes() == np.array([deriv(p, a, complex(z[0]))
+                                              for a in xs.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("deriv", [cyl_slit_deriv, cyl_slit_deriv2])
+    def test_any_bad_point_raises(self, deriv):
+        p = CylinderParams(2.0, 1.0)
+        good = np.array([0.5 + 1j, -3.0 + 0.2j, 1.0 + 5.0j])
+        corner = 2.0 * p.radius_n * math.asin(p.delta)
+        for bad, match in ((0.3 + 0j, "Im z > 0"), (1.0 - 0.5j, "Im z > 0"),
+                           (complex(0.0, math.nan), "Im z > 0"),
+                           (complex(_on_corner(p, corner)[0], 5e-324), "slit base")):
+            for k in range(len(good) + 1):
+                with pytest.raises(ValueError, match=match):
+                    deriv(p, 0.0, np.insert(good, k, bad))
+        assert np.all(np.isfinite(deriv(p, 0.0, good)))
 
 
 def _tip_points(seed: int, interior: bool) -> tuple[list[float], list[complex]]:

@@ -11,12 +11,14 @@ low-degree polynomials.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from chl.quadrature import _WG, _WGK, _XGK, adaptive_quadrature
+from chl.quadrature import _NOISE, _STALL_FROM, _WG, _WGK, _XGK, adaptive_quadrature
 
 # The G7/K15 constants to 30 significant digits, solved from the moment
 # equations below; the positive nodes, then 0.
@@ -61,27 +63,27 @@ class TestKronrodConstants:
 class TestRuleExactness:
     @pytest.mark.parametrize("degree", range(0, 14))
     def test_monomials_single_panel(self, degree):
-        res = adaptive_quadrature(lambda x: complex(x**degree), 0.0, 1.0, tol=1e-13)
+        res = adaptive_quadrature(lambda x: x**degree + 0j, 0.0, 1.0, tol=1e-13)
         assert res.value.real == pytest.approx(1.0 / (degree + 1), abs=5e-15)
         assert abs(res.value.imag) <= 1e-15
 
     def test_degree_12_needs_no_subdivision(self):
         # both embedded rules are exact, so the panel error estimate is ~eps
-        res = adaptive_quadrature(lambda x: complex(x**12), -1.0, 1.0, tol=1e-12)
+        res = adaptive_quadrature(lambda x: x**12 + 0j, -1.0, 1.0, tol=1e-12)
         assert res.subdivisions == 1
         assert res.value.real == pytest.approx(2.0 / 13.0, rel=1e-14)
 
     def test_degree_22_value(self):
         # Kronrod is exact through degree 22; the Gauss/Kronrod gap only
         # drives refinement, the converged value is the exact integral
-        res = adaptive_quadrature(lambda x: complex(x**22), -1.0, 1.0, tol=1e-12)
+        res = adaptive_quadrature(lambda x: x**22 + 0j, -1.0, 1.0, tol=1e-12)
         assert res.converged
         assert res.value.real == pytest.approx(2.0 / 23.0, rel=1e-13)
 
 
 class TestAdaptivity:
     def test_integrable_sqrt_kink(self):
-        res = adaptive_quadrature(lambda x: complex(math.sqrt(abs(x))), -1.0, 2.0, tol=1e-10)
+        res = adaptive_quadrature(lambda x: np.sqrt(np.abs(x)) + 0j, -1.0, 2.0, tol=1e-10)
         want = (2.0 / 3.0) * (1.0 + 2.0 * math.sqrt(2.0))
         assert res.converged
         assert res.value.real == pytest.approx(want, abs=1e-9)
@@ -89,7 +91,7 @@ class TestAdaptivity:
     def test_presplit_near_sharp_feature(self):
         # Lorentzian spike of width 1e-3 at x = 0.3; analytic antiderivative
         a, c = 1e-3, 0.3
-        f = lambda x: complex(1.0 / (a * a + (x - c) ** 2))
+        f = lambda x: 1.0 / (a * a + (x - c) ** 2) + 0j
         want = (math.atan((1.0 - c) / a) - math.atan(-c / a)) / a
         plain = adaptive_quadrature(f, 0.0, 1.0, tol=1e-9)
         seeded = adaptive_quadrature(f, 0.0, 1.0, tol=1e-9, presplit=[c - a, c, c + a])
@@ -100,13 +102,13 @@ class TestAdaptivity:
     def test_complex_oscillatory(self):
         # int_0^pi e^{i k x} dx = (e^{i k pi} - 1) / (i k)
         k = 7.0
-        res = adaptive_quadrature(lambda x: cmath.exp(1j * k * x), 0.0, math.pi, tol=1e-12)
+        res = adaptive_quadrature(lambda x: np.exp(1j * k * x), 0.0, math.pi, tol=1e-12)
         want = (cmath.exp(1j * k * math.pi) - 1.0) / (1j * k)
         assert res.converged
         assert abs(res.value - want) <= 1e-11
 
     def test_error_estimate_bounds_true_error(self):
-        res = adaptive_quadrature(lambda x: complex(math.exp(-x * x)), 0.0, 5.0, tol=1e-12)
+        res = adaptive_quadrature(lambda x: np.exp(-x * x) + 0j, 0.0, 5.0, tol=1e-12)
         want = 0.5 * math.sqrt(math.pi) * math.erf(5.0)
         assert abs(res.value.real - want) <= max(10 * res.abs_error_estimate, 1e-13)
 
@@ -115,7 +117,7 @@ class TestAdaptivity:
         # then sits in the node-free gap next to the edge, where |K15 - G7|
         # alone is blind; the two-level panel estimate must still catch it
         c = -0.7474
-        f = lambda x: complex(math.sqrt(abs(x - c)))
+        f = lambda x: np.sqrt(np.abs(x - c)) + 0j
         want = (2.0 / 3.0) * ((c + 12.0) ** 1.5 + (12.0 - c) ** 1.5)
         for seed_offset in (0.0026, -0.0026, 0.01):
             res = adaptive_quadrature(f, -12.0, 12.0, tol=1e-10,
@@ -124,10 +126,13 @@ class TestAdaptivity:
             assert abs(res.value.real - want) <= 1e-8, seed_offset
 
 
+_ZERO = lambda x: np.zeros(x.shape, dtype=complex)
+
+
 class TestNonConvergence:
     def test_unreachable_tolerance_is_reported(self):
         res = adaptive_quadrature(
-            lambda x: complex(math.sqrt(abs(x - 0.5))), 0.0, 1.0, tol=1e-30, max_panels=64
+            lambda x: np.sqrt(np.abs(x - 0.5)) + 0j, 0.0, 1.0, tol=1e-30, max_panels=64
         )
         assert not res.converged
         assert res.subdivisions == 64
@@ -138,7 +143,7 @@ class TestNonConvergence:
     def test_rounding_noise_stops_before_the_cap(self):
         # past a few panels only rounding noise is left; it does not halve from
         # 256 to 512 panels, so the run stops there instead of at 10 000
-        res = adaptive_quadrature(lambda x: complex(math.exp(x)), 0.0, 1.0, tol=1e-30)
+        res = adaptive_quadrature(lambda x: np.exp(x) + 0j, 0.0, 1.0, tol=1e-30)
         assert not res.converged
         assert res.subdivisions == 512
         assert res.value.real == pytest.approx(math.e - 1.0, abs=1e-14)
@@ -147,23 +152,23 @@ class TestNonConvergence:
         # 5000 periods: the estimate stays flat until the panels resolve them,
         # but it is far above rounding noise, so the stall rule must not fire
         k = 10_000.0
-        res = adaptive_quadrature(lambda x: cmath.exp(1j * k * x), 0.0, math.pi, tol=1e-6)
+        res = adaptive_quadrature(lambda x: np.exp(1j * k * x), 0.0, math.pi, tol=1e-6)
         assert res.converged and res.subdivisions > 1024
         assert abs(res.value - (cmath.exp(1j * k * math.pi) - 1.0) / (1j * k)) <= 1e-6
 
     def test_invalid_interval_and_tol(self):
         with pytest.raises(ValueError):
-            adaptive_quadrature(lambda x: 0j, 1.0, 0.0)
+            adaptive_quadrature(_ZERO, 1.0, 0.0)
         with pytest.raises(ValueError):
-            adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=0.0)
+            adaptive_quadrature(_ZERO, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):  # no estimate is <= nan: it could never converge
-            adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=math.nan)
+            adaptive_quadrature(_ZERO, 0.0, 1.0, tol=math.nan)
         with pytest.raises(ValueError):  # every estimate is <= inf: it would always converge
-            adaptive_quadrature(lambda x: 0j, 0.0, 1.0, tol=math.inf)
+            adaptive_quadrature(_ZERO, 0.0, 1.0, tol=math.inf)
 
 
-_SQRT = lambda x: complex(math.sqrt(abs(x + 0.3)))
-_LORENTZ = lambda x: complex(1.0 / (1e-6 + (x - 0.3) ** 2))
+_SQRT = lambda x: np.sqrt(np.abs(x + 0.3)) + 0j
+_LORENTZ = lambda x: 1.0 / (1e-6 + (x - 0.3) ** 2) + 0j
 
 
 class TestPanelReuse:
@@ -177,17 +182,17 @@ class TestPanelReuse:
         # each of the k initial panels costs three K15 panels (the whole and its
         # halves); a bisection evaluates only the halves of its two children, not
         # their whole panels again (that would be 6 per bisection: 1980, not 1350,
-        # evaluations for sqrt)
+        # evaluations for sqrt); the evaluations are the nodes summed over all calls
         calls = []
 
         def g(x):
-            calls.append(x)
+            calls.append(x.size)
             return f(x)
 
         res = adaptive_quadrature(g, a, b, tol=tol, presplit=presplit)
         k = len(presplit) + 1
         assert res.converged and res.subdivisions > k
-        assert len(calls) == 15 * (3 * k + 4 * (res.subdivisions - k))
+        assert sum(calls) == 15 * (3 * k + 4 * (res.subdivisions - k))
 
     @pytest.mark.parametrize("f, a, b, tol, presplit, value, error, panels", [
         (_SQRT, -1.0, 2.0, 1e-10, [0.5],
@@ -196,9 +201,137 @@ class TestPanelReuse:
          "0x1.881a959a7e9b5p+11", "0x1.ce9f91ba5e358p-33", 21),
     ], ids=["sqrt", "lorentzian"])
     def test_bit_pins(self, f, a, b, tol, presplit, value, error, panels):
-        # reusing the halves must change no bit of any result.  Only arithmetic and
-        # math.sqrt, correctly rounded on every IEEE platform, enter the integrands.
+        # reusing the halves, and evaluating many panels per call, must change no
+        # bit of any result.  Only arithmetic and sqrt, correctly rounded on every
+        # IEEE platform, enter the integrands.
         res = adaptive_quadrature(f, a, b, tol=tol, presplit=presplit)
         assert res.value == complex(float.fromhex(value), 0.0)
         assert res.abs_error_estimate == float.fromhex(error)
         assert res.subdivisions == panels and res.converged
+
+
+# ---------------------------------------------------------------------------
+# The reference: the scalar worst-first integrator, one node per call
+
+
+def _ref_panel(f, a, b):
+    """Kronrod value and |K15 - G7| error estimate on [a, b]."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(mid)
+    kron = _WGK[7] * fc
+    gauss = _WG[3] * fc
+    for i in range(7):
+        x = half * _XGK[i]
+        fs = f(mid - x) + f(mid + x)
+        kron += _WGK[i] * fs
+        if i % 2 == 1:
+            gauss += _WG[i // 2] * fs
+    return half * kron, abs(half * (kron - gauss))
+
+
+def _ref_verified(f, a, b, whole):
+    """(value, error estimate, half values) of [a, b], given its Kronrod value ``whole``."""
+    mid = 0.5 * (a + b)
+    if mid <= a or mid >= b:
+        return whole, 0.0, None
+    left, err_left = _ref_panel(f, a, mid)
+    right, err_right = _ref_panel(f, mid, b)
+    value = left + right
+    return value, max(abs(whole - value), err_left + err_right), (left, right)
+
+
+def _ref_quadrature(f, a, b, tol, max_panels=10_000, presplit=()):
+    """(value, error estimate, panels) of the scalar integrator, one node per call."""
+    edges = [a, *sorted(p for p in set(presplit) if a < p < b), b]
+    heap = []
+    count = 0
+    total_err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        val, err, halves = _ref_verified(f, lo, hi, _ref_panel(f, lo, hi)[0])
+        heap.append((-err, count, lo, hi, val, halves))
+        total_err += err
+        count += 1
+    heapq.heapify(heap)
+    panels = len(heap)
+    checkpoint, checkpoint_err = _STALL_FROM, math.inf
+    while total_err > tol and panels < max_panels and heap[0][5] is not None:
+        neg_err, _, lo, hi, _, halves = heapq.heappop(heap)
+        total_err += neg_err
+        mid = 0.5 * (lo + hi)
+        for sub_lo, sub_hi, whole in ((lo, mid, halves[0]), (mid, hi, halves[1])):
+            sub_val, sub_err, sub_halves = _ref_verified(f, sub_lo, sub_hi, whole)
+            heapq.heappush(heap, (-sub_err, count, sub_lo, sub_hi, sub_val, sub_halves))
+            total_err += sub_err
+            count += 1
+        panels += 1
+        if panels >= checkpoint:
+            if total_err > 0.5 * checkpoint_err and total_err <= _NOISE * sum(
+                    abs(panel[4]) for panel in heap):
+                break
+            checkpoint, checkpoint_err = 2 * panels, total_err
+    value = 0j
+    err_sum = 0.0
+    for neg_err, _, _, _, val, _ in heap:
+        value += val
+        err_sum += -neg_err
+    return value, err_sum, panels
+
+
+# Integrands of correctly rounded operations only (sqrt, + - * /), written once
+# for a float and for an array, so both integrators see the same bits per node.
+_FAMILIES = {
+    "kink": lambda c: lambda x: np.sqrt(abs(x - c)) + 0j,
+    "spike": lambda c: lambda x: (1.0 / (1e-4 * c * c + (x - c) * (x - c))
+                                  + 1j * (x / (1.0 + x * x))),
+    "poly": lambda c: lambda x: x * x * x * x * x * x * x - 3.0 * x + 1j * np.sqrt(x + 3.5 + c),
+    "root": lambda c: lambda x: np.sqrt(abs(x * x - c)) * x + 1j * (1.0 / (3.1 + x)),
+}
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for k in range(32):
+        family = list(_FAMILIES)[k % 4]
+        c = float(rng.uniform(-1.0, 1.0))
+        presplit = sorted(rng.uniform(-2.0, 3.0, int(rng.integers(0, 5))).tolist())
+        tol = float(10.0 ** rng.uniform(-14.0, -5.0))
+        cases.append(pytest.param(family, c, presplit, tol, 10_000, id=f"{family}-{k}"))
+    for family in _FAMILIES:  # every panel above tol: the cap, and the stall rule at 512
+        cases.append(pytest.param(family, 0.37, [0.5], 1e-30, 64, id=f"{family}-cap"))
+    cases.append(pytest.param("poly", 0.37, [], 1e-30, 10_000, id="poly-stall"))
+    cases.append(pytest.param("kink", 0.37, [], 1e-30, 10_000, id="kink-stall"))
+    return cases
+
+
+class TestScalarOracle:
+    """Batched evaluation is an evaluation order only: the results are the scalar integrator's."""
+
+    @pytest.mark.parametrize("family, c, presplit, tol, max_panels", _oracle_cases())
+    def test_bit_equal_to_scalar_worst_first(self, family, c, presplit, tol, max_panels):
+        f = _FAMILIES[family](c)
+        value, err, panels = _ref_quadrature(lambda x: complex(f(x)), -2.0, 3.0, tol,
+                                             max_panels, presplit)
+        res = adaptive_quadrature(f, -2.0, 3.0, tol=tol, max_panels=max_panels, presplit=presplit)
+        assert res.subdivisions == panels
+        assert res.value == value and res.abs_error_estimate == err
+        assert res.converged == (err <= tol)
+        if max_panels == 64:
+            assert panels == 64
+        elif tol == 1e-30:
+            assert panels == 512
+
+    def test_one_call_per_pass(self):
+        # the initial pieces, whole and halves, take one call; after that every call
+        # evaluates the children's halves of whole panels, 4 K15 panels each
+        sizes = []
+
+        def g(x):
+            sizes.append(x.size)
+            return _SQRT(x)
+
+        res = adaptive_quadrature(g, -1.0, 2.0, tol=1e-10, presplit=[0.5])
+        assert sizes[0] == 15 * 3 * 2
+        assert all(n % 60 == 0 for n in sizes[1:])
+        assert len(sizes) - 1 < res.subdivisions - 2 == sum(sizes[1:]) // 60

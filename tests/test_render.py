@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ class TestTraceCluster:
             want = complex(x0, p.lam * k / 4)
             assert abs(pt - want) <= 1e-9
         assert row[-1].imag == pytest.approx(p.lam)  # tip included
+
+    def test_guard_bounds_the_tallest_height(self):
+        # a point carries about eps max(pi N, Im z) per map: 800 events at N = 0.1
+        # stack to heights near 690, and (events + 1) eps height exceeds 1e-10 lam
+        # while the abscissa bound (events + 1) eps pi N stays far below it
+        p = CylinderParams(0.1, 1.0)
+        xs = p.half_period * np.random.default_rng(7).uniform(-1.0, 1.0, 800)
+        log = make_log(p, [((k + 1) / 800, x) for k, x in enumerate(xs.tolist())])
+        assert 801 * sys.float_info.epsilon * p.half_period <= 1e-12 * p.lam
+        with pytest.raises(ValueError, match=r"max\(pi N, height\) = 6"):
+            trace_cluster(log, samples_per_slit=2)
+        # its first 300 events stay below 270, and trace
+        short = make_log(p, [((k + 1) / 800, x) for k, x in enumerate(xs[:300].tolist())])
+        assert trace_cluster(short, samples_per_slit=2).imag.max() < 270.0
 
     def test_stacked_particles_grow_taller(self):
         # two events at the same abscissa: the second particle sits on the
