@@ -156,6 +156,13 @@ def _g17(x: float) -> str:
     return "-0.0" if text == "-0" else text  # JSON reads -0 as the integer 0
 
 
+def _horizon(horizon_t: float) -> float:
+    """``horizon_t`` as a float; ``ValueError`` unless it is positive and finite."""
+    if not (math.isfinite(horizon_t) and horizon_t > 0.0):
+        raise ValueError(f"horizon_t must be positive, got {horizon_t}")
+    return float(horizon_t)
+
+
 def sample_many(
     params: CylinderParams, horizon_t: float, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,9 +176,7 @@ def sample_many(
     padded with ``+inf`` past each row's count.  A row depends on its seed
     alone, never on the other seeds of the call.
     """
-    if not (math.isfinite(horizon_t) and horizon_t > 0.0):
-        raise ValueError(f"horizon_t must be positive, got {horizon_t}")
-    t = float(horizon_t)
+    t = _horizon(horizon_t)
     period, half = params.period, params.half_period
     seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)[:, None]
     counts, used = poisson_many(seeds[:, 0], period * t)

@@ -35,6 +35,7 @@ from .conformal import (
     halfplane_slit_many,
 )
 from .process import (
+    _horizon,
     _LockStep,
     _restrict_many,
     _restricted_params,
@@ -47,7 +48,7 @@ from .process import (
     sample_many,
 )
 from .quadrature import QuadratureResult, adaptive_quadrature
-from .rng import SplitMix64, mix_seed
+from .rng import SplitMix64, mix_seed, poisson_many
 
 __all__ = [
     "RateFit",
@@ -291,8 +292,12 @@ def _quad_second_deriv(params: CylinderParams, z: complex, tol: float) -> Quadra
 # ---------------------------------------------------------------------------
 
 
-# Replicas per block: one sample_many call, then one lock-step pass over its columns.
-_BLOCK = 512
+# Lock-step width: replicas advanced together; it bounds a block's memory for any --replicas.
+_BLOCK = 2048
+# Rows per sample_many call or restriction while a block is filled: their temporaries grow with it.
+_SAMPLE_ROWS = 256
+# Most replicas one Monte Carlo accepts: its seed list and result rows are built up front.
+_MAX_REPLICAS = 10**7
 
 
 def _run_replicas(worker, seeds: list) -> np.ndarray:
@@ -302,6 +307,21 @@ def _run_replicas(worker, seeds: list) -> np.ndarray:
     on each replica's own elements, so results do not depend on ``_BLOCK``.
     """
     return np.concatenate([worker(seeds[i:i + _BLOCK]) for i in range(0, len(seeds), _BLOCK)])
+
+
+def _by_rows(part, rows: int, width: int) -> np.ndarray:
+    """``part(r)`` for each slice r of ``_SAMPLE_ROWS`` rows, in a ``(rows, width)`` +inf array."""
+    out = np.full((rows, width), np.inf)
+    for lo in range(0, rows, _SAMPLE_ROWS):
+        rows_lo = part(slice(lo, lo + _SAMPLE_ROWS))
+        out[lo:lo + len(rows_lo), :rows_lo.shape[1]] = rows_lo
+    return out
+
+
+def _abscissae(params: CylinderParams, t: float, block: list) -> np.ndarray:
+    """``sample_many(params, t, block)[2]``, sized by the block's Poisson counts."""
+    counts, _ = poisson_many(np.array(block, dtype=np.uint64), params.period * _horizon(t))
+    return _by_rows(lambda r: sample_many(params, t, block[r])[2], len(block), counts.max())
 
 
 def mc_growth_check(
@@ -319,14 +339,14 @@ def mc_growth_check(
     Each replica's value is the representative within pi N of ``Re z``.
     ``threads`` has no effect: the replicas run in lock-step, in this process.
     """
-    if replicas < 100:
-        raise ValueError("mc_growth_check needs at least 100 replicas")
+    if not 100 <= replicas <= _MAX_REPLICAS:
+        raise ValueError(f"mc_growth_check needs 100 to {_MAX_REPLICAS:g} replicas, got {replicas}")
     if t == 0.0:  # no arrivals: every replica is the identity at z
         return _summarize(np.full(replicas, complex(z)))[0]
 
     def grow(block: list) -> np.ndarray:
         steps = _LockStep(params, np.full(len(block), complex(z)))
-        for col in np.transpose(sample_many(params, t, block)[2]):
+        for col in np.transpose(_abscissae(params, t, block)):
             steps.step(col)
         return steps.points(z)
 
@@ -351,8 +371,8 @@ def coupling_sup_distances(
     times plus the horizon, which is exact because both processes are
     constant between events.  Returns a (replicas, len(n_list)) array.
     """
-    if replicas < 2:
-        raise ValueError(f"need at least 2 replicas for a spread, got {replicas}")
+    if not 2 <= replicas <= _MAX_REPLICAS:  # a spread, and a seed list that fits in memory
+        raise ValueError(f"need 2 to {_MAX_REPLICAS:g} replicas, got {replicas}")
     n_list = [float(n) for n in n_list]
     if not all(a < b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
@@ -363,14 +383,17 @@ def coupling_sup_distances(
               math.pi * n if window is None else min(window, math.pi * n)) for n in n_list]
 
     def sups(block: list) -> np.ndarray:
-        xs = sample_many(master, t, block)[2]
+        xs = _abscissae(master, t, block)
         out = np.zeros((len(block), len(radii)))
         for k, (params, half_width, w_eff) in enumerate(radii):
             # restrict_log's events, compacted; the SHL keeps their columns, masked to its window
-            sub = _restrict_many(xs, half_width)
+            sub = xs if params is master else _by_rows(  # the master radius keeps every event
+                lambda r: _restrict_many(xs[r], half_width), len(block),
+                np.count_nonzero((-half_width <= xs) & (xs <= half_width), axis=1).max())
             chl = _LockStep(params, np.full(len(block), complex(z)))
             c = chl.points()
-            shl = orbit_many(halfplane_slit_many, lam, np.where(abs(sub) <= w_eff, sub, np.inf), z)
+            kept = sub if w_eff == half_width else np.where(abs(sub) <= w_eff, sub, np.inf)
+            shl = orbit_many(halfplane_slit_many, lam, kept, z)
             for col, h in zip(np.transpose(sub), itertools.islice(shl, 1, None)):
                 chl.step(col)
                 c = chl.points(c)  # each map moves Re by less than pi N

@@ -6,9 +6,11 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from chl import verify
 from chl.cli import main
 from chl.process import EventLog
 from chl.verify import _summarize, coupling_sup_distances
@@ -174,6 +176,26 @@ class TestConverge:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "c" / "coupling.csv").exists()
         assert not (tmp_path / "c" / "config.json").exists()
+
+    def test_replica_cap_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # the seed list and result rows are built up front, so the cap is checked
+        # first; should it fail, the first seed drawn raises instead of using memory
+        monkeypatch.setattr(verify, "mix_seed", _no_seed)
+        huge = str(10**30)
+        tracemalloc.start()
+        try:
+            code = main(["converge", "--replicas", huge, "--out", str(tmp_path / "c")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        assert capsys.readouterr().err == f"chl converge: need 2 to 1e+07 replicas, got {huge}\n"
+        assert not list((tmp_path / "c").iterdir())
+
+
+def _no_seed(seed, replica):
+    """A stand-in for ``mix_seed`` where no replica seed may be drawn."""
+    raise AssertionError(f"replica seed {replica} drawn")
 
 
 _HEAD = {"N": 10.0, "lambda": 1.0, "delta": math.tanh(0.05), "horizon": 3.0, "seed": 7}

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -467,18 +469,69 @@ class TestReplicaBlocks:
         assert one == verify._summarize(_lockstep_growth(p, t, z, 8, replicas))[0]
 
     def test_independent_of_block_size(self, monkeypatch):
-        p, z, t = CylinderParams(4.0, 1.0), 1j, 0.5
-        growth = mc_growth_check(p, z, t, 257, 8)
-        coupling = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 257, 9, window=2.0)
-        for block in (7, 128, 256, 512, 2000):
+        # the lock-step width and the sampling chunk cut the same rows differently;
+        # the references run all rows in one pass from one sample_many call
+        growth = verify._summarize(_lockstep_growth(CylinderParams(4.0, 1.0), 0.5, 1j, 8, 257))[0]
+        coupling = _full_width_coupling(1.0, 1j, 0.5, [2.0, 4.0, 8.0], 257, 9, window=2.0)
+        for block, rows in itertools.product([7, 512, 2048], [7, 256, 2000]):
             monkeypatch.setattr(verify, "_BLOCK", block)
-            assert mc_growth_check(p, z, t, 257, 8) == growth
-            again = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 257, 9, window=2.0)
-            assert (again == coupling).all()
+            monkeypatch.setattr(verify, "_SAMPLE_ROWS", rows)
+            assert mc_growth_check(CylinderParams(4.0, 1.0), 1j, 0.5, 257, 8) == growth
+            again = coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0, 8.0], 257, 9, window=2.0)
+            assert (again == coupling).all(), (block, rows)
 
-    def test_results_flattened_in_seed_order(self):
+    def test_results_flattened_in_seed_order(self, monkeypatch):
+        monkeypatch.setattr(verify, "_BLOCK", 500)
         seeds = list(range(-1100, 0))  # three blocks, the last one short
         assert verify._run_replicas(_abs_block, seeds).tolist() == [abs(s) for s in seeds]
+
+    def test_rows_sampled_in_chunks(self, monkeypatch):
+        # rows filled a chunk at a time, padded to the block's longest log
+        monkeypatch.setattr(verify, "_SAMPLE_ROWS", 5)
+        p, seeds = CylinderParams(8.0, 1.0), [mix_seed(6, r) for r in range(23)]
+        for t in (0.5, 1e-3):  # at 1e-3 most rows and some chunks have no event
+            got = verify._abscissae(p, t, seeds)
+            assert np.array_equal(got, sample_many(p, t, seeds)[2])
+
+    def test_memory_bounded(self):
+        # the lock-step state of a block is small; the sampler's and the restriction's
+        # temporaries are bounded by the chunk (one 2000-row sample_many call at N = 32,
+        # t = 0.5 alone peaks at 10.7 MiB)
+        cases = [lambda: coupling_sup_distances(1.0, 1j, 0.5, [4, 8, 16, 32], 2000, 1),
+                 lambda: mc_growth_check(CylinderParams(16, 1), 1j, 1.0, 2000, 90210)]
+        for run in cases:
+            run()  # caches and first calls outside the measurement
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2**20
+
+    def test_replica_cap(self, monkeypatch):
+        # rejected before the seed list or any result row is built; should the cap
+        # fail, building either raises here at once instead of exhausting memory
+        p, huge = CylinderParams(4.0, 1.0), 10**30
+        with monkeypatch.context() as m:
+            m.setattr(verify, "mix_seed", _no_seed)
+            for t in (0.5, 0.0):  # t = 0 would return a full array of z at once
+                with pytest.raises(ValueError, match=rf"100 to 1e\+07 replicas, got {huge}"):
+                    mc_growth_check(p, 1j, t, huge, 1)
+            with pytest.raises(ValueError, match=rf"2 to 1e\+07 replicas, got {huge}"):
+                coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], huge, 1)
+        monkeypatch.setattr(verify, "_MAX_REPLICAS", 130)
+        assert mc_growth_check(p, 1j, 0.5, 130, 1).replicas == 130
+        assert coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 130, 1).shape == (130, 2)
+        with pytest.raises(ValueError, match="to 130 replicas, got 131"):
+            mc_growth_check(p, 1j, 0.5, 131, 1)
+        with pytest.raises(ValueError, match="to 130 replicas, got 131"):
+            coupling_sup_distances(1.0, 1j, 0.5, [2.0, 4.0], 131, 1)
+
+
+def _no_seed(seed, replica):
+    """A stand-in for ``mix_seed`` where no replica seed may be drawn."""
+    raise AssertionError(f"replica seed {replica} drawn")
 
 
 def _lockstep_growth(params, t, z, seed, replicas):
