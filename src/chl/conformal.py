@@ -283,40 +283,35 @@ def _disk_slit_many(params: CylinderParams, zeta: np.ndarray, rho=1.0) -> np.nda
     ``rho`` is a unit complex number, or an array of them like ``zeta``: with
     ``rho = exp(ix/N)`` the map is the slit map over ``x`` in disk coordinates.
     With ``xi = rho zeta`` the rotation back folds into one product,
-    ``D(xi)/rho = (xi + 1 + s)^2 / (4 (1 - delta^2) rho^2 zeta)``.  The rules
-    of the scalar map are masks: the tail ``|xi| >= 1e130`` and the near-tip
-    root at ``|xi - 1| < delta/2``; every other point takes the factored root
-    in one pass over the whole array, its square root in real arithmetic.
+    ``D(xi)/rho = (xi + 1 + s)^2 / (4 (1 - delta^2) rho^2 zeta)``.  The
+    near-tip root of the scalar map is a mask, at ``|xi - 1| < delta/2``;
+    every other point takes the factored root in one pass over the whole
+    array, its square root in real arithmetic.  The domain is ``|xi| < 1e130``:
+    the scalar map's tail expansion beyond it has no mask here, and the
+    squares overflow from about ``|xi| = 1e154``.  The callers stay far below:
+    ``cyl_slit_many`` passes ``|zeta| < e^30`` (heights under 30 N), and
+    ``_LockStep`` files a point back onto the cylinder once ``|zeta| >= e^30``.
     """
     d = params.delta
     d2 = d * d
     xi = zeta * rho
     dz1 = xi - 1.0
-    r = np.abs(dz1)  # from 1e130 on |xi - 1| is |xi| to the last bit
-    q = xi
-    if (tail := r >= 1e130).any():
-        q = np.where(tail, 2.0, xi)  # a stand-in off both rules, overwritten below
-        dz1[tail] = 1.0
-    if (tip := np.flatnonzero(r < 0.5 * d)).size:
+    if (tip := np.flatnonzero(np.abs(dz1) < 0.5 * d)).size:
         near, d_near = xi[tip], dz1[tip]
         dz1[tip] = 1.0  # a stand-in, overwritten below
-    s = q * (4.0 * d2)
+    s = xi * (4.0 * d2)
     s /= dz1 * dz1
     s += 1.0
     # complex products out of place: numpy's in-place complex multiply rounds
     # differently on short arrays, and results must not depend on the length
     s = _principal_sqrt(s) * dz1
-    s += q + 1.0
+    s += xi + 1.0
     if tip.size:
         # near the tip preimage xi = 1 the radicand clusters around 4 d^2, where
         # the principal root is already the correct branch
         s[tip] = near + 1.0 + np.sqrt(d_near * d_near + 4.0 * d2 * near)
     s = s * s
     s /= zeta * (rho * rho * (4.0 * (1.0 - d2)))
-    if tail.any():
-        q = xi[tail]
-        back = np.broadcast_to(rho, zeta.shape)[tail]
-        s[tail] = (q + 2.0 * d2 + d2 * (2.0 - d2) / q) / (1.0 - d2) / back
     return s
 
 
@@ -338,26 +333,12 @@ def _tan_chart(params: CylinderParams, w: complex) -> tuple[complex, complex, co
     return t, v, _slit_sqrt(1.0 - d * d, d * d, v)
 
 
-def _axis_slit(params: CylinderParams, u: float) -> complex:
-    """S_0(u) at real u in [-pi N, pi N): the tan chart in real arithmetic.
+def _axis_slit_many(params: CylinderParams, u: np.ndarray) -> np.ndarray:
+    """S_0(u) at every u in [-pi N, pi N) of the real array ``u``: the tan chart in real arithmetic.
 
     Outside the slit base the value is real, its imaginary part exactly 0.0;
-    inside, ``2N arctan(i rho) = 2iN atanh(rho)`` lies on the slit.  ``v`` and
-    the radicand are the tan chart's own, bit for bit.
+    inside, ``2N arctan(i rho) = 2iN atanh(rho)`` lies on the slit.
     """
-    n, d2 = params.radius_n, params.delta * params.delta
-    v = math.tan(0.5 * u / n)
-    if abs(v) <= _TIP_RADIUS:
-        return complex(0.0, params.lam)
-    a = 1.0 - d2
-    rad = a - d2 / (v * v)
-    if rad >= 0.0:
-        return complex(2.0 * n * math.atan(v * math.sqrt(rad)), 0.0)
-    return complex(0.0, 2.0 * n * math.atanh(math.sqrt(d2 - a * v * v)))
-
-
-def _axis_slit_many(params: CylinderParams, u: np.ndarray) -> np.ndarray:
-    """``_axis_slit`` of every point of the real array ``u``, its rules as masks."""
     n, d2 = params.radius_n, params.delta * params.delta
     a = 1.0 - d2
     v = np.tan(0.5 * u / n)
@@ -391,8 +372,6 @@ def cyl_slit(params: CylinderParams, x: float, z: complex) -> complex:
     n, y = params.radius_n, z.imag
     u = z.real - x
     u_red = _reduce(u, params.period)
-    if y == 0.0:
-        return (x + (u - u_red)) + _axis_slit(params, u_red)
     w = complex(u_red, y)
     if y >= _FAR_FIELD_RATIO * n:
         s = _far_field(params, w)
@@ -417,8 +396,8 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     so the restored multiple of the period is the scalar one; the
     transcendental functions are numpy's, so
     results may differ from ``cyl_slit`` in the last bits.  The disk form is
-    ``_disk_slit_many``, whose special cases its points never meet: there
-    ``e <= |zeta| < e^30``, so ``|zeta - 1| > 0.5 delta`` and no tail.
+    ``_disk_slit_many`` at ``e <= |zeta| < e^30``, inside its domain and, as
+    ``|zeta - 1| > 0.5 delta`` there, off its near-tip root.
     """
     z = np.asarray(z, dtype=complex)
     n = params.radius_n

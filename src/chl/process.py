@@ -20,9 +20,10 @@ Each variant is :func:`compose` over a selection of the log's abscissae in
 one of two orders.  Evaluation at time ``s`` is cadlag: an event at exactly
 ``s`` is included.  Batched, many points go through one map per call: the
 cylinder slit maps of Monte Carlo and of the cluster trace by the lock-step
-engine ``_LockStep``, which carries points in three kinds (real points on
-the boundary, disk coordinates ``exp(-iz/N)`` above it, and cylinder points
-far up), and the half-plane maps by :func:`orbit_many`.
+engine ``_LockStep``, which holds a point as pushed until a map moves it and
+then in one of three kinds (real points on the boundary, disk coordinates
+``exp(-iz/N)`` above it, and cylinder points far up), filed once per map, and
+the half-plane maps by :func:`orbit_many`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .conformal import (
     cyl_slit,
     cyl_slit_many,
     halfplane_slit,
+    halfplane_slit_many,
 )
 from .rng import _MASK, poisson_many, uniform_at
 
@@ -258,8 +260,8 @@ def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) 
     return out
 
 
-def orbit_many(slit_many: Callable, first, xs: np.ndarray, z: complex) -> Iterator[np.ndarray]:
-    """Lock-step :func:`orbit` of each row of the 2-D ``xs``, by a kernel like ``halfplane_slit_many``.
+def orbit_many(lam: float, xs: np.ndarray, z: complex) -> Iterator[np.ndarray]:
+    """Lock-step :func:`orbit` of ``halfplane_slit(lam, ., .)`` over each row of the 2-D ``xs``.
 
     Yields ``z``, then the images after each column, as one array updated in
     place.  A ``+inf`` entry (``sample_many``'s padding, or a masked event) applies no map.
@@ -268,7 +270,7 @@ def orbit_many(slit_many: Callable, first, xs: np.ndarray, z: complex) -> Iterat
     yield w
     for col in np.transpose(xs):
         live = np.isfinite(col)
-        w[live] = slit_many(first, col[live], w[live])
+        w[live] = halfplane_slit_many(lam, col[live], w[live])
         yield w
 
 
@@ -304,19 +306,21 @@ def _live(f, x, at: np.ndarray, pts: np.ndarray) -> np.ndarray:
 class _LockStep:
     """Points pushed through cylinder slit maps in lock-step: ``push``, then ``step`` by map.
 
-    A point of height ``1e-9 N <= Im z < 30 N`` is held as ``zeta = exp(-iz/N)``
-    and moves by ``zeta -> D(rho zeta)/rho``, ``rho = exp(ix/N)``
-    (``_disk_slit_many``): one square root per point-map, and no chart between
-    consecutive maps.  The other points stay on the cylinder and move by
-    ``cyl_slit_many``: real points on the boundary by its real tan-chart step
-    (a point that lands inside a slit base leaves the axis onto the slit),
-    points lifted but still lower than ``1e-9 N``, and points above 30 N.  A
-    zeta point keeps no winding: :meth:`points` takes its representative
-    within pi N of ``near``.
+    A pushed point stays as pushed until the first map that moves it, which
+    files it by its height.  A point of height ``1e-9 N <= Im z < 30 N`` is
+    held as ``zeta = exp(-iz/N)`` and moves by ``zeta -> D(rho zeta)/rho``,
+    ``rho = exp(ix/N)`` (``_disk_slit_many``): one square root per point-map,
+    and no chart between consecutive maps.  The other points stay on the
+    cylinder and move by ``cyl_slit_many``: real points on the boundary by its
+    real tan-chart step (a point that lands inside a slit base leaves the axis
+    onto the slit), points lifted but still lower than ``1e-9 N``, and points
+    above 30 N.  Right after each map the points whose height left their chart
+    are filed again, so :meth:`points` only reads.  A zeta point keeps no
+    winding: :meth:`points` takes its representative within pi N of ``near``.
     """
 
     def __init__(self, params: CylinderParams, z=()) -> None:
-        self.params, self.size, self.pending = params, 0, []
+        self.params, self.size = params, 0
         self.zeta = self.cyl = self.fresh = np.empty(0, dtype=complex)
         self.zeta_at = self.cyl_at = self.fresh_at = np.empty(0, dtype=np.intp)
         self.push(np.asarray(z, dtype=complex))
@@ -325,50 +329,48 @@ class _LockStep:
         """Add the cylinder points ``z`` after those already held."""
         at = np.arange(self.size, self.size + len(z))
         self.size += len(z)
-        self.pending.append((z, at))
         self.fresh, self.fresh_at = np.concatenate([self.fresh, z]), np.concatenate([self.fresh_at, at])
 
-    def _file(self) -> None:
-        """Hold the points pushed since the last map, and those whose height left their chart."""
+    def _file(self, z: np.ndarray, at: np.ndarray) -> None:
+        """Hold the cylinder points ``z``, indices ``at``, in the chart of their height."""
         n = self.params.radius_n
-        zeta, zeta_at, cyl, cyl_at = self.zeta, self.zeta_at, self.cyl, self.cyl_at
-        z, at = [q for q, _ in self.pending], [a for _, a in self.pending]
-        # |zeta| < 1.5 max(|Re zeta|, |Im zeta|): a cheap bound before the moduli
-        if zeta.size and 1.5 * max(zeta.view(np.float64).max(),
-                                    -zeta.view(np.float64).min()) >= _ZETA_HIGH:
-            up = np.abs(zeta) >= _ZETA_HIGH
-            z, at = [*z, _from_zeta(n, zeta[up])], [*at, zeta_at[up]]
-            zeta, zeta_at = zeta[~up], zeta_at[~up]
-        if cyl.size and (down := (cyl.imag >= _ZETA_LOW * n)
-                                 & (cyl.imag < _FAR_FIELD_RATIO * n)).any():
-            z, at = [*z, cyl[down]], [*at, cyl_at[down]]
-            cyl, cyl_at = cyl[~down], cyl_at[~down]
-        if z:
-            z, at = np.concatenate(z), np.concatenate(at)
-            disk = (z.imag >= _ZETA_LOW * n) & (z.imag < _FAR_FIELD_RATIO * n)
-            zeta = np.concatenate([zeta, np.exp(z[disk] * (-1j / n))])
-            zeta_at = np.concatenate([zeta_at, at[disk]])
-            cyl, cyl_at = np.concatenate([cyl, z[~disk]]), np.concatenate([cyl_at, at[~disk]])
-        self.zeta, self.zeta_at, self.cyl, self.cyl_at = zeta, zeta_at, cyl, cyl_at
-        self.pending = []
+        disk = (z.imag >= _ZETA_LOW * n) & (z.imag < _FAR_FIELD_RATIO * n)
+        self.zeta = np.concatenate([self.zeta, np.exp(z[disk] * (-1j / n))])
+        self.zeta_at = np.concatenate([self.zeta_at, at[disk]])
+        self.cyl = np.concatenate([self.cyl, z[~disk]])
+        self.cyl_at = np.concatenate([self.cyl_at, at[~disk]])
 
     def step(self, x) -> None:
         """Apply S_x to every point: ``x`` a float, or one abscissa per point (``+inf``: no map)."""
         p, n = self.params, self.params.radius_n
-        self._file()
+        if self.fresh.size:  # file the pushed points this map moves: a float x moves them all
+            moved = np.isfinite(x[self.fresh_at]) if np.ndim(x) else slice(None)
+            self._file(self.fresh[moved], self.fresh_at[moved])
+            left = ~moved if np.ndim(x) else slice(0)
+            self.fresh, self.fresh_at = self.fresh[left], self.fresh_at[left]
         self.zeta = _live(lambda xs, q: _disk_slit_many(p, q, np.exp(xs * (1j / n))),
                           x, self.zeta_at, self.zeta)
         self.cyl = _live(lambda xs, q: cyl_slit_many(p, xs, q), x, self.cyl_at, self.cyl)
-        unmoved = np.isinf(x[self.fresh_at]) if np.ndim(x) else np.zeros(self.fresh.size, bool)
-        self.fresh, self.fresh_at = self.fresh[unmoved], self.fresh_at[unmoved]
+        zeta, cyl, z, at = self.zeta, self.cyl, [], []
+        # |zeta| < 1.5 max(|Re zeta|, |Im zeta|): a cheap bound before the moduli
+        if zeta.size and 1.5 * max(zeta.view(np.float64).max(),
+                                    -zeta.view(np.float64).min()) >= _ZETA_HIGH:
+            up = np.abs(zeta) >= _ZETA_HIGH
+            z, at = [_from_zeta(n, zeta[up])], [self.zeta_at[up]]
+            self.zeta, self.zeta_at = zeta[~up], self.zeta_at[~up]
+        if cyl.size and (down := (cyl.imag >= _ZETA_LOW * n)
+                                 & (cyl.imag < _FAR_FIELD_RATIO * n)).any():
+            z, at = [*z, cyl[down]], [*at, self.cyl_at[down]]
+            self.cyl, self.cyl_at = cyl[~down], self.cyl_at[~down]
+        if z:
+            self._file(np.concatenate(z), np.concatenate(at))
 
     def points(self, near=None) -> np.ndarray:
         """Every point on the cylinder, in push order; within pi N of ``Re near`` unless None.
 
         A point no map has moved is returned as pushed, bit for bit.
         """
-        self._file()  # each point is read in the chart its last map left it for
-        out = np.empty(self.size, dtype=complex)
+        out = np.zeros(self.size, dtype=complex)  # finite where the unmoved points go last
         out[self.zeta_at] = _from_zeta(self.params.radius_n, self.zeta)
         out[self.cyl_at] = self.cyl
         if near is not None:

@@ -33,6 +33,7 @@ _WIDTH_PX = 900
 # (len(log) + 1) eps max(pi N, tallest height)
 _MAX_ERROR = 1e-10
 _EPS = sys.float_info.epsilon
+_MAX_POINTS = 10**7  # sampled points a trace may hold: 160 MB in each complex copy
 
 
 def trace_cluster(
@@ -53,13 +54,17 @@ def trace_cluster(
 
     Each sample moves by ``process._LockStep``: the base sample by the real
     step along the boundary until it lands on a slit, the others in disk
-    coordinates ``zeta = exp(-iz/N)``.  Raises ``ValueError`` where the trace
-    could be off from exact composition by more than ``1e-10 lam``: a point
+    coordinates ``zeta = exp(-iz/N)``.  Raises ``ValueError`` for more than
+    ``10**7`` points (``samples_per_slit * max(1, len(log))``), and where the
+    trace could be off from exact composition by more than ``1e-10 lam``: a point
     resolves about ``eps max(pi N, Im z)``, its abscissa or its height, and
     each map can add that much; the bound takes the tallest point traced.
     """
     if samples_per_slit < 2:
         raise ValueError("samples_per_slit must be at least 2")
+    if samples_per_slit * max(1, len(log)) > _MAX_POINTS:
+        raise ValueError(f"cannot trace {samples_per_slit} samples for each of {len(log)} events: "
+                         f"more than {_MAX_POINTS:g} points")
     params = log.params
     _check_resolution(log, params.half_period)  # the abscissae alone may decide, before the trace
     xs = log.xs[::-1] if forward else log.xs

@@ -32,7 +32,6 @@ from .conformal import (
     cyl_slit_many,
     cylinder_dist,
     halfplane_slit,
-    halfplane_slit_many,
 )
 from .process import (
     _horizon,
@@ -393,7 +392,7 @@ def coupling_sup_distances(
             chl = _LockStep(params, np.full(len(block), complex(z)))
             c = chl.points()
             kept = sub if w_eff == half_width else np.where(abs(sub) <= w_eff, sub, np.inf)
-            shl = orbit_many(halfplane_slit_many, lam, kept, z)
+            shl = orbit_many(lam, kept, z)
             for col, h in zip(np.transpose(sub), itertools.islice(shl, 1, None)):
                 chl.step(col)
                 c = chl.points(c)  # each map moves Re by less than pi N
@@ -659,8 +658,8 @@ def _check_forward_backward_law(tol: float) -> CheckResult:
     # keeps every event: each row's maps, earliest outermost or newest outermost
     fwd_xs = sample_many(params, t, [mix_seed(4242, r) for r in range(1000)])[2][:, ::-1]
     bwd_xs = sample_many(params, t, [mix_seed(4242, 1_000_000 + r) for r in range(1000)])[2]
-    *_, fwd = orbit_many(halfplane_slit_many, params.lam, fwd_xs, z)
-    *_, bwd = orbit_many(halfplane_slit_many, params.lam, bwd_xs, z)
+    *_, fwd = orbit_many(params.lam, fwd_xs, z)
+    *_, bwd = orbit_many(params.lam, bwd_xs, z)
     d, p = ks_two_sample(fwd.imag, bwd.imag)
     passed = p > 0.01
     return CheckResult(

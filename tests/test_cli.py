@@ -393,11 +393,16 @@ class TestFlags:
         ["simulate", "--n", "-1"],
         ["simulate", "--n", "1e300"],
         ["converge", "--n-list", "4,1e300", "--replicas", "8"],
+        ["render", "--samples", "1000000000000000", "--t", "0.05"],
+        ["render", "--config", '{"samples": 1000000000000000, "t": 0.05}'],
     ])
     def test_run_time_rejection_writes_no_config(self, tmp_path, capsys, argv):
         # a value checked when the command runs: exit 2, one line, and not even
-        # config.json in --out
+        # config.json in --out; more than 1e7 render points is refused before any is built
         out = tmp_path / "o"
+        if "--config" in argv:  # the value after it is the config file's text
+            (tmp_path / "cfg.json").write_text(argv[-1])
+            argv = [*argv[:-1], str(tmp_path / "cfg.json")]
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not list(out.iterdir())

@@ -335,10 +335,9 @@ class TestCylSlit:
 
     @pytest.mark.parametrize("n", [0.3, 1.0, 16.0, 1e6])
     def test_axis_path_matches_tan_chart(self, n):
-        # on Im z = 0 cyl_slit takes the tan chart in real arithmetic: the same
-        # tan and radicand, math.atan/atanh for cmath.atan.  Outside the slit
-        # base Im S is exactly 0.0; everywhere S is within 4 eps max(1, |S|) of
-        # 2N atan(phi^delta(tan(u/2N))), across the corners, the tip and the seam
+        # on Im z = 0 cyl_slit is the tan chart 2N atan(phi^delta(tan(u/2N))), bit
+        # for bit, across the corners, the tip and the seam; outside the slit
+        # base Im S is exactly 0.0
         p = CylinderParams(n, 1.0)
         base, half = _base(p), p.half_period
         rng = np.random.default_rng([int(n * 10), 23])
@@ -351,7 +350,7 @@ class TestCylSlit:
             got = cyl_slit(p, 0.0, complex(q, 0.0))
             _, v, r = _tan_chart(p, complex(q, 0.0))
             want = 1j * p.lam if abs(v) <= _TIP_RADIUS else 2.0 * n * cmath.atan(r)
-            assert abs(got - want) <= 4.0 * _EPS * max(1.0, abs(want)), q
+            assert got == want, q
             assert got.imag > 0.0 if r.imag > 0.0 or abs(v) <= _TIP_RADIUS else got.imag == 0.0, q
 
     def test_reflection_symmetry(self):
@@ -541,21 +540,16 @@ class TestDiskSlitMany:
     @pytest.mark.parametrize("n", [1.0, 16.0, 64.0])
     def test_matches_scalar(self, n):
         # seeded points on both sides of the near-tip switch |zeta - 1| = delta/2
-        # (Re(zeta - 1) > 0 keeps |zeta| > 1) and of the tail switch
-        # |zeta| = 1e130, up to |zeta| = 1e300
+        # (Re(zeta - 1) > 0 keeps |zeta| > 1)
         p = CylinderParams(n, 1.0)
         rng = np.random.default_rng([int(n), 21])
         sides = rng.choice(_SIDES, _MANY)
         angle = np.exp(1j * rng.uniform(-1.5, 1.5, _MANY))
         tip = 0.5 * p.delta * np.concatenate([
             sides[: _MANY // 2], np.exp(rng.uniform(math.log(1e-6), math.log(1e6), _MANY // 2))])
-        tail = 1e130 * np.concatenate([
-            sides[: _MANY // 2], 10.0 ** rng.uniform(-6.0, 170.0, _MANY // 2)])
-        near, high = 1.0 + tip * angle, tail * np.exp(1j * rng.uniform(-3.1, 3.1, _MANY))
-        for inside in (np.abs(near - 1.0) < 0.5 * p.delta, np.abs(high) >= 1e130):
-            assert 0.1 * _MANY < np.count_nonzero(inside) < 0.9 * _MANY  # both sides
-        zeta = np.concatenate([near, high])
-        assert np.all(np.abs(zeta) > 1.0) and np.abs(zeta).max() <= 1e300
+        zeta = 1.0 + tip * angle
+        assert 0.1 * _MANY < np.count_nonzero(np.abs(zeta - 1.0) < 0.5 * p.delta) < 0.9 * _MANY
+        assert np.all(np.abs(zeta) > 1.0)
         got = _disk_slit_many(p, zeta)
         want = np.array([_disk_slit_origin(p, q) for q in zeta.tolist()])
         assert got.shape == zeta.shape
@@ -588,7 +582,7 @@ class TestDiskSlitMany:
     def test_empty_and_shape(self):
         p = CylinderParams(2.0, 1.0)
         assert _disk_slit_many(p, np.empty(0, dtype=complex)).shape == (0,)
-        zeta = np.array([[1.0 + 0.01j, 3.0 - 4.0j], [1e200j, -2.0]])
+        zeta = np.array([[1.0 + 0.01j, 3.0 - 4.0j], [1e6j, -2.0]])
         want = np.array([_disk_slit_origin(p, q) for q in zeta.ravel().tolist()]).reshape(2, 2)
         assert np.all(np.abs(_disk_slit_many(p, zeta) - want) <= 4.0 * _EPS * np.abs(want))
 
@@ -1058,10 +1052,10 @@ def _switch_cases(switch: str, n: float, side: float) -> list:
         return [("cyl", p, x, z), ("many", p, x, z), ("disk", p, None, zeta),
                 ("disk-many", p, None, zeta)]
     if switch == "disk_tail":
-        # only the disk kernels get here: the others stay below |zeta| = e^30
+        # only the scalar disk kernel has a tail: the others stay below |zeta| = e^30
         zeta = 1e130 * side * np.exp(1j * rng.uniform(-math.pi, math.pi, m))
         assert np.all((np.abs(zeta) >= 1e130) != below)
-        return [("disk", p, None, zeta), ("disk-many", p, None, zeta)]
+        return [("disk", p, None, zeta)]
     if switch == "tip_zone":
         # |zeta - 1| = delta/2 picks the disk kernels' root form; Re(zeta - 1) > 0
         # keeps |zeta| > 1.  The slit kernels evaluate these points (Im z < N) in

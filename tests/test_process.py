@@ -418,6 +418,36 @@ class TestLockStep:
             assert np.all(np.abs(c - np.array(want)) <= 1e-11)
         assert max(q.real for q in want) > half  # crossed the seam
 
+    def test_reads_are_pure(self):
+        # reading points(near) after every map, as the coupling does, and reading
+        # once at the end, as the growth check does, give the same bits.  The batch
+        # holds boundary points, interior points, points below 1e-9 N and above 30 N,
+        # a second push, float maps and per-point maps with +inf (no map)
+        p = CylinderParams(4.0, 1.0)
+        n = p.radius_n
+        z = np.array([0.5, -2.0, 3.0, 1j, 1.5 + 0.5j, 0.3 + 1e-12j, -1.0 + 1e-10j,
+                      2.0 + 200j, -3.0 + 119.5j])
+        more = np.array([0.25, 1.0 + 1e-11j, 1.0 + 50j, 2.0 + 130j])
+        rng = np.random.default_rng(27)
+        read, unread = _LockStep(p, z), _LockStep(p, z)
+        near, heights = z, set()
+        for k in range(40):
+            if k == 20:
+                for engine in (read, unread):
+                    engine.push(more)
+                near = np.concatenate([near, more])
+            x = rng.uniform(-p.half_period, p.half_period)
+            if k % 4 == 0 and (real := near.real[near.imag == 0.0]).size:
+                x = real[k % real.size]  # exactly on a boundary point's slit base
+            x = np.where(rng.uniform(size=read.size) < 0.3, np.inf, x) if k % 2 else x
+            for engine in (read, unread):
+                engine.step(x)
+            near = read.points(near)
+            heights |= set(np.digitize(near.imag, [0.0, 1e-9 * n, 30.0 * n], right=True).tolist())
+        assert heights == {0, 1, 2, 3}  # boundary, below 1e-9 N, disk chart, above 30 N
+        for c in (None, z[0], near):
+            assert unread.points(c).tolist() == read.points(c).tolist()
+
     def test_unmapped_points_keep_their_bits(self):
         # a point that no map has moved is returned exactly as pushed
         p = CylinderParams(4.0, 1.0)

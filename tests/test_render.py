@@ -171,6 +171,13 @@ class TestTraceCluster:
         log = make_log(CylinderParams(2.0, 1.0), [(0.1, 0.0)])
         with pytest.raises(ValueError):
             trace_cluster(log, samples_per_slit=1)
+        # at most 1e7 points, samples_per_slit * max(1, events), refused before any is
+        # built: 1e15 samples would not fit in memory
+        ten = make_log(log.params, [(0.1 * k, 0.0) for k in range(1, 11)])
+        empty = make_log(log.params, [])
+        for events, samples in ((log, 10**7 + 1), (ten, 10**6 + 1), (empty, 10**15)):
+            with pytest.raises(ValueError, match=r"1e\+07 points"):
+                trace_cluster(events, samples_per_slit=samples)
 
 
 class TestExports:

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from chl.conformal import (
     CylinderParams,
     cyl_slit,
-    cyl_slit_many,
+    cylinder_dist,
     halfplane_slit,
-    halfplane_slit_many,
 )
 from chl.process import (
     _LockStep,
@@ -435,7 +434,7 @@ def _full_width_coupling(lam, z, t, n_list, replicas, seed, window=None):
         w_eff = math.pi * n if window is None else min(window, math.pi * n)
         chl = _LockStep(params, np.full(replicas, complex(z)))
         c = chl.points()
-        shl = orbit_many(halfplane_slit_many, lam, np.where(abs(xs) <= w_eff, xs, np.inf), z)
+        shl = orbit_many(lam, np.where(abs(xs) <= w_eff, xs, np.inf), z)
         next(shl)
         for col, h in zip(np.transpose(np.where(abs(xs) <= math.pi * n, xs, np.inf)), shl):
             chl.step(col)
@@ -634,19 +633,24 @@ def _padded_logs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_padded_logs())
 def test_lockstep_growth_matches_compose(case):
-    # orbit_many over the +inf padded array, row by row against the scalar loop
+    # the lock-step engine (cylinder maps, as cylinder points) and orbit_many
+    # (half-plane maps) over the +inf padded array, row by row against the scalar loop
     n, lam, z, rows = case
     p = CylinderParams(n, lam)
     xs = np.full((len(rows), max(map(len, rows))), np.inf)
     for r, row in enumerate(rows):
         xs[r, :len(row)] = row
-    for slit, slit_many, first in ((cyl_slit, cyl_slit_many, p),
-                                   (halfplane_slit, halfplane_slit_many, lam)):
-        *_, got = orbit_many(slit_many, first, xs, z)
+    steps = _LockStep(p, np.full(len(rows), z))
+    for col in np.transpose(xs):
+        steps.step(col)
+    *_, shl = orbit_many(lam, xs, z)
+    cases = ((cyl_slit, p, steps.points(z), lambda a, b: cylinder_dist(p, a, b)),
+             (halfplane_slit, lam, shl, lambda a, b: abs(a - b)))
+    for slit, first, got, dist in cases:
         for r, row in enumerate(rows):
             big = max(abs(w) for w in orbit(slit, first, row, z))
             want = compose(slit, first, row, z)
-            assert abs(got[r] - want) <= _lockstep_budget(len(row), n, big), (slit, r)
+            assert dist(got[r], want) <= _lockstep_budget(len(row), n, big), (slit, r)
             assert row or got[r] == z
 
 
