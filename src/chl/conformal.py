@@ -290,7 +290,7 @@ def _disk_slit_many(params: CylinderParams, zeta: np.ndarray, rho=1.0) -> np.nda
     the scalar map's tail expansion beyond it has no mask here, and the
     squares overflow from about ``|xi| = 1e154``.  The callers stay far below:
     ``cyl_slit_many`` passes ``|zeta| < e^30`` (heights under 30 N), and
-    ``_LockStep`` files a point back onto the cylinder once ``|zeta| >= e^30``.
+    ``_LockStep`` moves a point to the cylinder once ``|zeta| >= e^30``.
     """
     d = params.delta
     d2 = d * d

@@ -20,10 +20,10 @@ Each variant is :func:`compose` over a selection of the log's abscissae in
 one of two orders.  Evaluation at time ``s`` is cadlag: an event at exactly
 ``s`` is included.  Batched, many points go through one map per call: the
 cylinder slit maps of Monte Carlo and of the cluster trace by the lock-step
-engine ``_LockStep``, which holds a point as pushed until a map moves it and
-then in one of three kinds (real points on the boundary, disk coordinates
-``exp(-iz/N)`` above it, and cylinder points far up), filed once per map, and
-the half-plane maps by :func:`orbit_many`.
+engine ``_LockStep``, which holds a point in one of two kinds (disk
+coordinates ``exp(-iz/N)`` in a band of heights, once a map moves it there,
+and cylinder points otherwise), and the half-plane maps by
+:func:`orbit_many`.
 """
 
 from __future__ import annotations
@@ -306,77 +306,60 @@ def _live(f, x, at: np.ndarray, pts: np.ndarray) -> np.ndarray:
 class _LockStep:
     """Points pushed through cylinder slit maps in lock-step: ``push``, then ``step`` by map.
 
-    A pushed point stays as pushed until the first map that moves it, which
-    files it by its height.  A point of height ``1e-9 N <= Im z < 30 N`` is
-    held as ``zeta = exp(-iz/N)`` and moves by ``zeta -> D(rho zeta)/rho``,
-    ``rho = exp(ix/N)`` (``_disk_slit_many``): one square root per point-map,
-    and no chart between consecutive maps.  The other points stay on the
-    cylinder and move by ``cyl_slit_many``: real points on the boundary by its
-    real tan-chart step (a point that lands inside a slit base leaves the axis
-    onto the slit), points lifted but still lower than ``1e-9 N``, and points
-    above 30 N.  Right after each map the points whose height left their chart
-    are filed again, so :meth:`points` only reads.  A zeta point keeps no
-    winding: :meth:`points` takes its representative within pi N of ``near``.
+    A point is pushed as a cylinder point.  At the first map that moves it at
+    a height ``1e-9 N <= Im z < 30 N`` it enters ``zeta = exp(-iz/N)`` and
+    moves by ``zeta -> D(rho zeta)/rho``, ``rho = exp(ix/N)``
+    (``_disk_slit_many``): one square root per point-map, and no chart
+    between maps.  It leaves for the cylinder once ``|zeta| >= e^30``.  Other
+    cylinder points move by ``cyl_slit_many``: real points on the boundary by
+    its real tan-chart step (a point that lands inside a slit base leaves the
+    axis onto the slit), points lifted but still lower than ``1e-9 N``, and
+    points above 30 N.  A zeta point keeps no winding: :meth:`points` takes
+    its representative within pi N of ``near``.
     """
 
     def __init__(self, params: CylinderParams, z=()) -> None:
         self.params, self.size = params, 0
-        self.zeta = self.cyl = self.fresh = np.empty(0, dtype=complex)
-        self.zeta_at = self.cyl_at = self.fresh_at = np.empty(0, dtype=np.intp)
+        self.zeta = self.cyl = np.empty(0, dtype=complex)
+        self.zeta_at = self.cyl_at = np.empty(0, dtype=np.intp)
         self.push(np.asarray(z, dtype=complex))
 
     def push(self, z: np.ndarray) -> None:
         """Add the cylinder points ``z`` after those already held."""
         at = np.arange(self.size, self.size + len(z))
         self.size += len(z)
-        self.fresh, self.fresh_at = np.concatenate([self.fresh, z]), np.concatenate([self.fresh_at, at])
-
-    def _file(self, z: np.ndarray, at: np.ndarray) -> None:
-        """Hold the cylinder points ``z``, indices ``at``, in the chart of their height."""
-        n = self.params.radius_n
-        disk = (z.imag >= _ZETA_LOW * n) & (z.imag < _FAR_FIELD_RATIO * n)
-        self.zeta = np.concatenate([self.zeta, np.exp(z[disk] * (-1j / n))])
-        self.zeta_at = np.concatenate([self.zeta_at, at[disk]])
-        self.cyl = np.concatenate([self.cyl, z[~disk]])
-        self.cyl_at = np.concatenate([self.cyl_at, at[~disk]])
+        self.cyl, self.cyl_at = np.concatenate([self.cyl, z]), np.concatenate([self.cyl_at, at])
 
     def step(self, x) -> None:
         """Apply S_x to every point: ``x`` a float, or one abscissa per point (``+inf``: no map)."""
         p, n = self.params, self.params.radius_n
-        if self.fresh.size:  # file the pushed points this map moves: a float x moves them all
-            moved = np.isfinite(x[self.fresh_at]) if np.ndim(x) else slice(None)
-            self._file(self.fresh[moved], self.fresh_at[moved])
-            left = ~moved if np.ndim(x) else slice(0)
-            self.fresh, self.fresh_at = self.fresh[left], self.fresh_at[left]
+        if (cyl := self.cyl).size:  # band points this map moves enter zeta; a float x moves all
+            enter = (cyl.imag >= _ZETA_LOW * n) & (cyl.imag < _FAR_FIELD_RATIO * n)
+            if np.ndim(x):
+                enter &= np.isfinite(x[self.cyl_at])
+            self.zeta = np.concatenate([self.zeta, np.exp(cyl[enter] * (-1j / n))])
+            self.zeta_at = np.concatenate([self.zeta_at, self.cyl_at[enter]])
+            self.cyl, self.cyl_at = cyl[~enter], self.cyl_at[~enter]
         self.zeta = _live(lambda xs, q: _disk_slit_many(p, q, np.exp(xs * (1j / n))),
                           x, self.zeta_at, self.zeta)
         self.cyl = _live(lambda xs, q: cyl_slit_many(p, xs, q), x, self.cyl_at, self.cyl)
-        zeta, cyl, z, at = self.zeta, self.cyl, [], []
-        # |zeta| < 1.5 max(|Re zeta|, |Im zeta|): a cheap bound before the moduli
-        if zeta.size and 1.5 * max(zeta.view(np.float64).max(),
-                                    -zeta.view(np.float64).min()) >= _ZETA_HIGH:
-            up = np.abs(zeta) >= _ZETA_HIGH
-            z, at = [_from_zeta(n, zeta[up])], [self.zeta_at[up]]
-            self.zeta, self.zeta_at = zeta[~up], self.zeta_at[~up]
-        if cyl.size and (down := (cyl.imag >= _ZETA_LOW * n)
-                                 & (cyl.imag < _FAR_FIELD_RATIO * n)).any():
-            z, at = [*z, cyl[down]], [*at, self.cyl_at[down]]
-            self.cyl, self.cyl_at = cyl[~down], self.cyl_at[~down]
-        if z:
-            self._file(np.concatenate(z), np.concatenate(at))
+        if (up := np.abs(self.zeta) >= _ZETA_HIGH).any():
+            self.cyl = np.concatenate([self.cyl, _from_zeta(n, self.zeta[up])])
+            self.cyl_at = np.concatenate([self.cyl_at, self.zeta_at[up]])
+            self.zeta, self.zeta_at = self.zeta[~up], self.zeta_at[~up]
 
     def points(self, near=None) -> np.ndarray:
         """Every point on the cylinder, in push order; within pi N of ``Re near`` unless None.
 
-        A point no map has moved is returned as pushed, bit for bit.
+        A point no map has moved is returned as pushed: bit for bit where
+        ``near`` is None or the point itself, else equal in value (-0.0 may read 0.0).
         """
-        out = np.zeros(self.size, dtype=complex)  # finite where the unmoved points go last
+        out = np.empty(self.size, dtype=complex)
         out[self.zeta_at] = _from_zeta(self.params.radius_n, self.zeta)
         out[self.cyl_at] = self.cyl
         if near is not None:
             period = self.params.period
             out.real -= period * np.round((out.real - np.real(near)) / period)
-        out[self.fresh_at] = self.fresh
         return out
 
 
@@ -457,7 +440,7 @@ def drift(params: CylinderParams, t: float) -> complex:
     purely imaginary ``-2i pi N^2 t log(1 - delta^2)``, which tends to
     ``i pi lam^2 t / 2`` as N grows.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     n = params.radius_n
     return complex(0.0, -2.0 * math.pi * n * n * t * math.log1p(-params.delta**2))

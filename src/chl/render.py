@@ -52,9 +52,9 @@ def trace_cluster(
     event k every particle already placed is pushed through map k in one
     pass, O(n^2 * samples) point-maps in total.
 
-    Each sample moves by ``process._LockStep``: the base sample by the real
-    step along the boundary until it lands on a slit, the others in disk
-    coordinates ``zeta = exp(-iz/N)``.  Raises ``ValueError`` for more than
+    Each sample moves by ``process._LockStep``, a cylinder point until a map
+    moves it in disk coordinates ``zeta = exp(-iz/N)``: the base sample once it
+    has landed on a slit, the others from their first map.  Raises ``ValueError`` for more than
     ``10**7`` points (``samples_per_slit * max(1, len(log))``), and where the
     trace could be off from exact composition by more than ``1e-10 lam``: a point
     resolves about ``eps max(pi N, Im z)``, its abscissa or its height, and

@@ -90,6 +90,18 @@ class TestVerify:
         assert report["all_passed"] is False
         assert report["checks"][0]["values"]["converged"] is False
 
+    def test_rate_grids_written(self, tmp_path):
+        # a check with a rate grid writes it beside the report, 17 digits a float
+        out = tmp_path / "v"
+        assert main(["verify", "--only", "farfield_expansion", "--only", "quad_mean_shift",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "rate_farfield_expansion.csv", "report.json"]
+        (result,) = verify.run_suite(only=["farfield_expansion"])
+        rows = (out / "rate_farfield_expansion.csv").read_text().splitlines()
+        assert rows[0] == "scale,error" and len(rows) == 1 + len(result.grid) > 2
+        assert [tuple(map(float, r.split(","))) for r in rows[1:]] == list(result.grid)
+
     def test_unknown_check_usage_error(self, tmp_path):
         assert main(["verify", "--only", "bogus", "--out", str(tmp_path / "x")]) == 2
 
@@ -123,6 +135,16 @@ class TestConverge:
         summaries = _summarize(coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0], 50, 9))
         assert [float(r[1]) for r in rows] == [s.mean.real for s in summaries]
         assert [float(r[2]) for r in rows] == [s.ci99_halfwidth for s in summaries]
+
+    def test_window_flag(self, tmp_path):
+        # a finite --window is echoed and truncates the half-plane process
+        out = tmp_path / "c"
+        assert main(["converge", "--replicas", "50", "--n-list", "4,8", "--seed", "9",
+                     "--window", "2", "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["window"] == 2.0
+        rows = [r.split(",") for r in (out / "coupling.csv").read_text().splitlines()[1:]]
+        sups = coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0], 50, 9, window=2.0)
+        assert [float(r[1]) for r in rows] == [s.mean.real for s in _summarize(sups)]
 
     def test_floor_limited_slit_rate_is_degenerate(self, tmp_path):
         # at lambda 1e-6 every slit-rate error is below the residual floor:

@@ -259,6 +259,11 @@ class TestHalfplaneSlit:
         for z in (1e7 + 5j, -1e7 + 5j, 1e9j):
             assert abs(halfplane_slit(1.0, 0.0, z) - z) <= 1e-6
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_slit_length_must_be_positive(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            halfplane_slit(lam, 0.0, 1j)
+
     def test_boundary_outside_base_stays_real_with_sign(self):
         for x in (1.5, 3.0, -2.0, -300.0):
             w = halfplane_slit(1.0, 0.0, complex(x, 0.0))

@@ -17,10 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chl.conformal import CylinderParams, cyl_slit, cylinder_dist, halfplane_slit
+from chl.conformal import (
+    CylinderParams,
+    _disk_slit_many,
+    cyl_slit,
+    cyl_slit_many,
+    cylinder_dist,
+    halfplane_slit,
+)
 from chl.process import (
     Event,
     EventLog,
+    _from_zeta,
     _LockStep,
     backward_chl_trajectory,
     compose,
@@ -318,6 +326,12 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict_log(log, 5 * math.pi)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0])
+    def test_empty_width_rejected(self, width):
+        log = sample_events(CylinderParams(4.0, 1.0), 1.0, 13)
+        with pytest.raises(ValueError, match="half_width must be positive"):
+            restrict_log(log, width)
+
 
 class TestCompose:
     """The composition primitive against inline scalar loops, compared with ==."""
@@ -458,6 +472,33 @@ class TestLockStep:
         steps.step(np.array([0.3, np.inf, 0.3, np.inf]))
         got = steps.points(z)
         assert got[[1, 3]].tolist() == z[[1, 3]].tolist() and got[0] != z[0]
+
+    def test_points_lifted_by_the_final_map_read_as_mapped(self):
+        # boundary points inside the slit base of the last map leave the axis
+        # onto the slit, as cylinder points: they read back as cyl_slit_many
+        # returned them, with no round trip through disk coordinates
+        p = CylinderParams(4.0, 1.0)
+        base = 2.0 * p.radius_n * math.asin(p.delta)
+        z = 0.7 + base * np.linspace(-0.95, 0.95, 21) + 0j
+        steps = _LockStep(p, z)
+        steps.step(0.7)
+        want = cyl_slit_many(p, 0.7, z)
+        assert np.all(want.imag >= 1e-9 * p.radius_n)  # every point is in the zeta band
+        assert steps.points().tolist() == want.tolist()
+        assert steps.points(z).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_first_map_of_a_band_point_is_the_disk_form(self, per_point):
+        # a pushed point of height 1e-9 N <= Im z < 30 N enters disk coordinates
+        # at its first map and moves by the disk form, bit for bit
+        p = CylinderParams(4.0, 1.0)
+        n = p.radius_n
+        z = np.array([1j, -3.0 + 0.5j, 2.0 + 1e-8j, 5.0 + 100j])
+        x = 1.3
+        steps = _LockStep(p, z)
+        steps.step(np.full(z.size, x) if per_point else x)
+        zeta = _disk_slit_many(p, np.exp(z * (-1j / n)), np.exp(x * (1j / n)))
+        assert steps.points().tolist() == _from_zeta(n, zeta).tolist()
 
 
 class TestEvaluatorValidation:
@@ -631,8 +672,9 @@ class TestDrift:
         assert abs(got - 1j * math.pi / 2) <= 1e-5
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            drift(CylinderParams(2.0, 1.0), -1.0)
+        for t in (-1.0, math.nan, math.inf):  # nan and inf gave nanj and infj
+            with pytest.raises(ValueError):
+                drift(CylinderParams(2.0, 1.0), t)
 
 
 class TestMartingaleInvariant:

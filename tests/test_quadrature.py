@@ -156,6 +156,14 @@ class TestNonConvergence:
         assert res.converged and res.subdivisions > 1024
         assert abs(res.value - (cmath.exp(1j * k * math.pi) - 1.0) / (1j * k)) <= 1e-6
 
+    def test_panel_at_float_resolution(self):
+        # [1, 1 + eps] has no midpoint strictly inside: one panel, no halves,
+        # and an error of 0, so it converges at any tol
+        b = math.nextafter(1.0, 2.0)
+        res = adaptive_quadrature(lambda x: np.full(x.shape, 2.0 + 1j), 1.0, b, tol=1e-300)
+        assert res.converged and res.subdivisions == 1 and res.abs_error_estimate == 0.0
+        assert res.value == pytest.approx((b - 1.0) * (2.0 + 1j), rel=1e-15)
+
     def test_invalid_interval_and_tol(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(_ZERO, 1.0, 0.0)

@@ -730,6 +730,23 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite(only=["nope"])
 
+    def test_coupling_decay_check(self):
+        # run only when named: the coupling means of the pinned replicas fall with N
+        assert "coupling_decay" not in verify.DEFAULT_SUITE
+        (result,) = run_suite(only=["coupling_decay"])
+        assert result.passed and result.values["increases"] == 0
+        n_list, means = result.params["N_grid"], result.values["means"]
+        summaries = verify._summarize(coupling_sup_distances(1.0, 1j, 0.5, n_list, 500, 60622))
+        assert means == [s.mean.real for s in summaries]
+        assert result.values["ci99"] == [s.ci99_halfwidth for s in summaries]
+        assert means == sorted(means, reverse=True)
+        assert result.grid == tuple(zip(n_list, means))
+
+    @pytest.mark.parametrize("samples", [np.zeros(0), np.ones(1), np.ones((1, 3))])
+    def test_summary_needs_two_replicas(self, samples):
+        with pytest.raises(ValueError, match="at least two replicas"):
+            verify._summarize(samples)
+
     def test_second_deriv_requires_converged_quadratures(self, monkeypatch):
         (result,) = run_suite(only=["second_deriv_decay"])
         assert result.passed and result.values["converged"] is True
