@@ -60,6 +60,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -125,6 +126,27 @@ class CylinderParams:
         return math.pi * self.radius_n
 
 
+class _PerPoint(CylinderParams):
+    """Arrays of N, lam and delta, an element per point, for a batched kernel: ``period``
+    and ``half_period`` follow as arrays, and ``params[mask]`` keeps the points ``mask`` selects."""
+
+    def __init__(self, radius_n: np.ndarray, lam: np.ndarray, delta: np.ndarray) -> None:
+        vars(self).update(radius_n=radius_n, lam=lam, delta=delta)
+
+    @classmethod
+    def stack(cls, params: Sequence[CylinderParams], which) -> "_PerPoint":
+        """``params[which[k]]`` at point k; each was validated, and is not again."""
+        return cls(*np.array([(p.radius_n, p.lam, p.delta) for p in params])[which].T.copy())
+
+    def __getitem__(self, mask) -> "_PerPoint":
+        return _PerPoint(self.radius_n[mask], self.lam[mask], self.delta[mask])
+
+
+def _at(v, mask):
+    """A per-point parameter (array or ``_PerPoint``) at ``mask``; one for all points as it is."""
+    return v[mask] if isinstance(v, (np.ndarray, _PerPoint)) else v
+
+
 def _slit_sqrt(a: float, b: float, z: complex) -> complex:
     """Branch-correct z * sqrt(a - b / z^2) on the closed upper half-plane.
 
@@ -164,24 +186,26 @@ def halfplane_slit(lam: float, x: float, z: complex) -> complex:
     return x + _slit_sqrt(1.0, lam * lam, complex(z) - x)
 
 
-def _slit_sqrt_many(a: float, b: float, u: np.ndarray) -> np.ndarray:
-    """``_slit_sqrt(a, b, .)`` of every point of the complex array ``u``, its rules as masks."""
-    out = np.full(u.shape, complex(0.0, math.sqrt(b)))  # the tip
+def _slit_sqrt_many(a, b, u: np.ndarray) -> np.ndarray:
+    """``_slit_sqrt(a, b, .)`` of every point of the complex array ``u``, its rules as masks;
+    ``a`` and ``b`` are floats, or arrays like ``u`` with one pair per point."""
+    each = isinstance(b, np.ndarray)
+    out = 1j * np.sqrt(b) if each else np.full(u.shape, complex(0.0, math.sqrt(b)))  # the tip
     r = np.abs(u)
-    off = r > _TIP_RADIUS * max(1.0, b)
+    off = r > _TIP_RADIUS * (np.maximum(1.0, b) if each else max(1.0, b))
     if (far := r > _FAR_RADIUS).any():
-        out[far] = u[far] * math.sqrt(a)
+        out[far] = u[far] * np.sqrt(_at(a, far))
         off &= ~far
     if (real := off & (u.imag == 0.0)).any():
-        v = u.real[real]
-        rad = a - b / (v * v)
+        v, a_r, b_r = u.real[real], _at(a, real), _at(b, real)
+        rad = a_r - b_r / (v * v)
         base = rad < 0.0
-        root = np.sqrt(np.where(base, b - a * v * v, rad))
+        root = np.sqrt(np.where(base, b_r - a_r * v * v, rad))
         out[real] = np.where(base, 1j * root, v * root)
         off &= ~real
     if off.any():
         q = u[off]
-        w = a - b / (q * q)
+        w = (a[off] - b[off] / (q * q)) if each else (a - b / (q * q))
         flat = w.imag == 0.0  # Im(z^2) underflowed: the radicand's side of the cut is Re z's
         w.imag[flat] = np.copysign(0.0, q.real[flat])
         out[off] = q * np.sqrt(w)
@@ -218,10 +242,10 @@ def _reduce_many(u: np.ndarray, period: float) -> np.ndarray:
     return np.where(r >= half, r - period, np.where(r < -half, r + period, r))
 
 
-def cylinder_dist(params: CylinderParams, a: complex, b: complex) -> float:
-    """Distance between a and b as points of the cylinder (Re taken mod 2*pi*N)."""
-    a, b = complex(a), complex(b)
-    return abs(complex(_reduce(a.real - b.real, params.period), a.imag - b.imag))
+def cylinder_dist(params: CylinderParams, a, b):
+    """Distance between a and b as points of the cylinder (Re taken mod 2*pi*N); arrays too."""
+    d = np.subtract(a, b, dtype=complex)
+    return np.hypot(_reduce_many(d.real, params.period), d.imag)[()]
 
 
 def _disk_slit_origin(params: CylinderParams, zeta: complex) -> complex:
@@ -291,6 +315,7 @@ def _disk_slit_many(params: CylinderParams, zeta: np.ndarray, rho=1.0) -> np.nda
     squares overflow from about ``|xi| = 1e154``.  The callers stay far below:
     ``cyl_slit_many`` passes ``|zeta| < e^30`` (heights under 30 N), and
     ``_LockStep`` moves a point to the cylinder once ``|zeta| >= e^30``.
+    ``params`` may be ``_PerPoint``, an element per point: delta is read at the near-tip mask.
     """
     d = params.delta
     d2 = d * d
@@ -309,7 +334,7 @@ def _disk_slit_many(params: CylinderParams, zeta: np.ndarray, rho=1.0) -> np.nda
     if tip.size:
         # near the tip preimage xi = 1 the radicand clusters around 4 d^2, where
         # the principal root is already the correct branch
-        s[tip] = near + 1.0 + np.sqrt(d_near * d_near + 4.0 * d2 * near)
+        s[tip] = near + 1.0 + np.sqrt(d_near * d_near + 4.0 * _at(d2, tip) * near)
     s = s * s
     s /= zeta * (rho * rho * (4.0 * (1.0 - d2)))
     return s
@@ -350,9 +375,12 @@ def _axis_slit_many(params: CylinderParams, u: np.ndarray) -> np.ndarray:
     out = np.zeros(u.shape, dtype=complex)
     out.real = 2.0 * n * np.arctan(v * np.sqrt(rad))
     if inside.any():
-        v = v[inside]
+        lam, v = params.lam, v[inside]
+        if each := isinstance(params, _PerPoint):
+            n, a, d2, lam = n[inside], a[inside], d2[inside], lam[inside]
         h = 2.0 * n * np.arctanh(np.sqrt(d2 - a * v * v))
-        h[np.abs(v) <= _TIP_RADIUS] = params.lam
+        tip = np.abs(v) <= _TIP_RADIUS
+        h[tip] = lam[tip] if each else lam
         out.imag[inside] = h
     return out
 
@@ -392,10 +420,12 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     ``x`` is a float or an array shaped like ``z`` (one abscissa per point).
     Each regime of the scalar path is a mask: the real axis (``_axis_slit_many``),
     the tan chart ``Im z < N`` (with the tip ``|tan(u/2N)| <= _TIP_RADIUS``),
-    the disk form and the far field ``Im z >= 30 N``.  The reduction is exact,
-    so the restored multiple of the period is the scalar one; the
-    transcendental functions are numpy's, so
-    results may differ from ``cyl_slit`` in the last bits.  The disk form is
+    the disk form and the far field ``Im z >= 30 N``.  ``params`` is one
+    ``CylinderParams`` for every point, or ``_PerPoint`` with an element per
+    point of ``z``: each regime reads the parameters at its own mask.  The
+    reduction is exact, so the restored multiple of the period is the scalar
+    one; the transcendental functions are numpy's, so results may differ
+    from ``cyl_slit`` in the last bits.  The disk form is
     ``_disk_slit_many`` at ``e <= |zeta| < e^30``, inside its domain and, as
     ``|zeta - 1| > 0.5 delta`` there, off its near-tip root.
     """
@@ -411,20 +441,25 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     w.real, w.imag = u_red, y
     out = np.empty_like(z)
     if axis.any():
-        out[axis] = _axis_slit_many(params, u_red[axis])
+        out[axis] = _axis_slit_many(_at(params, axis), u_red[axis])
     if (low := (y < n) & ~axis).any():
-        _, v, r = _tan_chart_many(params, w[low])
-        r = 2.0 * n * np.arctan(r)
-        r[np.abs(v) <= _TIP_RADIUS] = complex(0.0, params.lam)  # the tip, exactly
+        p = _at(params, low)
+        _, v, r = _tan_chart_many(p, w[low])
+        r = 2.0 * p.radius_n * np.arctan(r)
+        tip = np.abs(v) <= _TIP_RADIUS
+        r[tip] = 1j * _at(p.lam, tip)  # the tip, exactly
         out[low] = r
 
     far = y >= _FAR_FIELD_RATIO * n
     if far.any():
-        wf = w[far]
-        out[far] = wf - 1j * n * math.log1p(-d2) + 2j * n * d2 * np.exp(1j * wf / n)
+        wf, n_f, d2_f = w[far], _at(n, far), _at(d2, far)
+        log1p = np.log1p if isinstance(d2_f, np.ndarray) else math.log1p
+        out[far] = wf - 1j * n_f * log1p(-d2_f) + 2j * n_f * d2_f * np.exp(1j * wf / n_f)
 
     if (disk := ~(axis | low | far)).any():
-        out[disk] = 1j * n * np.log(_disk_slit_many(params, np.exp(-1j * w[disk] / n)))
+        p = _at(params, disk)
+        zeta = np.exp(-1j * w[disk] / p.radius_n)
+        out[disk] = 1j * p.radius_n * np.log(_disk_slit_many(p, zeta))
     out.real -= params.period * np.round((out.real - u_red) / params.period)  # the seam lift
     return (x + (u - u_red)) + out
 

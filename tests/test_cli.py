@@ -178,6 +178,29 @@ class TestConverge:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (out / "coupling.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["--n-list", "4,1e17", "--replicas", "20", "--t", "1e-16"],  # once a mean of 53680.2
+        ["--n-list", "4,1e300", "--replicas", "2", "--t", "1e-300"],  # once inf, or an overflow
+    ], ids=["1e17", "1e300"])
+    def test_unresolved_radius_exit_2(self, tmp_path, capsys, argv):
+        # an abscissa at the largest radius resolves eps pi N, above 1e-10: refused before sampling
+        out = tmp_path / "c"
+        assert main(["converge", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot resolve abscissae" in err
+        assert not (out / "coupling.csv").exists()
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [[], ["--n-list", "4,8,16,32,64,128", "--replicas", "200"]],
+                             ids=["defaults", "n-128"])
+    def test_resolved_radii_still_run(self, tmp_path, argv):
+        out = tmp_path / "c"
+        assert main(["converge", *argv, "--out", str(out)]) == 0
+        rows = (out / "coupling.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for r in rows for v in r.split(","))
+
     def test_artifacts_independent_of_threads(self, tmp_path):
         # --threads is accepted and has no effect
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]

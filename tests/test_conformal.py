@@ -24,6 +24,7 @@ from chl.conformal import (
     CylinderParams,
     _disk_slit_many,
     _disk_slit_origin,
+    _PerPoint,
     _reduce,
     _reduce_many,
     _slit_sqrt,
@@ -590,6 +591,86 @@ class TestDiskSlitMany:
         zeta = np.array([[1.0 + 0.01j, 3.0 - 4.0j], [1e6j, -2.0]])
         want = np.array([_disk_slit_origin(p, q) for q in zeta.ravel().tolist()]).reshape(2, 2)
         assert np.all(np.abs(_disk_slit_many(p, zeta) - want) <= 4.0 * _EPS * np.abs(want))
+
+
+# Radii and slit lengths stacked point by point: small and large N, slits short and long.
+_STACKED = ((0.5, 0.3), (2.0, 1.0), (10.0, 1.0), (32.0, 3.0), (7.3, 0.05))
+
+
+def _shuffled(which: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """``which`` and ``arrays`` in one seeded order: every regime mask mixes configurations."""
+    order = np.random.default_rng(len(which)).permutation(len(which))
+    return tuple(a[order] for a in (which, *arrays))
+
+
+@pytest.mark.filterwarnings("error")
+class TestPerPointParams:
+    """``_PerPoint`` parameters, one configuration per point, against a call per configuration.
+
+    The batched kernels do not depend on the length of their arrays (their
+    complex products are out of place), so the stacked call must equal the
+    per-configuration calls bit for bit, on every regime.
+    """
+
+    def test_stack_and_select(self):
+        configs = [CylinderParams(n, lam) for n, lam in _STACKED]
+        which = np.array([3, 0, 0, 4, 1])
+        p = _PerPoint.stack(configs, which)
+        for name in ("radius_n", "lam", "delta", "period", "half_period"):
+            assert getattr(p, name).tolist() == [getattr(configs[k], name) for k in which], name
+        mask = np.array([True, False, True, False, True])
+        assert p[mask].delta.tolist() == [configs[k].delta for k in which[mask]]
+
+    def test_cyl_slit_many_every_regime(self):
+        configs = [CylinderParams(n, lam) for n, lam in _STACKED]
+        regimes = ("boundary-outside", "boundary-inside", "interior", "disk-form", "near-tip",
+                   "far", "reduction-edges")  # the last: the seam and exact period multiples
+        which, xs, zs = [], [], []
+        for k, p in enumerate(configs):
+            for j, regime in enumerate(regimes):
+                x, z = _regime_points(p, regime, seed=10 * k + j)
+                which.append(np.full(100, k))
+                xs.append(np.full(100, x))
+                zs.append(z[:100])
+            tips = np.random.default_rng(k).uniform(-p.half_period, p.half_period, 4)
+            which.append(np.full(4, k))
+            xs.append(tips)
+            zs.append(tips + 0j)  # z = x exactly: the tip
+        which, x, z = _shuffled(*map(np.concatenate, (which, xs, zs)))
+        stacked = _PerPoint.stack(configs, which)
+        y = z.imag / stacked.radius_n  # the axis, tan chart, disk form and far field
+        assert all(m.any() for m in (y == 0.0, (0.0 < y) & (y < 1.0), (1.0 <= y) & (y < 30.0),
+                                     y >= _FAR_FIELD_RATIO))
+        got = cyl_slit_many(stacked, x, z)
+        for k, p in enumerate(configs):
+            at = which == k
+            assert np.array_equal(got[at], cyl_slit_many(p, x[at], z[at])), p
+        # every axis point alone takes the kernel's all-axis path
+        axis = z.imag == 0.0
+        got = cyl_slit_many(_PerPoint.stack(configs, which[axis]), x[axis], z[axis])
+        for k, p in enumerate(configs):
+            at = which[axis] == k
+            assert np.array_equal(got[at], cyl_slit_many(p, x[axis][at], z[axis][at])), p
+
+    def test_disk_slit_many_both_roots(self):
+        # on both sides of the near-tip switch |xi - 1| = delta/2, one rotation per point
+        configs = [CylinderParams(n, lam) for n, lam in _STACKED]
+        which, xis, rhos = [], [], []
+        for k, p in enumerate(configs):
+            rng = np.random.default_rng([k, 23])
+            r = 0.5 * p.delta * np.concatenate([rng.choice(_SIDES, 200),
+                                                np.exp(rng.uniform(-14.0, 14.0, 200))])
+            which.append(np.full(400, k))
+            xis.append(1.0 + r * np.exp(1j * rng.uniform(-1.5, 1.5, 400)))
+            rhos.append(np.exp(1j * rng.uniform(-math.pi, math.pi, 400)))
+        which, xi, rho = _shuffled(*map(np.concatenate, (which, xis, rhos)))
+        p = _PerPoint.stack(configs, which)
+        near = np.abs(xi - 1.0) < 0.5 * p.delta
+        assert 0.1 * xi.size < np.count_nonzero(near) < 0.9 * xi.size
+        got = _disk_slit_many(p, xi / rho, rho)
+        for k, q in enumerate(configs):
+            at = which == k
+            assert np.array_equal(got[at], _disk_slit_many(q, (xi / rho)[at], rho[at])), q
 
 
 def _half_regime_points(lam: float, regime: str, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,8 @@ from chl.process import (
     _restricted_params,
     compose,
     drift,
+    eval_backward_chl,
+    eval_disk_hl,
     orbit,
     orbit_many,
     restrict_log,
@@ -377,6 +379,16 @@ class TestCoupling:
         with pytest.raises(ValueError):  # a nan window keeps no event
             coupling_sup_distances(1.0, 1j, 0.5, [4.0, 8.0], 8, 1, window=math.nan)
 
+    def test_unresolved_radius_rejected_before_sampling(self, monkeypatch):
+        # eps pi N above 1e-10 at the largest radius: about N = 1.43e5 and up
+        monkeypatch.setattr(verify, "mix_seed", _no_seed)
+        for n_max in (1.5e5, 1e17, 1e300):
+            with pytest.raises(ValueError, match="cannot resolve abscissae"):
+                coupling_sup_distances(1.0, 1j, 1e-6, [4.0, n_max], 2, 1)
+        monkeypatch.undo()
+        sups = coupling_sup_distances(1.0, 1j, 1e-6, [4.0, 1.4e5], 2, 1)
+        assert np.isfinite(sups).all()
+
     def test_window_knob(self):
         # a window at least pi*N_max changes nothing; a narrow window hurts
         n_list = [4.0, 8.0]
@@ -553,22 +565,26 @@ def _lockstep_budget(maps: int, n: float, modulus: float) -> float:
 
 
 class TestInlineCompositionOracles:
-    """Checks built on the composition primitive against inline scalar loops, with ==."""
+    """Checks built on the batched kernels against inline scalar loops."""
 
     def test_shift_commutation(self):
         p = CylinderParams(2.5, 0.9)
         xs, y = [0.5, -2.0, 3.1, 1.0], 1.7
         z_grid = [1j, 1 + 2j, -2 + 0.5j]
-        worst = 0.0
+        worst, big = 0.0, 0.0
         for z in z_grid:
             a = z - y
             for x in reversed(xs):
                 a = cyl_slit(p, x, a)
+                big = max(big, abs(a))
             b = z
             for x in reversed(xs):
                 b = cyl_slit(p, x + y, b)
+                big = max(big, abs(b))
             worst = max(worst, abs(a + y - b))
-        assert shift_commutation_check(p, xs, y, z_grid) == worst
+        # the check composes with the batched kernel: each side within its budget
+        budget = 2.0 * _lockstep_budget(len(xs), p.radius_n, big + abs(y))
+        assert abs(shift_commutation_check(p, xs, y, z_grid) - worst) <= budget
 
     def test_mc_growth_replicas(self):
         # t = 0.01 gives ragged tails: most of its replicas have no event at all
@@ -611,6 +627,103 @@ class TestInlineCompositionOracles:
                     # |a - b| moves by at most the two orbits' budgets together
                     err = _lockstep_budget(len(sub), n, big) + _lockstep_budget(shl_maps, n, big)
                     assert abs(got[r, k] - sup) <= (2.0 * math.sqrt(sup) + err) * err, (z, r, n)
+
+
+def _shift_commutation_cases() -> list:
+    """The shift_commutation check's ``(params, xs, y, z_grid)`` configurations, drawn alike."""
+    rng, configs = SplitMix64(20240917), []
+    for _ in range(20):
+        p = CylinderParams(1.0 + 7.0 * rng.next_float(), 0.2 + 1.5 * rng.next_float())
+        xs = [p.half_period * (2.0 * rng.next_float() - 1.0) for _ in range(10)]
+        y = 3.0 * p.half_period * (2.0 * rng.next_float() - 1.0)
+        configs.append((p, xs, y, [complex(p.half_period * (2.0 * rng.next_float() - 1.0),
+                                           0.1 + 3.0 * rng.next_float()) for _ in range(20)]))
+    return configs
+
+
+def _disk_conjugation_cases() -> tuple[list, np.ndarray]:
+    """The event logs and the (log, probe) array of the disk_conjugation check, drawn alike."""
+    rng, logs, probes = SplitMix64(77002), [], []
+    for k in range(20):
+        p = CylinderParams(2.0 + 6.0 * rng.next_float(), 0.3 + 1.2 * rng.next_float())
+        logs.append(sample_events(p, 50.0 / p.period, 50_000 + k))
+        probes.append([complex(0.6 * p.half_period * (2.0 * rng.next_float() - 1.0),
+                               0.05 + 3.0 * rng.next_float()) for _ in range(20)])
+    return logs, np.array(probes)
+
+
+class TestCompositionChecks:
+    """The composition checks' one pass over all configurations, against scalar oracles."""
+
+    def test_shift_commutation_sides(self):
+        configs = _shift_commutation_cases()
+        conjugated, shifted = verify._shift_sides(configs)
+        k = 0
+        for p, xs, y, z_grid in configs:
+            inner_first = xs[::-1]
+            for z in z_grid:
+                sides = (orbit(cyl_slit, p, inner_first, z - y),
+                         orbit(cyl_slit, p, [x + y for x in inner_first], z))
+                big = max(abs(w) for w in sides[0] + sides[1]) + abs(y)
+                budget = _lockstep_budget(len(xs), p.radius_n, big)
+                assert abs(conjugated[k] - (sides[0][-1] + y)) <= budget, k
+                assert abs(shifted[k] - sides[1][-1]) <= budget, k
+                k += 1
+        assert k == conjugated.size == shifted.size == 400
+        (result,) = run_suite(only=["shift_commutation"])
+        assert result.passed
+        assert result.values["max_abs_error"] == float(np.abs(conjugated - shifted).max())
+
+    def test_disk_conjugation_sides(self):
+        logs, probes = _disk_conjugation_cases()
+        chl, disk, params = verify._disk_sides(logs, probes)
+        assert params.radius_n.tolist() == [log.params.radius_n for log in logs for _ in range(20)]
+        rows = [log for log in logs for _ in range(20)]
+        for k, (log, z) in enumerate(zip(rows, probes.ravel().tolist())):
+            p, t = log.params, log.horizon_t
+            big = max(abs(w) for w in orbit(cyl_slit, p, log.xs, z))
+            budget = _lockstep_budget(len(log), p.radius_n, big)
+            assert abs(chl[k] - eval_backward_chl(log, z, t)) <= budget, k
+            assert cylinder_dist(p, disk[k], eval_disk_hl(log, z, t)) <= budget, k
+        (result,) = run_suite(only=["disk_conjugation"])
+        assert result.passed
+        assert result.values["max_cylinder_distance"] == float(
+            cylinder_dist(params, chl, disk).max())
+
+    def test_one_configuration_is_its_slice(self):
+        # a configuration alone, or among the 20, gives the same bits
+        configs = _shift_commutation_cases()
+        both = verify._shift_sides(configs)
+        logs, probes = _disk_conjugation_cases()
+        chl, disk, _ = verify._disk_sides(logs, probes)
+        for k in (0, 7, 19):
+            alone = verify._shift_sides(configs[k:k + 1])
+            for side, part in zip(both, alone):
+                assert side[20 * k:20 * k + 20].tolist() == part.tolist()
+            p, xs, y, z_grid = configs[k]
+            assert shift_commutation_check(p, xs, y, z_grid) == float(
+                np.abs(alone[0] - alone[1]).max())
+            one_chl, one_disk, _ = verify._disk_sides(logs[k:k + 1], probes[k:k + 1])
+            assert chl[20 * k:20 * k + 20].tolist() == one_chl.tolist()
+            assert disk[20 * k:20 * k + 20].tolist() == one_disk.tolist()
+
+    def test_ragged_and_empty_event_lists(self):
+        # +inf pads the shorter lists; no events at all leaves both sides at z
+        p, q = CylinderParams(2.0, 1.0), CylinderParams(5.0, 0.4)
+        configs = [(p, [0.5, -1.0, 2.0], 1.3, [1j, 2 + 2j]), (q, [], 0.7, [0.5j]),
+                   (q, [3.0], -2.2, [1 + 1j, -4 + 0.2j])]
+        conjugated, shifted = verify._shift_sides(configs)
+        k = 0
+        for params, xs, y, z_grid in configs:
+            for z in z_grid:
+                a = compose(cyl_slit, params, xs[::-1], z - y) + y
+                b = compose(cyl_slit, params, [x + y for x in xs[::-1]], z)
+                budget = _lockstep_budget(len(xs), params.radius_n, max(abs(a), abs(b)) + abs(y))
+                assert abs(conjugated[k] - a) <= budget and abs(shifted[k] - b) <= budget, k
+                k += 1
+        assert shifted[2] == 0.5j and conjugated[2] == 0.5j - 0.7 + 0.7
+        assert shift_commutation_check(q, [], 0.7, [0.5j]) == abs(0.5j - 0.7 + 0.7 - 0.5j)
+        assert shift_commutation_check(p, [0.5], 1.0, []) == 0.0
 
 
 @st.composite
