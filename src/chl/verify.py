@@ -397,7 +397,9 @@ def coupling_sup_distances(
     window ``min(window, pi*N)`` (default: the full strip pi*N, so both
     processes consume literally the same events).  The sup runs over event
     times plus the horizon, which is exact because both processes are
-    constant between events.  Returns a (replicas, len(n_list)) array.
+    constant between events.  Returns a (replicas, len(n_list)) array;
+    ``ValueError`` where an abscissa at the largest radius resolves to only
+    eps pi N > 1e-10 (render's bound for one event, at lam = 1).
     """
     if not 2 <= replicas <= _MAX_REPLICAS:  # a spread, and a seed list that fits in memory
         raise ValueError(f"need 2 to {_MAX_REPLICAS:g} replicas, got {replicas}")
@@ -406,7 +408,7 @@ def coupling_sup_distances(
         raise ValueError("n_list must be strictly ascending")
     if window is not None and not window >= lam:
         raise ValueError("truncation window must be >= slit length")
-    if (res := _EPS * math.pi * n_list[-1]) > _MAX_ERROR:  # render's rule for one event, at lam 1
+    if (res := _EPS * math.pi * n_list[-1]) > _MAX_ERROR:
         raise ValueError(f"cannot resolve abscissae at N = {n_list[-1]:g}: eps pi N = {res:.3g} "
                          f"exceeds {_MAX_ERROR:g}")
     master = CylinderParams(n_list[-1], lam)
