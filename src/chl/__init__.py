@@ -1,5 +1,14 @@
 """Cylinder Hastings-Levitov laboratory: slit maps, growth processes, checks."""
 
+import os
+
+# chl computes in one thread, and its only BLAS call is a polyfit on a few
+# points, but OpenBLAS starts one worker per extra core when numpy loads,
+# which spins idle for about 0.1 s of CPU per process.  So default the pool
+# to one thread before any submodule imports numpy; a value already set is
+# kept, and a program that loaded numpy first keeps the pool it has.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .conformal import (
     CylinderParams,
     cyl_slit,

@@ -173,7 +173,10 @@ def sample_many(
     Stream ``SplitMix64(seed)`` gives the count, Poisson(2*pi*N*t) by
     inversion (one draw per chunk), then that many uniform times and then
     that many abscissae.  Each row is sorted by time; coincident float times
-    are ordered by abscissa, then draw index.  Returns ``counts`` (int64,
+    are ordered by abscissa, then draw index.  One ``argsort`` by time sorts
+    every row; a row with an exact tie between finite times is sorted again
+    by that full rule, so the result does not depend on how ``argsort``
+    orders ties.  Returns ``counts`` (int64,
     one per seed) and ``times`` and ``xs`` of shape ``(seeds, max count)``,
     padded with ``+inf`` past each row's count.  A row depends on its seed
     alone, never on the other seeds of the call.
@@ -191,9 +194,16 @@ def sample_many(
     xs[xs >= half] = -half
     pad = idx >= ends
     times[pad] = xs[pad] = np.inf
-    # lexsort is stable, so ties in (time, abscissa) keep draw order
-    order = np.lexsort((xs, times), axis=-1)
-    return counts, np.take_along_axis(times, order, -1), np.take_along_axis(xs, order, -1)
+    order = np.argsort(times, axis=-1)
+    sorted_times = np.take_along_axis(times, order, -1)
+    # distinct finite times fix the order (the +inf padding is the same in
+    # both arrays); only a row with a tie needs the full rule, and lexsort is
+    # stable, so ties in (time, abscissa) keep draw order
+    later = sorted_times[:, 1:]
+    tied = ((later == sorted_times[:, :-1]) & (later < np.inf)).any(-1)
+    if tied.any():
+        order[tied] = np.lexsort((xs[tied], times[tied]), axis=-1)
+    return counts, sorted_times, np.take_along_axis(xs, order, -1)
 
 
 def sample_events(params: CylinderParams, horizon_t: float, seed: int) -> EventLog:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -496,3 +497,29 @@ class TestFlags:
         assert len(err) == 1 and err[0].startswith(f"chl {command}: ")
         assert not (out / artifact).exists()
         assert not (out / "config.json").exists()
+
+
+class TestBlasThreads:
+    """``import chl`` defaults the OpenBLAS pool to one thread, in a fresh interpreter."""
+
+    _PROBE = ("import os, sys, chl; print(os.environ['OPENBLAS_NUM_THREADS']); "
+              "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else -1)")
+
+    def _import_chl(self, threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", self._PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        value, tasks = proc.stdout.split()
+        return value, int(tasks)
+
+    def test_unset_defaults_to_one_thread(self):
+        value, tasks = self._import_chl(None)
+        assert value == "1"
+        if sys.platform != "linux":
+            pytest.skip("counts threads through /proc/self/task")
+        assert tasks == 1
+
+    def test_user_value_is_kept(self):
+        assert self._import_chl("3")[0] == "3"

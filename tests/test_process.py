@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chl.process
 from chl.conformal import (
     CylinderParams,
     _disk_slit_many,
@@ -75,15 +76,24 @@ def _poisson(rng: SplitMix64, mu: float) -> int:
     return total + _poisson_inversion(rng, mu)
 
 
-def _scalar_sample(params: CylinderParams, t: float, seed: int) -> list[tuple[float, float]]:
-    """(time, x) pairs of one log drawn one float at a time: the sampler's oracle."""
+def _scalar_draws(params: CylinderParams, t: float, seed: int, quantize=lambda u: u):
+    """Times and abscissae of one log in draw order, one float at a time.
+
+    ``quantize`` maps each time and abscissa draw, as a test's stand-in for
+    ``uniform_at`` does; the Poisson count is drawn unchanged.
+    """
     rng = SplitMix64(seed)
     period, half = params.period, params.half_period
     count = _poisson(rng, period * t)
-    times = [t * (1.0 - rng.next_float()) for _ in range(count)]
-    xs = (-half + rng.next_float() * period for _ in range(count))
-    xs = [x if x < half else -half for x in xs]
-    return [(s, x) for s, x, _ in sorted(zip(times, xs, range(count)))]
+    times = [t * (1.0 - quantize(rng.next_float())) for _ in range(count)]
+    xs = (-half + quantize(rng.next_float()) * period for _ in range(count))
+    return times, [x if x < half else -half for x in xs]
+
+
+def _scalar_sample(params: CylinderParams, t: float, seed: int) -> list[tuple[float, float]]:
+    """(time, x) pairs of one log drawn one float at a time: the sampler's oracle."""
+    times, xs = _scalar_draws(params, t, seed)
+    return [(s, x) for s, x, _ in sorted(zip(times, xs, range(len(times))))]
 
 
 class TestArraySampler:
@@ -115,6 +125,28 @@ class TestArraySampler:
         c, ts, row = sample_many(params, 1.0, seeds[17:18])
         assert c[0] == counts[17]
         assert np.array_equal(ts[0], times[17, :c[0]]) and np.array_equal(row[0], xs[17, :c[0]])
+
+    def test_tied_rows_follow_the_full_rule(self, monkeypatch):
+        # draws on a grid of eighths: exact time ties, equal (time, abscissa)
+        # pairs and +inf padding, which one argsort by time alone gets wrong
+        monkeypatch.setattr(chl.process, "uniform_at",
+                            lambda seeds, draws: np.floor(uniform_at(seeds, draws) * 8) / 8)
+        params = CylinderParams(2.0, 1.0)
+        seeds = [mix_seed(13, r) for r in range(200)]
+        counts, times, xs = sample_many(params, 1.0, seeds)
+        pairs = equal_pairs = 0
+        for r, (seed, c) in enumerate(zip(seeds, counts.tolist())):
+            draw_t, draw_x = _scalar_draws(params, 1.0, seed, lambda u: math.floor(u * 8) / 8)
+            order = np.lexsort((draw_x, draw_t))
+            assert times[r, :c].tolist() == np.take(draw_t, order).tolist()
+            assert xs[r, :c].tolist() == np.take(draw_x, order).tolist()
+            assert times[r, c:].tolist() == xs[r, c:].tolist() == [math.inf] * (times.shape[1] - c)
+            one = sample_many(params, 1.0, [seed])
+            assert one[1][0].tolist() == times[r, :c].tolist()
+            assert one[2][0].tolist() == xs[r, :c].tolist()
+            pairs += len(set(draw_t)) < c
+            equal_pairs += len(set(zip(draw_t, draw_x))) < c
+        assert pairs > 100 and equal_pairs > 100 and counts.min() < counts.max()
 
     def test_one_row_sample_events(self):
         for n, t, seed in ((16.0, 1.0, 1), (200.0, 2.0, 2), (2.0, 1e-9, 3), (3.0, 0.7, -5)):
