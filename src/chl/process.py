@@ -174,12 +174,12 @@ def sample_many(
     inversion (one draw per chunk), then that many uniform times and then
     that many abscissae.  Each row is sorted by time; coincident float times
     are ordered by abscissa, then draw index.  One ``argsort`` by time sorts
-    every row; a row with an exact tie between finite times is sorted again
-    by that full rule, so the result does not depend on how ``argsort``
-    orders ties.  Returns ``counts`` (int64,
-    one per seed) and ``times`` and ``xs`` of shape ``(seeds, max count)``,
-    padded with ``+inf`` past each row's count.  A row depends on its seed
-    alone, never on the other seeds of the call.
+    every row, and a row with an exact tie between finite times is sorted
+    again by that full rule, so no row depends on how ``argsort`` orders
+    ties.  Returns ``counts`` (int64, one per seed) and ``times`` and ``xs``
+    of shape ``(seeds, max count)``, padded with ``+inf`` past each row's
+    count.  A row depends on its seed alone, never on the other seeds of the
+    call.
     """
     t = _horizon(horizon_t)
     period, half = params.period, params.half_period

@@ -128,13 +128,13 @@ class TestArraySampler:
 
     def test_tied_rows_follow_the_full_rule(self, monkeypatch):
         # draws on a grid of eighths: exact time ties, equal (time, abscissa)
-        # pairs and +inf padding, which one argsort by time alone gets wrong
+        # pairs and +inf padding; argsort by time alone misorders the ties
         monkeypatch.setattr(chl.process, "uniform_at",
                             lambda seeds, draws: np.floor(uniform_at(seeds, draws) * 8) / 8)
         params = CylinderParams(2.0, 1.0)
         seeds = [mix_seed(13, r) for r in range(200)]
         counts, times, xs = sample_many(params, 1.0, seeds)
-        pairs = equal_pairs = 0
+        tied_rows = equal_pairs = 0
         for r, (seed, c) in enumerate(zip(seeds, counts.tolist())):
             draw_t, draw_x = _scalar_draws(params, 1.0, seed, lambda u: math.floor(u * 8) / 8)
             order = np.lexsort((draw_x, draw_t))
@@ -144,9 +144,9 @@ class TestArraySampler:
             one = sample_many(params, 1.0, [seed])
             assert one[1][0].tolist() == times[r, :c].tolist()
             assert one[2][0].tolist() == xs[r, :c].tolist()
-            pairs += len(set(draw_t)) < c
+            tied_rows += len(set(draw_t)) < c
             equal_pairs += len(set(zip(draw_t, draw_x))) < c
-        assert pairs > 100 and equal_pairs > 100 and counts.min() < counts.max()
+        assert tied_rows > 100 and equal_pairs > 100 and counts.min() < counts.max()
 
     def test_one_row_sample_events(self):
         for n, t, seed in ((16.0, 1.0, 1), (200.0, 2.0, 2), (2.0, 1e-9, 3), (3.0, 0.7, -5)):
