@@ -205,7 +205,7 @@ def _slit_sqrt_many(a, b, u: np.ndarray) -> np.ndarray:
         off &= ~real
     if off.any():
         q = u[off]
-        w = (a[off] - b[off] / (q * q)) if each else (a - b / (q * q))
+        w = _at(a, off) - _at(b, off) / (q * q)
         flat = w.imag == 0.0  # Im(z^2) underflowed: the radicand's side of the cut is Re z's
         w.imag[flat] = np.copysign(0.0, q.real[flat])
         out[off] = q * np.sqrt(w)
@@ -375,12 +375,10 @@ def _axis_slit_many(params: CylinderParams, u: np.ndarray) -> np.ndarray:
     out = np.zeros(u.shape, dtype=complex)
     out.real = 2.0 * n * np.arctan(v * np.sqrt(rad))
     if inside.any():
-        lam, v = params.lam, v[inside]
-        if each := isinstance(params, _PerPoint):
-            n, a, d2, lam = n[inside], a[inside], d2[inside], lam[inside]
+        n, a, d2, lam, v = (_at(q, inside) for q in (n, a, d2, params.lam, v))
         h = 2.0 * n * np.arctanh(np.sqrt(d2 - a * v * v))
         tip = np.abs(v) <= _TIP_RADIUS
-        h[tip] = lam[tip] if each else lam
+        h[tip] = _at(lam, tip)
         out.imag[inside] = h
     return out
 
@@ -449,13 +447,10 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
         tip = np.abs(v) <= _TIP_RADIUS
         r[tip] = 1j * _at(p.lam, tip)  # the tip, exactly
         out[low] = r
-
-    far = y >= _FAR_FIELD_RATIO * n
-    if far.any():
+    if (far := y >= _FAR_FIELD_RATIO * n).any():
         wf, n_f, d2_f = w[far], _at(n, far), _at(d2, far)
         log1p = np.log1p if isinstance(d2_f, np.ndarray) else math.log1p
         out[far] = wf - 1j * n_f * log1p(-d2_f) + 2j * n_f * d2_f * np.exp(1j * wf / n_f)
-
     if (disk := ~(axis | low | far)).any():
         p = _at(params, disk)
         zeta = np.exp(-1j * w[disk] / p.radius_n)

@@ -18,12 +18,12 @@ The same log drives every process variant, each a function of ``(log, z, s)``:
 
 Each variant is :func:`compose` over a selection of the log's abscissae in
 one of two orders.  Evaluation at time ``s`` is cadlag: an event at exactly
-``s`` is included.  Batched, many points go through one map per call: the
-cylinder slit maps of Monte Carlo and of the cluster trace by the lock-step
-engine ``_LockStep``, which holds a point in one of two kinds (disk
-coordinates ``exp(-iz/N)`` in a band of heights, once a map moves it there,
-and cylinder points otherwise), and the half-plane maps by
-:func:`orbit_many`.
+``s`` is included.  Batched, many points go through one map per call, by one
+column step ``_live`` in which a ``+inf`` abscissa applies no map: over the
+padded rows of :func:`orbit_many`, with any batched kernel, and in the
+lock-step engine ``_LockStep`` of Monte Carlo and the cluster trace, which
+holds a cylinder point in disk coordinates ``exp(-iz/N)`` in a band of
+heights, once a map moves it there.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ import numpy as np
 from .conformal import (
     _FAR_FIELD_RATIO,
     CylinderParams,
+    _at,
     _disk_slit_many,
     _disk_slit_origin,
     cyl_slit,
     cyl_slit_many,
     halfplane_slit,
-    halfplane_slit_many,
 )
 from .rng import _MASK, poisson_many, uniform_at
 
@@ -257,7 +257,7 @@ def compose(slit: Callable[..., complex], first, xs: Iterable[float], z: complex
 
     ``slit`` is ``cyl_slit`` with ``first`` the cylinder params, or
     ``halfplane_slit`` with ``first`` the slit length.  Every process variant runs
-    this loop; ``_LockStep`` and :func:`orbit_many` batch it.
+    this loop, the scalar reference of :func:`orbit_many` and ``_LockStep``.
     """
     return orbit(slit, first, xs, z)[-1]
 
@@ -270,17 +270,17 @@ def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) 
     return out
 
 
-def orbit_many(lam: float, xs: np.ndarray, z: complex) -> Iterator[np.ndarray]:
-    """Lock-step :func:`orbit` of ``halfplane_slit(lam, ., .)`` over each row of the 2-D ``xs``.
+def orbit_many(slit: Callable, first, xs: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
+    """Batched :func:`orbit`: point ``w[k]`` over row k of the 2-D ``xs``, one column a step.
 
-    Yields ``z``, then the images after each column, as one array updated in
-    place.  A ``+inf`` entry (``sample_many``'s padding, or a masked event) applies no map.
+    ``slit(first, x, pts)`` is a batched kernel, its ``first`` one for all
+    points or ``_PerPoint``.  Yields a copy of ``w``, then the points after
+    each column (``_live``: a ``+inf`` entry applies no map).
     """
-    w = np.full(len(xs), complex(z))
+    w = np.array(w, dtype=complex)
     yield w
     for col in np.transpose(xs):
-        live = np.isfinite(col)
-        w[live] = halfplane_slit_many(lam, col[live], w[live])
+        w = _live(slit, first, col, w)
         yield w
 
 
@@ -299,18 +299,17 @@ def _from_zeta(n: float, zeta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _live(f, x, at: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``f(x, pts)``, where ``x`` is a float or one abscissa per point (``x[at]``, ``+inf``: no map)."""
+def _live(slit: Callable, first, x, pts: np.ndarray) -> np.ndarray:
+    """``slit(first, x, pts)`` on the points whose ``x`` (a float, or one per point) is finite.
+
+    One call on ``pts`` where every ``x`` is; else ``pts[live]`` in place, ``first`` by ``_at``.
+    """
     if not pts.size:
         return pts
-    if np.ndim(x) == 0:
-        return f(x, pts)
-    xs = x[at]
-    if (live := np.isfinite(xs)).all():
-        return f(xs, pts)
-    out = pts.copy()
-    out[live] = f(xs[live], pts[live])
-    return out
+    if np.ndim(x) == 0 or (live := np.isfinite(x)).all():
+        return slit(first, x, pts)
+    pts[live] = slit(_at(first, live), x[live], pts[live])
+    return pts
 
 
 class _LockStep:
@@ -345,14 +344,13 @@ class _LockStep:
         p, n = self.params, self.params.radius_n
         if (cyl := self.cyl).size:  # band points this map moves enter zeta; a float x moves all
             enter = (cyl.imag >= _ZETA_LOW * n) & (cyl.imag < _FAR_FIELD_RATIO * n)
-            if np.ndim(x):
-                enter &= np.isfinite(x[self.cyl_at])
+            enter &= np.isfinite(_at(x, self.cyl_at))
             self.zeta = np.concatenate([self.zeta, np.exp(cyl[enter] * (-1j / n))])
             self.zeta_at = np.concatenate([self.zeta_at, self.cyl_at[enter]])
             self.cyl, self.cyl_at = cyl[~enter], self.cyl_at[~enter]
-        self.zeta = _live(lambda xs, q: _disk_slit_many(p, q, np.exp(xs * (1j / n))),
-                          x, self.zeta_at, self.zeta)
-        self.cyl = _live(lambda xs, q: cyl_slit_many(p, xs, q), x, self.cyl_at, self.cyl)
+        self.zeta = _live(lambda q, xs, w: _disk_slit_many(q, w, np.exp(xs * (1j / n))),
+                          p, _at(x, self.zeta_at), self.zeta)
+        self.cyl = _live(cyl_slit_many, p, _at(x, self.cyl_at), self.cyl)
         if (up := np.abs(self.zeta) >= _ZETA_HIGH).any():
             self.cyl = np.concatenate([self.cyl, _from_zeta(n, self.zeta[up])])
             self.cyl_at = np.concatenate([self.cyl_at, self.zeta_at[up]])

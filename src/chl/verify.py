@@ -34,6 +34,7 @@ from .conformal import (
     cyl_slit_many,
     cylinder_dist,
     halfplane_slit,
+    halfplane_slit_many,
 )
 from .process import (
     _horizon,
@@ -274,13 +275,9 @@ def shift_commutation_check(
     return float(np.abs(np.subtract(*_shift_sides([(params, xs, y, z_grid)]))).max(initial=0.0))
 
 
-def _compose_rows(slit, params: _PerPoint, rows: Sequence, which: np.ndarray, w: np.ndarray):
-    """``compose(slit, params[k], rows[which[k]], w[k])`` at every k, in one lock-step pass."""
-    cols = np.array(list(itertools.zip_longest(*rows, fillvalue=np.inf))).reshape(-1, len(rows))
-    for col in cols[:, which]:  # +inf: no map
-        live = np.isfinite(col)
-        w[live] = slit(params[live], col[live], w[live])
-    return w
+def _padded(rows: Sequence) -> np.ndarray:
+    """The rows as one 2-D array, each padded with ``+inf`` (no map) to the longest."""
+    return np.array(list(itertools.zip_longest(*rows, fillvalue=np.inf))).reshape(-1, len(rows)).T
 
 
 def _shift_sides(configs: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +289,8 @@ def _shift_sides(configs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     rows = [list(reversed(row)) for row in xs]
     rows += [[x + shift for x in row] for row, shift in zip(rows, ys)]
     both = np.concatenate([which, which + len(configs)])
-    w = _compose_rows(cyl_slit_many, _PerPoint.stack(params * 2, both), rows, both,
-                      np.concatenate([z - y, z]))
+    *_, w = orbit_many(cyl_slit_many, _PerPoint.stack(params * 2, both), _padded(rows)[both],
+                       np.concatenate([z - y, z]))
     return w[:len(z)] + y, w[len(z):]
 
 
@@ -301,10 +298,10 @@ def _disk_sides(logs: Sequence, probes: np.ndarray) -> tuple[np.ndarray, np.ndar
     """``eval_backward_chl`` and ``eval_disk_hl`` of each log at its horizon, at its row of
     ``probes`` (flat), by ``cyl_slit_many`` and ``_disk_slit_many``; and the points' params."""
     which, z = np.repeat(np.arange(len(logs)), probes.shape[1]), probes.ravel()
-    p, rows = _PerPoint.stack([g.params for g in logs], which), [g.xs for g in logs]
-    chl = _compose_rows(cyl_slit_many, p, rows, which, z.copy())
-    zeta = _compose_rows(lambda q, x, w: _disk_slit_many(q, w, np.exp(1j * x / q.radius_n)),
-                         p, rows, which, np.exp(-1j * z / p.radius_n))
+    p, xs = _PerPoint.stack([g.params for g in logs], which), _padded([g.xs for g in logs])[which]
+    *_, chl = orbit_many(cyl_slit_many, p, xs, z)
+    *_, zeta = orbit_many(lambda q, x, w: _disk_slit_many(q, w, np.exp(1j * x / q.radius_n)),
+                          p, xs, np.exp(-1j * z / p.radius_n))
     assert np.abs(zeta).max(initial=0.0) < 1e130  # the kernel's domain; no map lowers a point
     return chl, 1j * p.radius_n * np.log(zeta), p
 
@@ -426,7 +423,7 @@ def coupling_sup_distances(
             chl = _LockStep(params, np.full(len(block), complex(z)))
             c = chl.points()
             kept = sub if w_eff == half_width else np.where(abs(sub) <= w_eff, sub, np.inf)
-            shl = orbit_many(lam, kept, z)
+            shl = orbit_many(halfplane_slit_many, lam, kept, np.full(len(kept), complex(z)))
             for col, h in zip(np.transpose(sub), itertools.islice(shl, 1, None)):
                 chl.step(col)
                 c = chl.points(c)  # each map moves Re by less than pi N
@@ -669,8 +666,8 @@ def _check_forward_backward_law(tol: float) -> CheckResult:
     # keeps every event: each row's maps, earliest outermost or newest outermost
     fwd_xs = sample_many(params, t, [mix_seed(4242, r) for r in range(1000)])[2][:, ::-1]
     bwd_xs = sample_many(params, t, [mix_seed(4242, 1_000_000 + r) for r in range(1000)])[2]
-    *_, fwd = orbit_many(params.lam, fwd_xs, z)
-    *_, bwd = orbit_many(params.lam, bwd_xs, z)
+    *_, fwd = orbit_many(halfplane_slit_many, params.lam, fwd_xs, np.full(1000, z))
+    *_, bwd = orbit_many(halfplane_slit_many, params.lam, bwd_xs, np.full(1000, z))
     d, p = ks_two_sample(fwd.imag, bwd.imag)
     passed = p > 0.01
     return CheckResult(

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from hypothesis import strategies as st
 import chl.process
 from chl.conformal import (
     CylinderParams,
+    _at,
     _disk_slit_many,
+    _PerPoint,
     cyl_slit,
     cyl_slit_many,
     cylinder_dist,
     halfplane_slit,
+    halfplane_slit_many,
 )
 from chl.process import (
     Event,
@@ -40,6 +44,7 @@ from chl.process import (
     eval_forward_chl,
     eval_forward_shl,
     orbit,
+    orbit_many,
     restrict_log,
     sample_events,
     sample_many,
@@ -531,6 +536,74 @@ class TestLockStep:
         steps.step(np.full(z.size, x) if per_point else x)
         zeta = _disk_slit_many(p, np.exp(z * (-1j / n)), np.exp(x * (1j / n)))
         assert steps.points().tolist() == _from_zeta(n, zeta).tolist()
+
+
+def _disk_step(q, x, w):
+    """The cylinder slit map over ``x`` in disk coordinates, as ``disk_conjugation`` takes it."""
+    return _disk_slit_many(q, w, np.exp(1j * x / q.radius_n))
+
+
+class TestOrbitMany:
+    """orbit_many over +inf padded rows, with per-point parameters, against the scalar loop."""
+
+    CONFIGS = [CylinderParams(1.5, 0.4), CylinderParams(4.0, 1.0), CylinderParams(9.0, 2.0)]
+    # kernel: (slit, first of the rows' params, start from a cylinder point, back to one)
+    KERNELS = {
+        "cyl": (cyl_slit_many, lambda p: p, lambda p, z: z, lambda p, w: w),
+        "disk": (_disk_step, lambda p: p, lambda p, z: np.exp(-1j * z / p.radius_n),
+                 lambda p, w: 1j * p.radius_n * np.log(w)),
+        "halfplane": (halfplane_slit_many, lambda p: 0.7, lambda p, z: z, lambda p, w: w),
+    }
+
+    def _case(self, seed, lengths):
+        """Rows of these lengths, their params cycling through CONFIGS, start points, +inf padded."""
+        rng = np.random.default_rng(seed)
+        which = np.arange(len(lengths)) % len(self.CONFIGS)
+        p = _PerPoint.stack(self.CONFIGS, which)
+        rows = [rng.uniform(-h, h, size=m).tolist() for h, m in zip(p.half_period, lengths)]
+        z = rng.uniform(-p.half_period, p.half_period) + 1j * rng.uniform(0.05, 3.0, len(lengths))
+        xs = np.full((len(rows), max(lengths)), np.inf)
+        for r, row in enumerate(rows):
+            xs[r, :len(row)] = row
+        return p, which, rows, xs, z
+
+    @pytest.mark.parametrize("kernel", ["cyl", "disk"])
+    def test_rows_match_compose(self, kernel):
+        # the bound of test_lockstep_growth_matches_compose: 16 (maps + 1) eps max(N, |w|)
+        slit, first, into, back = self.KERNELS[kernel]
+        p, which, rows, xs, z = self._case(40, [0, 3, 7, 12, 1, 9, 5, 12, 2])
+        *_, w = orbit_many(slit, first(p), xs, into(p, z))
+        got = back(p, w)
+        for r, row in enumerate(rows):
+            q = self.CONFIGS[which[r]]
+            want = orbit(cyl_slit, q, row, z[r])
+            budget = 16.0 * (len(row) + 1) * sys.float_info.epsilon * max(q.radius_n, *map(abs, want))
+            assert cylinder_dist(q, got[r], want[-1]) <= budget, r
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_rows_beside_masked_rows_keep_their_bits(self, kernel):
+        # rows that are +inf in every column mask every column, so the others move
+        # by pts[live] alone; composed alone, an all-finite column is one call on
+        # the whole array.  The kernels map each point alike either way
+        slit, first, into, _ = self.KERNELS[kernel]
+        p, _, _, xs, z = self._case(41, [6, 3, 6, 4, 6, 0, 0])
+        keep = slice(0, 5)
+        assert np.isfinite(xs[keep, :3]).all() and not np.isfinite(xs[5:]).any()
+        start = into(p, z)
+        alone = [w.tobytes() for w in orbit_many(slit, _at(first(p), keep), xs[keep], start[keep])]
+        beside = [w[keep].tobytes() for w in orbit_many(slit, first(p), xs, start)]
+        assert alone == beside
+
+    def test_callers_points_are_not_written(self):
+        p, _, _, xs, z = self._case(42, [4, 1, 0, 4])
+        start = z.copy()
+        steps = list(orbit_many(cyl_slit_many, p, xs, start))
+        assert start.tobytes() == z.tobytes() and all(w is not start for w in steps)
+
+    def test_no_columns_yields_only_the_start(self):
+        z = np.array([1j, 0.5 + 2j])
+        steps = list(orbit_many(cyl_slit_many, CylinderParams(2.0, 1.0), np.empty((2, 0)), z))
+        assert len(steps) == 1 and steps[0].tolist() == z.tolist()
 
 
 class TestEvaluatorValidation:

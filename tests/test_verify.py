@@ -18,6 +18,7 @@ from chl.conformal import (
     cyl_slit,
     cylinder_dist,
     halfplane_slit,
+    halfplane_slit_many,
 )
 from chl.process import (
     _LockStep,
@@ -446,7 +447,8 @@ def _full_width_coupling(lam, z, t, n_list, replicas, seed, window=None):
         w_eff = math.pi * n if window is None else min(window, math.pi * n)
         chl = _LockStep(params, np.full(replicas, complex(z)))
         c = chl.points()
-        shl = orbit_many(lam, np.where(abs(xs) <= w_eff, xs, np.inf), z)
+        shl = orbit_many(halfplane_slit_many, lam, np.where(abs(xs) <= w_eff, xs, np.inf),
+                         np.full(replicas, complex(z)))
         next(shl)
         for col, h in zip(np.transpose(np.where(abs(xs) <= math.pi * n, xs, np.inf)), shl):
             chl.step(col)
@@ -756,7 +758,7 @@ def test_lockstep_growth_matches_compose(case):
     steps = _LockStep(p, np.full(len(rows), z))
     for col in np.transpose(xs):
         steps.step(col)
-    *_, shl = orbit_many(lam, xs, z)
+    *_, shl = orbit_many(halfplane_slit_many, lam, xs, np.full(len(rows), z))
     cases = ((cyl_slit, p, steps.points(z), lambda a, b: cylinder_dist(p, a, b)),
              (halfplane_slit, lam, shl, lambda a, b: abs(a - b)))
     for slit, first, got, dist in cases:
