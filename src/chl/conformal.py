@@ -375,10 +375,11 @@ def _axis_slit_many(params: CylinderParams, u: np.ndarray) -> np.ndarray:
     out = np.zeros(u.shape, dtype=complex)
     out.real = 2.0 * n * np.arctan(v * np.sqrt(rad))
     if inside.any():
-        n, a, d2, lam, v = (_at(q, inside) for q in (n, a, d2, params.lam, v))
-        h = 2.0 * n * np.arctanh(np.sqrt(d2 - a * v * v))
+        p, v = _at(params, inside), v[inside]
+        d2 = p.delta * p.delta
+        h = 2.0 * p.radius_n * np.arctanh(np.sqrt(d2 - (1.0 - d2) * v * v))
         tip = np.abs(v) <= _TIP_RADIUS
-        h[tip] = _at(lam, tip)
+        h[tip] = _at(p.lam, tip)
         out.imag[inside] = h
     return out
 

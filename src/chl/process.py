@@ -274,8 +274,9 @@ def orbit_many(slit: Callable, first, xs: np.ndarray, w: np.ndarray) -> Iterator
     """Batched :func:`orbit`: point ``w[k]`` over row k of the 2-D ``xs``, one column a step.
 
     ``slit(first, x, pts)`` is a batched kernel, its ``first`` one for all
-    points or ``_PerPoint``.  Yields a copy of ``w``, then the points after
-    each column (``_live``: a ``+inf`` entry applies no map).
+    points or ``_PerPoint``; a ``+inf`` entry applies no map.  Yields a copy
+    of ``w``, then the points after each column.  A column holding ``+inf``
+    updates the array yielded last in place (``_live``): copy one to keep it.
     """
     w = np.array(w, dtype=complex)
     yield w
