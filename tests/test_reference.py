@@ -1,17 +1,18 @@
-"""Reference artifacts: the numeric fields of six small CLI runs, held across commits.
+"""Reference artifacts: the numeric fields of nine small CLI runs, held across commits.
 
 ``tests/reference/`` holds one file per artifact of ``RUNS``, named by the
 artifact, and by the run too where the run is not named after its command
 (``converge_window_coupling.csv``): its first line
 is the command that made it, then a table of its numbers at 17 significant
 digits, one ``field,value`` row per number of a JSON file, or a CSV file's
-rows (every 16th of ``cluster.csv``), each led by its row number.  The test reruns each
+rows (every k-th, by ``_STRIDE``, of the long ones), each led by its row number.  The test reruns each
 command in process and compares every field within a bound, not bit for bit,
 since numpy's transcendental functions may differ in the last bits between
 versions and CPUs:
 
 * rounding residuals (``_RESIDUALS``) within 1e-12 absolute;
-* points (a CSV row's ``re`` and ``im``) within 1e-10 as cylinder points of radius 10;
+* points (a CSV row's ``re`` and ``im``) within 1e-10 as cylinder points of the run's
+  radius (``_RADIUS``, else 10);
 * every other number within 1e-12 relative, or ``_WIDE``'s wider bound.
 
 A change that moves a value beyond its bound rewrites the files with
@@ -47,11 +48,21 @@ RUNS = {
                         ["converge.json", "coupling.csv"]),
     "converge_boundary": (["converge", "--n-list", "4,8,16", "--replicas", "200",
                            "--probe", "0.5+0i"], ["converge.json", "coupling.csv"]),
+    "coupling_decay": (["verify", "--only", "coupling_decay"], ["report.json"]),
     "simulate": (["simulate", "--n", "10", "--t", "3", "--seed", "7", "--probe", "0+1i",
                   "--trajectory"], ["trajectory.csv"]),
+    # real probes: the axis path of the slit map
+    "simulate_axis": (["simulate", "--n", "10", "--t", "3", "--seed", "7", "--probe", "0.5+0i",
+                       "--probe", "3", "--trajectory"], ["trajectory.csv"]),
     "render": (["render", "--n", "10", "--t", "3", "--seed", "1234"], ["cluster.csv"]),
+    # a tall cluster on a thin cylinder: heights near 110, where the render guard bites
+    "render_tall": (["render", "--n", "0.1", "--lambda", "1", "--t", "200", "--seed", "1"],
+                    ["cluster.csv"]),
 }
-_STRIDE = {"cluster.csv": 16}  # CSV rows kept: every k-th
+# CSV rows kept by run and artifact: every k-th; an odd k over cluster.csv's 16 points a
+# particle keeps points of every index
+_STRIDE = {("render", "cluster.csv"): 16, ("render_tall", "cluster.csv"): 37,
+           ("simulate_axis", "trajectory.csv"): 7}
 
 # fields that measure rounding error, near 0, so only an absolute bound means anything;
 # fixed_z_slope fits values equal to 1e-4, so an ulp in them moves it by about 1e-11 relative
@@ -59,7 +70,7 @@ _RESIDUALS = {"max_abs_error", "max_cylinder_distance", "max_rel_error", "small_
               "offset", "fixed_z_slope"}
 # a coupling mean moves by up to 4.5e-15 between CPUs (README): 1e-12 of a mean of 5e-3
 _WIDE = {"means": 1e-11, "mean_square_distance": 1e-11}
-_POINTS = CylinderParams(10.0, 1.0)  # the radius of the simulate and render runs
+_RADIUS = {"render_tall": 0.1}  # the cylinder of a run's points, where it is not N = 10
 
 
 def _flat(value, path: str = ""):
@@ -74,13 +85,12 @@ def _flat(value, path: str = ""):
         yield path, float(value)
 
 
-def _table(path: Path) -> tuple[list[str], list[list]]:
+def _table(path: Path, stride: int = 1) -> tuple[list[str], list[list]]:
     """The numbers of the artifact at ``path`` as a header and rows: ``field,value`` of a JSON
-    file, or a CSV file's kept rows, each led by its row number."""
+    file, or every ``stride``-th row of a CSV file, each led by its row number."""
     if path.suffix == ".json":
         return ["field", "value"], [list(item) for item in _flat(json.loads(path.read_text()))]
     header, *rows = path.read_text().splitlines()
-    stride = _STRIDE.get(path.name, 1)
     return ["row"] + header.split(","), [[k] + [float(v) for v in row.split(",")]
                                          for k, row in enumerate(rows) if k % stride == 0]
 
@@ -102,8 +112,9 @@ def _read_reference(name: str, artifact: str) -> dict[str, float]:
     return _fields(header.split(","), [ln.split(",") for ln in lines])
 
 
-def _deviations(artifact: str, want: dict, got: dict) -> list[str]:
-    """One line per field of ``want`` that ``got`` lacks or that moved beyond its bound."""
+def _deviations(artifact: str, want: dict, got: dict, points: CylinderParams) -> list[str]:
+    """One line per field of ``want`` that ``got`` lacks or that moved beyond its bound; a
+    point is compared on the cylinder ``points``."""
     if missing := sorted(want.keys() ^ got.keys()):
         return [f"{artifact}: fields added or missing: {missing[:5]}"]
     bad = []
@@ -115,7 +126,7 @@ def _deviations(artifact: str, want: dict, got: dict) -> list[str]:
         now = got[field]
         if leaf == "re" and f"{stem}/im" in want:
             ref, now = complex(ref, want[f"{stem}/im"]), complex(now, got[f"{stem}/im"])
-            dev, bound, kind = float(cylinder_dist(_POINTS, now, ref)), 1e-10, "cylinder distance"
+            dev, bound, kind = float(cylinder_dist(points, now, ref)), 1e-10, "cylinder distance"
         elif leaf in _RESIDUALS:
             dev, bound, kind = abs(now - ref), 1e-12, "absolute"
         else:
@@ -136,9 +147,10 @@ def _run(name: str, out: Path) -> Path:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_artifacts_match_reference(name, tmp_path, monkeypatch):
     monkeypatch.delenv("CHL_SEED", raising=False)
-    out = _run(name, tmp_path)
+    out, points = _run(name, tmp_path), CylinderParams(_RADIUS.get(name, 10.0), 1.0)
     bad = [line for artifact in RUNS[name][1] for line in _deviations(
-        artifact, _read_reference(name, artifact), _fields(*_table(out / artifact)))]
+        artifact, _read_reference(name, artifact),
+        _fields(*_table(out / artifact, _STRIDE.get((name, artifact), 1))), points)]
     assert not bad, "\n".join(bad)
 
 
@@ -153,7 +165,7 @@ def _write_references() -> None:
         for name, (argv, artifacts) in RUNS.items():
             out = _run(name, Path(tmp) / name)
             for artifact in artifacts:
-                header, rows = _table(out / artifact)
+                header, rows = _table(out / artifact, _STRIDE.get((name, artifact), 1))
                 lines = [f"# chl {' '.join(argv)}: {artifact}", ",".join(header)]
                 lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
                           for row in rows]
