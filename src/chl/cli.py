@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from .conformal import CylinderParams
 from .process import EventLog, backward_chl_trajectory, sample_events
-from .render import _EPS, _MAX_ERROR, export_csv, export_svg, trace_cluster
+from .render import _EPS, _MAX_ERROR, _text, export_csv, export_svg, trace_cluster
 from .verify import (
     CHECK_NAMES,
     SLIT_RATE_GRID,
@@ -39,6 +39,7 @@ __all__ = ["main", "build_parser"]
 
 
 _NUMBER = (int, float)
+_RATE_CSV = ("scale,error", "%.17g,%.17g")  # the head and row of every rate_*.csv
 
 
 def _checked(value, types: tuple):
@@ -176,20 +177,22 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _echo_config(cfg: dict) -> None:
     # neither out nor threads can change an artifact, and echoing them breaks byte-identity
-    blob = {k: _jsonable(v) for k, v in cfg.items() if k not in ("out", "threads")}
-    (cfg["out"] / "config.json").write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
+    _write_json(cfg["out"] / "config.json",
+                {k: v for k, v in cfg.items() if k not in ("out", "threads")})
 
 
-def _jsonable(value):
+def _write_json(path: Path, blob) -> None:
+    """Every JSON artifact: keys sorted, indent 1, one final newline."""
+    path.write_text(json.dumps(blob, sort_keys=True, indent=1, default=_json_value) + "\n")
+
+
+def _json_value(value):
+    """A complex number as {re, im}, a ``Path`` as text; ``TypeError`` for anything else."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, Path):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} {value!r} is not JSON serializable")
 
 
 def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
@@ -197,12 +200,10 @@ def _cmd_simulate(cfg: dict, out_dir: Path) -> int:
     log = sample_events(params, cfg["t"], cfg["seed"])
     (out_dir / "events.jsonl").write_text(log.to_jsonl())
     if cfg["trajectory"]:
-        probes = cfg["probe"] or [1j]
-        lines = ["time,probe,re,im"]
-        for p_idx, z in enumerate(probes):
-            for t_k, w in backward_chl_trajectory(log, z):
-                lines.append(f"{t_k:.17g},{p_idx},{w.real:.17g},{w.imag:.17g}")
-        (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        rows = ((t_k, k, w.real, w.imag) for k, z in enumerate(cfg["probe"] or [1j])
+                for t_k, w in backward_chl_trajectory(log, z))
+        (out_dir / "trajectory.csv").write_text(
+            _text("time,probe,re,im", "%.17g,%d,%.17g,%.17g", rows))
     print(f"simulate: {len(log)} events -> {out_dir / 'events.jsonl'}")
     return 0
 
@@ -212,8 +213,8 @@ def _result_blob(results: list[CheckResult]) -> dict:
         "checks": [
             {
                 "check": r.check,
-                "params": _jsonable(r.params),
-                "values": _jsonable(r.values),
+                "params": r.params,
+                "values": r.values,
                 "target": r.target,
                 "tolerance": r.tolerance,
                 "pass": r.passed,
@@ -227,11 +228,10 @@ def _result_blob(results: list[CheckResult]) -> dict:
 def _cmd_verify(cfg: dict, out_dir: Path) -> int:
     results = run_suite(only=cfg["only"], tol=cfg["tol"])
     blob = _result_blob(results)
-    (out_dir / "report.json").write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
+    _write_json(out_dir / "report.json", blob)
     for r in results:
         if r.grid:
-            lines = ["scale,error"] + [f"{s:.17g},{e:.17g}" for s, e in r.grid]
-            (out_dir / f"rate_{r.check}.csv").write_text("\n".join(lines) + "\n")
+            (out_dir / f"rate_{r.check}.csv").write_text(_text(*_RATE_CSV, r.grid))
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.check}")
     return 0 if blob["all_passed"] else 1
 
@@ -245,15 +245,13 @@ def _cmd_converge(cfg: dict, out_dir: Path) -> int:
     summaries = _summarize(sups)
     means = [s.mean.real for s in summaries]
     cis = [s.ci99_halfwidth for s in summaries]
-    lines = ["N,mean_square_distance,ci99_halfwidth"]
-    for n, m, c in zip(cfg["n_list"], means, cis):
-        lines.append(f"{n:.17g},{m:.17g},{c:.17g}")
-    (out_dir / "coupling.csv").write_text("\n".join(lines) + "\n")
+    rows = zip(cfg["n_list"], means, cis)
+    (out_dir / "coupling.csv").write_text(
+        _text("N,mean_square_distance,ci99_halfwidth", "%.17g,%.17g,%.17g", rows))
 
     paired = (sups[:, 1:] < sups[:, :-1]).mean(axis=0)
     rate = slit_convergence_rate(cfg["lam"], 2e5j, SLIT_RATE_GRID)
-    lines = ["scale,error"] + [f"{s:.17g},{e:.17g}" for s, e in rate.grid]
-    (out_dir / "rate_slit_convergence.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "rate_slit_convergence.csv").write_text(_text(*_RATE_CSV, rate.grid))
     summary = {
         "coupling": {
             "n_list": cfg["n_list"],
@@ -263,7 +261,7 @@ def _cmd_converge(cfg: dict, out_dir: Path) -> int:
         },
         "slit_rate": {"slope": rate.slope, "r_squared": rate.r_squared},
     }
-    (out_dir / "converge.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
+    _write_json(out_dir / "converge.json", summary)
     print(f"converge: means {['%.3e' % v for v in means]} -> {out_dir / 'coupling.csv'}")
     return 0
 

@@ -242,12 +242,10 @@ def restrict_log(log: EventLog, half_width: float) -> EventLog:
     return EventLog(params, log.horizon_t, log.seed, events)
 
 
-def _restrict_many(xs: np.ndarray, half_width: float) -> np.ndarray:
-    """:func:`restrict_log` on each row of ``sample_many``'s abscissae, in time order.
-
-    Kept events come first, by one scatter, then ``+inf`` to the longest kept row (width 0 if none).
-    """
-    keep = np.abs(xs) <= half_width
+def _restrict_many(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each row's entries where ``keep``, in order, by one scatter, then ``+inf`` to the longest
+    kept row (width 0 if none): :func:`restrict_log` on rows of ``sample_many``'s abscissae
+    where ``keep`` is ``|xs| <= half_width``."""
     count = np.count_nonzero(keep, axis=1)
     out = np.full((len(xs), count.max(initial=0)), np.inf)
     out[np.arange(out.shape[1]) < count[:, None]] = xs[keep]

@@ -129,8 +129,12 @@ def export_csv(rows: np.ndarray, times: tuple[float, ...]) -> bytes:
 
     Row k is written as event ``k``, born at ``times[k]``.
     """
-    lines = ["event_index,birth_time,point_index,re,im"]
-    for k, (t, row) in enumerate(zip(times, rows.tolist())):
-        for j, p in enumerate(row):
-            lines.append(f"{k},{t:.17g},{j},{p.real:.17g},{p.imag:.17g}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    points = ((k, t, j, p.real, p.imag) for k, (t, row) in enumerate(zip(times, rows.tolist()))
+              for j, p in enumerate(row))
+    return _text("event_index,birth_time,point_index,re,im", "%d,%.17g,%d,%.17g,%.17g",
+                 points).encode("utf-8")
+
+
+def _text(head: str, template: str, rows) -> str:
+    """Every CSV artifact: ``head``, then ``template % row`` for each row, a newline after each."""
+    return "\n".join([head, *(template % row for row in rows)]) + "\n"

@@ -333,26 +333,22 @@ def _run_replicas(worker, seeds: list) -> np.ndarray:
     return np.concatenate([worker(seeds[i:i + _BLOCK]) for i in range(0, len(seeds), _BLOCK)])
 
 
-def _by_rows(part, rows: int, width: int) -> np.ndarray:
-    """``part(r)`` for each slice r of ``_SAMPLE_ROWS`` rows, in a ``(rows, width)`` +inf array."""
-    out = np.full((rows, width), np.inf)
-    for lo in range(0, rows, _SAMPLE_ROWS):
-        rows_lo = part(slice(lo, lo + _SAMPLE_ROWS))
-        out[lo:lo + len(rows_lo), :rows_lo.shape[1]] = rows_lo
-    return out
-
-
-def _abscissae(params: CylinderParams, t: float, block: list) -> np.ndarray:
-    """``sample_many(params, t, block)[2]``, sized by the block's Poisson counts."""
-    counts, _ = poisson_many(np.array(block, dtype=np.uint64), params.period * _horizon(t))
-    return _by_rows(lambda r: sample_many(params, t, block[r])[2], len(block), counts.max())
+def _longest_first(part, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows by descending count (stable) and, in that order, ``part(rows)`` of each chunk of
+    ``_SAMPLE_ROWS`` rows in one ``(len(counts), counts.max())`` +inf array."""
+    order = np.argsort(-counts, kind="stable")
+    out = np.full((len(counts), counts.max(initial=0)), np.inf)
+    for lo in range(0, len(order), _SAMPLE_ROWS):
+        rows = part(order[lo:lo + _SAMPLE_ROWS])
+        out[lo:lo + len(rows), :rows.shape[1]] = rows
+    return order, out
 
 
 def _by_count(params: CylinderParams, t: float, block: list) -> tuple[np.ndarray, np.ndarray]:
-    """The block's order by descending event count (stable), and ``_abscissae`` in that order."""
-    counts, _ = poisson_many(np.array(block, dtype=np.uint64), params.period * _horizon(t))
-    order = np.argsort(-counts, kind="stable")
-    return order, _abscissae(params, t, [block[i] for i in order])
+    """``_longest_first`` of the block's ``sample_many`` abscissae, by their Poisson counts."""
+    seeds = np.array(block, dtype=np.uint64)
+    counts, _ = poisson_many(seeds, params.period * _horizon(t))
+    return _longest_first(lambda rows: sample_many(params, t, seeds[rows])[2], counts)
 
 
 def mc_growth_check(
@@ -427,12 +423,12 @@ def coupling_sup_distances(
             params, half_width, w_eff = radii[k]
             # restrict_log's events, compacted, rows by descending kept count; the SHL keeps
             # their columns, masked to its window.  Column j moves the rows [:live[j]]
-            count = np.count_nonzero((-half_width <= sub) & (sub <= half_width), axis=1)
-            by = np.argsort(-count, kind="stable")
-            order, wider = order[by], sub  # order: the block position of each row
-            sub = wider if params is master else _by_rows(  # the master radius keeps every event
-                lambda r: _restrict_many(wider[by[r]], half_width), len(block), count.max())
-            live = np.searchsorted(-count[by], -np.arange(sub.shape[1]))
+            keep = (-half_width <= sub) & (sub <= half_width)
+            count = np.count_nonzero(keep, axis=1)
+            if params is not master:  # the master radius keeps every event, in count order
+                by, sub = _longest_first(lambda rows: _restrict_many(sub[rows], keep[rows]), count)
+                order, count = order[by], count[by]  # order: the block position of each row
+            live = np.searchsorted(-count, -np.arange(sub.shape[1]))
             chl = _LockStep(params, np.full(len(block), complex(z)))
             c, sup = chl.points(), np.zeros(len(block))
             kept = sub if w_eff == half_width else np.where(abs(sub) <= w_eff, sub, np.inf)

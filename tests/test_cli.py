@@ -9,10 +9,14 @@ import subprocess
 import sys
 import tracemalloc
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from chl import verify
-from chl.cli import main
+from chl.cli import _write_json, main
+from chl.render import _text
 from chl.process import EventLog
 from chl.verify import _summarize, coupling_sup_distances
 
@@ -365,16 +369,23 @@ class TestConfigFile:
         assert log.params.radius_n == 3.0  # from config
         assert log.seed == 200  # flag wins
 
-    def test_config_echo_round_trips(self, tmp_path):
-        # the echoed config must reproduce the run when fed back in
-        first = tmp_path / "first"
-        args = ["simulate", "--n", "4", "--t", "0.5", "--seed", "11",
-                "--probe", "0+1i", "--trajectory"]
-        assert main(args + ["--out", str(first)]) == 0
-        second = tmp_path / "second"
-        assert main(["simulate", "--config", str(first / "config.json"),
-                     "--out", str(second)]) == 0
-        for name in ("events.jsonl", "trajectory.csv", "config.json"):
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "4", "--t", "0.5", "--seed", "11", "--probe", "0+1i", "--trajectory"],
+        ["verify", "--only", "quad_mean_shift"],
+        ["converge", "--n-list", "4,8", "--replicas", "64", "--probe", "0.5+0i", "--window", "2"],
+        ["render", "--input", "<log>", "--forward", "--samples", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_config_echo_round_trips(self, tmp_path, argv):
+        # the echoed config must reproduce every artifact of the run, itself included
+        log = tmp_path / "log"
+        assert main(["simulate", "--n", "4", "--t", "0.5", "--seed", "3", "--out", str(log)]) == 0
+        argv = [str(log / "events.jsonl") if a == "<log>" else a for a in argv]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main([argv[0], "--config", str(first / "config.json"), "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir()) and "config.json" in names
+        for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_console_entry_point(self, tmp_path):
@@ -425,6 +436,50 @@ class TestConfigFile:
                      "--out", str(out)]) == 0
         echo = json.loads((out / "config.json").read_text())
         assert echo["only"] == ["quad_mean_shift"] and echo["seed"] == 42
+
+
+_AWKWARD = [-0.0, 5e-324, 0.1, 1e16, math.nan, math.inf, -math.inf, np.float64(0.1)]
+
+
+class TestWriters:
+    """Every CSV artifact goes through ``render._text`` and every JSON one through
+    ``cli._write_json``; their text is held here exactly."""
+
+    def test_text_lines_equal_format_specs(self):
+        # each artifact's template against the f-string lines it replaced
+        big, floats = 2**70, _AWKWARD + _AWKWARD[::-1]
+        cases = [
+            ("%d,%.17g,%d,%.17g,%.17g",
+             lambda k, x, y: f"{big + k},{x:.17g},{k},{y:.17g},{-y:.17g}",
+             lambda k, x, y: (big + k, x, k, y, -y)),  # cluster.csv
+            ("%.17g,%d,%.17g,%.17g", lambda k, x, y: f"{x:.17g},{big},{y:.17g},{-x:.17g}",
+             lambda k, x, y: (x, big, y, -x)),  # trajectory.csv
+            ("%.17g,%.17g,%.17g", lambda k, x, y: f"{x:.17g},{y:.17g},{-y:.17g}",
+             lambda k, x, y: (x, y, -y)),  # coupling.csv
+            ("%.17g,%.17g", lambda k, x, y: f"{x:.17g},{y:.17g}",
+             lambda k, x, y: (x, y)),  # rate_*.csv
+        ]
+        triples = list(zip(range(len(floats)), floats, floats[::-1]))
+        for template, line, row in cases:
+            want = "\n".join(["a,b"] + [line(*t) for t in triples]) + "\n"
+            assert _text("a,b", template, [row(*t) for t in triples]) == want
+            assert _text("a,b", template, []) == "a,b\n"
+        assert _text("s,e", "%.17g,%.17g", [(-0.0, 5e-324), (0.1, 1e16), (math.nan, -math.inf)]) \
+            == "s,e\n-0,4.9406564584124654e-324\n0.10000000000000001,10000000000000000\nnan,-inf\n"
+
+    def test_write_json_layout(self, tmp_path):
+        path = tmp_path / "a.json"
+        _write_json(path, {"z": [1j, {"w": (2 - 0.5j, 3)}], "p": Path("x/y"), "a": -0.0})
+        assert path.read_text() == (
+            '{\n "a": -0.0,\n "p": "x/y",\n "z": [\n  {\n   "im": 1.0,\n   "re": 0.0\n  },\n'
+            '  {\n   "w": [\n    {\n     "im": -0.5,\n     "re": 2.0\n    },\n    3\n   ]\n'
+            '  }\n ]\n}\n')
+
+    @pytest.mark.parametrize("value", [np.int64(1), {1, 2}], ids=["int64", "set"])
+    def test_write_json_refuses_other_types(self, tmp_path, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(tmp_path / "a.json", {"v": [value]})
+        assert not (tmp_path / "a.json").exists()
 
 
 class TestFlags:

@@ -2,13 +2,13 @@
 
 ``tests/reference/`` holds one file per artifact of ``RUNS``, named by the
 artifact, and by the run too where the run is not named after its command
-(``converge_window_coupling.csv``): its first line
-is the command that made it, then a table of its numbers at 17 significant
-digits, one ``field,value`` row per number of a JSON file, or a CSV file's
-rows (every k-th, by ``_STRIDE``, of the long ones), each led by its row number.  The test reruns each
-command in process and compares every field within a bound, not bit for bit,
-since numpy's transcendental functions may differ in the last bits between
-versions and CPUs:
+(``converge_window_coupling.csv``): its first line is the command that made
+it, then a table of its numbers at 17 significant digits, one ``field,value``
+row per number of a JSON file, or a CSV file's rows (every k-th, by
+``_STRIDE``, of the long ones), each led by its row number.  The test reruns
+each command in process and compares every field within a bound, not bit for
+bit, since numpy's transcendental functions may differ in the last bits
+between versions and CPUs:
 
 * rounding residuals (``_RESIDUALS``) within 1e-12 absolute;
 * points (a CSV row's ``re`` and ``im``) within 1e-10 as cylinder points of the run's

@@ -415,7 +415,8 @@ class TestRestrictMany:
 
     @staticmethod
     def _check(master, t, seeds, half_width):
-        got = _restrict_many(sample_many(master, t, seeds)[2], half_width)
+        xs = sample_many(master, t, seeds)[2]
+        got = _restrict_many(xs, np.abs(xs) <= half_width)
         rows = [sample_events(master, t, s) for s in seeds]
         if half_width <= master.half_period:
             rows = [restrict_log(log, half_width) for log in rows]
@@ -509,12 +510,14 @@ class TestReplicaBlocks:
         assert verify._run_replicas(_abs_block, seeds).tolist() == [abs(s) for s in seeds]
 
     def test_rows_sampled_in_chunks(self, monkeypatch):
-        # rows filled a chunk at a time, padded to the block's longest log
+        # rows filled a chunk at a time, longest first, padded to the block's longest log
         monkeypatch.setattr(verify, "_SAMPLE_ROWS", 5)
         p, seeds = CylinderParams(8.0, 1.0), [mix_seed(6, r) for r in range(23)]
         for t in (0.5, 1e-3):  # at 1e-3 most rows and some chunks have no event
-            got = verify._abscissae(p, t, seeds)
-            assert np.array_equal(got, sample_many(p, t, seeds)[2])
+            order, got = verify._by_count(p, t, seeds)
+            counts, _, xs = sample_many(p, t, seeds)
+            assert np.array_equal(order, np.argsort(-counts, kind="stable"))
+            assert np.array_equal(got, xs[order])
 
     def test_memory_bounded(self):
         # the lock-step state of a block is small; the sampler's and the restriction's
@@ -596,9 +599,10 @@ class TestEventCountOrder:
         master, seeds = CylinderParams(8.0, 1.0), [mix_seed(13, r) for r in range(23)]
         xs = sample_many(master, 0.5, seeds)[2]
         for half_width in (math.pi, 2.0, 0.1):
-            chunked = verify._by_rows(lambda r: _restrict_many(xs[r], half_width), 23,
-                                      _restrict_many(xs, half_width).shape[1])
-            assert chunked.tobytes() == _restrict_many(xs, half_width).tobytes()
+            keep = np.abs(xs) <= half_width
+            order, chunked = verify._longest_first(
+                lambda rows: _restrict_many(xs[rows], keep[rows]), keep.sum(axis=1))
+            assert chunked.tobytes() == _restrict_many(xs, keep)[order].tobytes()
         got = coupling_sup_distances(1.0, 1j, 0.5, [1.0, 2.0, 8.0], 23, 13)
         assert np.array_equal(got, _full_width_coupling(1.0, 1j, 0.5, [1.0, 2.0, 8.0], 23, 13))
 
