@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,8 @@ import pytest
 
 from chl import verify
 from chl.cli import _write_json, main
-from chl.render import _text
 from chl.process import EventLog
+from chl.render import _text
 from chl.verify import _summarize, coupling_sup_distances
 
 
@@ -438,32 +437,28 @@ class TestConfigFile:
         assert echo["only"] == ["quad_mean_shift"] and echo["seed"] == 42
 
 
-_AWKWARD = [-0.0, 5e-324, 0.1, 1e16, math.nan, math.inf, -math.inf, np.float64(0.1)]
+_AWKWARD = [-0.0, 5e-324, 0.1, -1e16, math.nan, math.inf, -math.inf, np.float64(0.1)]
 
 
 class TestWriters:
     """Every CSV artifact goes through ``render._text`` and every JSON one through
     ``cli._write_json``; their text is held here exactly."""
 
-    def test_text_lines_equal_format_specs(self):
-        # each artifact's template against the f-string lines it replaced
-        big, floats = 2**70, _AWKWARD + _AWKWARD[::-1]
-        cases = [
-            ("%d,%.17g,%d,%.17g,%.17g",
-             lambda k, x, y: f"{big + k},{x:.17g},{k},{y:.17g},{-y:.17g}",
-             lambda k, x, y: (big + k, x, k, y, -y)),  # cluster.csv
-            ("%.17g,%d,%.17g,%.17g", lambda k, x, y: f"{x:.17g},{big},{y:.17g},{-x:.17g}",
-             lambda k, x, y: (x, big, y, -x)),  # trajectory.csv
-            ("%.17g,%.17g,%.17g", lambda k, x, y: f"{x:.17g},{y:.17g},{-y:.17g}",
-             lambda k, x, y: (x, y, -y)),  # coupling.csv
-            ("%.17g,%.17g", lambda k, x, y: f"{x:.17g},{y:.17g}",
-             lambda k, x, y: (x, y)),  # rate_*.csv
-        ]
-        triples = list(zip(range(len(floats)), floats, floats[::-1]))
-        for template, line, row in cases:
-            want = "\n".join(["a,b"] + [line(*t) for t in triples]) + "\n"
-            assert _text("a,b", template, [row(*t) for t in triples]) == want
-            assert _text("a,b", template, []) == "a,b\n"
+    @pytest.mark.parametrize("template", ["%d,%.17g,%d,%.17g,%.17g", "%.17g,%d,%.17g,%.17g",
+                                          "%.17g,%.17g,%.17g", "%.17g,%.17g"],
+                             ids=["cluster", "trajectory", "coupling", "rate"])
+    def test_text_lines_equal_format_specs(self, template):
+        # each artifact's template against the f-string lines it replaced; every awkward
+        # float in every column, and integers past 2**64
+        specs = template.split(",")
+        rows = [tuple(2**70 + k if s == "%d" else _AWKWARD[(k + j) % len(_AWKWARD)]
+                      for j, s in enumerate(specs)) for k in range(len(_AWKWARD))]
+        want = [",".join(f"{v}" if s == "%d" else f"{v:.17g}" for s, v in zip(specs, row))
+                for row in rows]
+        assert _text("a,b", template, rows) == "\n".join(["a,b", *want]) + "\n"
+        assert _text("a,b", template, []) == "a,b\n"
+
+    def test_text_literal(self):
         assert _text("s,e", "%.17g,%.17g", [(-0.0, 5e-324), (0.1, 1e16), (math.nan, -math.inf)]) \
             == "s,e\n-0,4.9406564584124654e-324\n0.10000000000000001,10000000000000000\nnan,-inf\n"
 
