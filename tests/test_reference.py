@@ -1,4 +1,4 @@
-"""Reference artifacts: the numeric fields of nine small CLI runs, held across commits.
+"""Reference artifacts: the numeric fields of twelve small CLI runs, held across commits.
 
 ``tests/reference/`` holds one file per artifact of ``RUNS``, named by the
 artifact, and by the run too where the run is not named after its command
@@ -49,6 +49,9 @@ RUNS = {
     "converge_boundary": (["converge", "--n-list", "4,8,16", "--replicas", "200",
                            "--probe", "0.5+0i"], ["converge.json", "coupling.csv"]),
     "coupling_decay": (["verify", "--only", "coupling_decay"], ["report.json"]),
+    # CI's quadrature reports at tol 1e-12
+    **{check: (["verify", "--only", check, "--tol", "1e-12"], ["report.json"])
+       for check in ("quad_mean_shift", "quad_squared_shift", "quad_squared_deriv")},
     "simulate": (["simulate", "--n", "10", "--t", "3", "--seed", "7", "--probe", "0+1i",
                   "--trajectory"], ["trajectory.csv"]),
     # real probes: the axis path of the slit map
