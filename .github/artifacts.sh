@@ -16,6 +16,7 @@ chl verify --only quad_mean_shift --tol 1e-12 --out "$d/report"
 chl verify --only quad_squared_shift --tol 1e-12 --out "$d/report-sq"
 chl verify --only quad_squared_deriv --tol 1e-12 --out "$d/report-dv"
 chl verify --only second_deriv_decay --out "$d/report-sd"
+chl verify --only second_deriv_decay --tol 1e-12 --out "$d/report-sd-12"
 chl verify --only coupling_decay --out "$d/report-cd"
 chl converge --n-list 4,8 --replicas 64 --out "$d/conv"
 chl converge --n-list 4,8,16,32,64,128 --replicas 200 --out "$d/conv-128"

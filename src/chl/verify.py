@@ -138,12 +138,15 @@ def _rate_fit(scales: Sequence[float], errors: Sequence[float], log_x: bool) -> 
 
 
 def _feature_splits(params: CylinderParams, z: complex, a: float, b: float) -> list[float]:
-    """Panel seeds around the sharp integrand feature at x = Re z (mod 2piN).
+    """Panel seeds around the integrand's singularities in x, at Re z and its images +-2piN.
 
-    For boundary z the integrand has square-root kinks where z sits exactly
-    on a slit-base corner, i.e. at x = Re z +- 2N asin(delta); those corners
-    are seeded too, so each kink is a piece endpoint that ``_quad_over_x``
-    grades away.
+    S_0's branch points sit at the slit-base corners +-2N asin(delta), so in x the
+    integrand is singular at Re z +- 2N asin(delta) + i Im z.  For boundary z the
+    corners are seeded: each square-root kink is a piece end that ``_quad_over_x``
+    grades away.  Above that band the seeds are graded by powers of 2, Im z * 2^k to
+    each side of the corners (of Re z above their half-width): a piece's halves then
+    lie in a Bernstein ellipse of rho > 4, where K15 errs by about rho^-30 (Trefethen,
+    ATAP, ch. 8), so nearly every piece is resolved by the first integrand call.
     """
     corner = 2.0 * params.radius_n * math.asin(params.delta)  # slit-base half-width
     splits = []
@@ -151,6 +154,12 @@ def _feature_splits(params: CylinderParams, z: complex, a: float, b: float) -> l
         splits.append(base)
         if z.imag < _BOUNDARY_BAND:
             splits += [base - corner, base + corner]
+            continue
+        for centre in (base - corner, base + corner) if z.imag < corner else (base,):
+            step = z.imag
+            while step < b - a:
+                splits += [centre - step, centre + step]
+                step *= 2.0
     return [s for s in splits if a < s < b]
 
 
@@ -162,6 +171,7 @@ def _quad_over_x(params, z, integrand, tol, domain=None) -> QuadratureResult:
     Boundary z (Im z < 1e-3) integrate in a graded variable s in [0, k] over the k
     pieces [e_i, e_{i+1}] between splits: x = e_i + h_i t^2 (3 - 2t), t = s - i, so a
     sqrt(x - e) kink at a piece end becomes linear in t (Davis & Rabinowitz, 2.12).
+    Other z integrate in x over the splits' graded mesh, about one integrand call each.
     """
     a, b = domain if domain is not None else (-params.half_period, params.half_period)
     if not (-params.half_period - 1e-12 <= a < b <= params.half_period + 1e-12):

@@ -218,6 +218,30 @@ class TestPanelReuse:
         assert res.subdivisions == panels and res.converged
 
 
+class TestEvals:
+    """``evals`` counts the integrand points, 15 per K15 panel, whatever became of the panel."""
+
+    def test_one_piece(self):
+        # the whole panel and its two halves
+        res = adaptive_quadrature(lambda x: x**2 + 0j, 0.0, 1.0, tol=1e-10)
+        assert res.converged and res.subdivisions == 1 and res.evals == 45
+
+    @pytest.mark.parametrize("tol, max_panels, panels", [
+        (1e-10, 10_000, 25), (1e-30, 10_000, 512), (1e-30, 64, 64)],
+        ids=["converged", "stalled", "capped"])
+    def test_counts_every_point_given_to_the_integrand(self, tol, max_panels, panels):
+        # an unconverged run evaluates children ahead that it never bisects: they count
+        sizes = []
+
+        def g(x):
+            sizes.append(x.size)
+            return np.sqrt(np.abs(x - 0.37)) + 0j
+
+        res = adaptive_quadrature(g, -2.0, 3.0, tol=tol, max_panels=max_panels, presplit=[0.5])
+        assert res.subdivisions == panels and res.converged == (tol == 1e-10)
+        assert res.evals == sum(sizes) >= 15 * (3 * 2 + 4 * (panels - 2))
+
+
 # ---------------------------------------------------------------------------
 # The reference: the scalar worst-first integrator, one node per call
 

@@ -245,6 +245,116 @@ class TestGradedBoundary:
                         (0.0, 4.0)]  # four pieces, cut at the base and its two corners
 
 
+def _graded_mesh(p, z, a, b, centres):
+    """Im z * 2^k (k = 0, 1, ... while below b - a) to each side of every centre, and each
+    image of Re z, strictly inside (a, b), sorted."""
+    steps = [z.imag * 2.0**k for k in range(64) if z.imag * 2.0**k < b - a]
+    bases = (z.real, z.real - p.period, z.real + p.period)
+    points = [*bases, *(c + sign * h for c in centres for h in steps for sign in (-1, 1))]
+    return sorted(x for x in points if a < x < b)
+
+
+class TestGradedMesh:
+    """Above the boundary band the first mesh is graded by powers of 2 toward the singularities
+    at Re z +- 2N asin(delta) + i Im z (and at their periodic images)."""
+
+    @pytest.mark.parametrize("n,y", [(2.0, 1e-3), (8.0, 0.01), (32.0, 0.5)])
+    def test_around_the_corners_below_their_half_width(self, n, y):
+        p = CylinderParams(n, 1.0)
+        corner, hp = 2.0 * n * math.asin(p.delta), p.half_period
+        assert y < corner
+        z = complex(0.3, y)
+        centres = [b + s * corner for b in (0.3, 0.3 - p.period, 0.3 + p.period) for s in (-1, 1)]
+        for a, b in ((-hp, hp), (0.0, hp)):
+            got = sorted(verify._feature_splits(p, z, a, b))
+            np.testing.assert_allclose(got, _graded_mesh(p, z, a, b, centres), rtol=0, atol=1e-12)
+            assert a < got[0] and got[-1] < b
+        # the pieces next to a corner are Im z long
+        assert 0.3 + corner - y in got and 0.3 + corner + y in got
+
+    @pytest.mark.parametrize("n,y", [(2.0, 1.5), (8.0, 4.0), (32.0, 100.0)])
+    def test_around_re_z_above_their_half_width(self, n, y):
+        p = CylinderParams(n, 1.0)
+        assert y >= 2.0 * n * math.asin(p.delta)
+        z, hp = complex(-0.7, y), p.half_period
+        centres = [-0.7, -0.7 - p.period, -0.7 + p.period]
+        got = sorted(verify._feature_splits(p, z, -hp, hp))
+        np.testing.assert_allclose(got, _graded_mesh(p, z, -hp, hp, centres), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("y", [0.01, 2.0])
+    def test_periodic_images(self, y):
+        # Re z near the seam: the image beyond it grades the other end of the period
+        p = CylinderParams(4.0, 1.0)
+        corner, hp = 2.0 * 4.0 * math.asin(p.delta), p.half_period
+        re = 0.9 * hp
+        z, image = complex(re, y), re - p.period
+        got = verify._feature_splits(p, z, -hp, hp)
+        centre = image + corner if y < corner else image
+        near = [centre + y * 2.0**k for k in range(12) if -hp < centre + y * 2.0**k < hp]
+        assert near and all(any(abs(g - x) <= 1e-12 for g in got) for x in near)
+
+    @pytest.mark.parametrize("y", [0.0, 1e-9, 9.9e-4])
+    def test_boundary_band_unchanged(self, y):
+        p = CylinderParams(8.0, 1.0)
+        corner, hp = 2.0 * 8.0 * math.asin(p.delta), p.half_period
+        z = complex(0.3, y)
+        want = [x for base in (0.3, 0.3 - p.period, 0.3 + p.period)
+                for x in (base, base - corner, base + corner) if -hp < x < hp]
+        assert verify._feature_splits(p, z, -hp, hp) == want
+
+    def test_one_call_per_integral(self, monkeypatch):
+        # quad-sweep's interior and high bands: worst-first bisection from cuts at Re z alone
+        # walked down to the peaks one look-ahead pass per level, 3.3 calls per integral
+        calls, results = [], []
+        quadrature = verify.adaptive_quadrature
+
+        def counted(f, a, b, **kwargs):
+            def g(x):
+                calls.append(x.size)
+                return f(x)
+
+            results.append(quadrature(g, a, b, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(verify, "adaptive_quadrature", counted)
+        rng = random.Random("graded-mesh")
+        for n in (2.0, 4.0, 8.0, 16.0, 32.0):
+            p = CylinderParams(n, 1.0)
+            for _ in range(6):
+                x = p.half_period * (2.0 * rng.random() - 1.0)
+                for y in (0.05 + (n - 0.05) * rng.random(), n * (1.0 + 3.0 * rng.random())):
+                    for quad in (quad_mean_shift, quad_squared_shift, quad_squared_deriv):
+                        quad(p, complex(x, y), tol=1e-12)
+        assert len(results) == 180 and all(r.converged for r in results)
+        assert len(calls) <= 1.5 * len(results)
+
+    def test_mean_shift_is_drift_at_every_height(self):
+        # Im z log-uniform from the band's edge to 4N, where the corner points serve below
+        # about 1 and the points around Re z above it
+        rng = random.Random("graded-mesh-drift")
+        for n in (2.0, 4.0, 8.0, 16.0, 32.0):
+            p = CylinderParams(n, 1.0)
+            want = drift(p, 1.0)
+            for _ in range(64):
+                y = 1e-3 * (4000.0 * n) ** rng.random()
+                z = complex(p.half_period * (2.0 * rng.random() - 1.0), y)
+                res = quad_mean_shift(p, z, tol=1e-12)
+                assert res.converged and abs(res.value - want) <= 2e-12, (n, z)
+
+    @pytest.mark.parametrize("n", [2.0, 32.0])
+    @pytest.mark.parametrize("y", [1e-3, 1e-2, 0.3])
+    def test_squared_shift_matches_tanh_sinh(self, n, y):
+        # the oracle cuts at the same mesh: with cuts at Re z alone, tanh-sinh itself
+        # misjudges N = 2, Im z = 1e-3 by 2.6e-4
+        p = CylinderParams(n, 1.0)
+        hp = p.half_period
+        z = complex(0.3, y)
+        res = quad_squared_shift(p, z, tol=1e-12)
+        gap = abs(res.value - _mp_squared_shift(p, z, -hp, hp))
+        assert res.converged and gap <= 1e-12
+        assert res.abs_error_estimate >= gap - 1e-13
+
+
 class TestSlitConvergenceRate:
     GRID = [10.0, 20.0, 40.0, 80.0, 160.0]
 
