@@ -4,10 +4,22 @@
 # passes that are compared with `diff -r` share one, since config.json echoes the path.
 # Run it from the root of a checkout, with that checkout's src on PYTHONPATH:
 #     PYTHONPATH=src sh .github/artifacts.sh OUT [EVENTS]
+# A command that exits non-zero or writes anything to stderr (a warning, or finalization
+# noise such as "Exception ignored in ...", which exits 0) stops the script, naming it.
 set -e
 d=$1
 events=${2:-$d/run/events.jsonl}
-chl() { python -m chl.cli "$@"; }
+err=$(mktemp)
+trap 'rm -f "$err"' EXIT
+chl() {
+    status=0
+    python -m chl.cli "$@" 2>"$err" || status=$?
+    cat "$err" >&2
+    if [ "$status" != 0 ] || [ -s "$err" ]; then
+        echo "artifacts.sh: 'chl $*' exited with $status and wrote $(wc -c <"$err") bytes to stderr" >&2
+        exit 1
+    fi
+}
 chl simulate --n 10 --lambda 1 --t 3 --seed 7 --out "$d/run"
 chl simulate --n 10 --t 3 --seed 7 --probe 0+1i --trajectory --out "$d/traj"
 chl simulate --n 10 --t 3 --seed 7 --probe 0.5+0i --probe 3 --trajectory --out "$d/traj-axis"

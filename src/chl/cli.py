@@ -14,11 +14,14 @@ input or file-system error.
 from __future__ import annotations
 
 import argparse
+import atexit
 import cmath
+import gc
 import json
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -302,7 +305,15 @@ _COMMANDS = {
 }
 
 
+@cache
+def _freeze_at_exit() -> None:
+    """Freeze the heap at exit, once per process: every artifact is closed by then, and the
+    exit's full collections over the ~22 000 objects left tracked took 18-21 ms a command."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_at_exit()
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)

@@ -88,12 +88,6 @@ def _check_resolution(log: EventLog, top: float) -> None:
                          f"= {params.lam / params.radius_n:.3g}, max(pi N, height) = {top:.3g}")
 
 
-def _seam_runs(params: CylinderParams, row: np.ndarray) -> list[np.ndarray]:
-    """Split a reduced polyline into runs that do not jump across the seam."""
-    jumps = np.flatnonzero(np.abs(np.diff(row.real)) > params.half_period)
-    return np.split(row, jumps + 1)
-
-
 def export_svg(rows: np.ndarray, params: CylinderParams) -> bytes:
     """Render the traced rows as an SVG 1.1 document (y axis flipped to screen)."""
     if len(rows) == 0:
@@ -113,9 +107,14 @@ def export_svg(rows: np.ndarray, params: CylinderParams) -> bytes:
         f'<rect x="{-half:.6g}" y="0" width="{width:.6g}" height="{top:.6g}" '
         f'fill="{_BACKGROUND}"/>\n'
     ]
-    for row in rows:
-        for run in _seam_runs(params, row):
-            coords = " ".join(f"{p.real:.6g},{top - p.imag:.6g}" for p in run.tolist())
+    # a reduced polyline is cut into runs where it jumps across the seam, found in one pass
+    cuts = {}
+    for k, j in zip(*np.nonzero(np.abs(np.diff(rows.real, axis=1)) > half)):
+        cuts.setdefault(int(k), []).append(int(j) + 1)
+    for k, row in enumerate(rows.tolist()):
+        ends = [0, *cuts.get(k, ()), len(row)]
+        for lo, hi in zip(ends, ends[1:]):
+            coords = " ".join(f"{p.real:.6g},{top - p.imag:.6g}" for p in row[lo:hi])
             parts.append(
                 f'<polyline fill="none" stroke="{_STROKE}" '
                 f'stroke-width="{_STROKE_WIDTH:.6g}" points="{coords}"/>\n'

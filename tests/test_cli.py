@@ -588,3 +588,37 @@ class TestBlasThreads:
 
     def test_user_value_is_kept(self):
         assert self._import_chl("3")[0] == "3"
+
+
+class TestExitFreeze:
+    """``main`` freezes the collector at exit, never during the run, in a fresh interpreter."""
+
+    # a handler registered before main runs after chl's: atexit calls them last in, first out
+    _PROBE = """if True:
+        import atexit, gc, sys
+        from chl.cli import main
+        atexit.register(lambda: print("exit", gc.get_freeze_count()))
+        count = getattr(atexit, "_ncallbacks", lambda: -1)
+        before = count()
+        for k in (1, 2):
+            assert main(["verify", "--only", "quad_mean_shift", "--out", f"{sys.argv[1]}/{k}"]) == 0
+            print("run", gc.get_freeze_count(), count() - before if before >= 0 else "none")
+    """
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        proc = subprocess.run([sys.executable, "-c", self._PROBE, str(tmp_path_factory.mktemp("f"))],
+                              capture_output=True, text=True, check=True)
+        assert proc.stderr == ""
+        return [line.split() for line in proc.stdout.splitlines() if line[:4] in ("run ", "exit")]
+
+    def test_heap_is_frozen_at_exit(self, lines):
+        assert lines[-1][0] == "exit" and int(lines[-1][1]) > 0
+
+    def test_nothing_is_frozen_after_main_returns(self, lines):
+        assert [line[1] for line in lines[:2]] == ["0", "0"]
+
+    def test_two_runs_register_one_callback(self, lines):
+        if lines[0][2] == "none":
+            pytest.skip("this Python's atexit has no _ncallbacks")
+        assert [line[2] for line in lines[:2]] == ["1", "1"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 
 import numpy as np
@@ -188,6 +189,36 @@ class TestExports:
         assert svg.count("<polyline") == 1
         assert 'version="1.1"' in svg
         assert svg.startswith('<?xml version="1.0"')
+
+    @staticmethod
+    def _points_per_row(rows, params):
+        """Every polyline's points as the per-row seam split wrote them: the reference."""
+        top = max(1.1 * float(rows.imag.max()), params.lam)
+        points = []
+        for row in rows:
+            jumps = np.flatnonzero(np.abs(np.diff(row.real)) > params.half_period)
+            for run in np.split(row, jumps + 1):
+                points.append(" ".join(f"{p.real:.6g},{top - p.imag:.6g}" for p in run.tolist()))
+        return points
+
+    @pytest.mark.parametrize("n,t,seed,crossings", [
+        (4.0, 1.0, 0, 0), (4.0, 1.0, 1, 1), (1.0, 6.0, 0, 2), (0.5, 10.0, 0, 11)])
+    def test_svg_seam_split_matches_per_row(self, n, t, seed, crossings):
+        p = CylinderParams(n, 1.0)
+        rows = trace_cluster(sample_events(p, t, seed))
+        assert (np.abs(np.diff(rows.real, axis=1)) > p.half_period).sum() == crossings
+        svg = export_svg(rows, p).decode()
+        assert re.findall(r'points="([^"]*)"', svg) == self._points_per_row(rows, p)
+        assert svg.count("<polyline") == len(rows) + crossings
+
+    def test_svg_seam_split_many_jumps_per_row(self):
+        # rows of uniform abscissae jump across the seam at about a quarter of their steps
+        p = CylinderParams(1.0, 1.0)
+        rng = np.random.default_rng(5)
+        rows = p.half_period * rng.uniform(-1.0, 1.0, (40, 16)) + 1j * rng.uniform(0.0, 3.0, (40, 16))
+        rows[::3] = rows[::3].real * 0.1 + 1j * rows[::3].imag  # every third row never jumps
+        svg = export_svg(rows, p).decode()
+        assert re.findall(r'points="([^"]*)"', svg) == self._points_per_row(rows, p)
 
     def test_svg_requires_traces(self):
         with pytest.raises(ValueError):

@@ -172,11 +172,17 @@ def _boundary_grid():
 def _mp_squared_shift(p, z, a, b):
     """tanh-sinh over the corner-split pieces of [a, b], with the float integrand.
 
-    Above the axis a corner is a smoothed kink of width about Im z rather than
-    an endpoint singularity, so each piece is also cut at 1e-2 .. 1e-8 of its
-    length from both ends, where tanh-sinh would otherwise misjudge it.
+    The cuts are written out here, apart from the mesh under test: Re z, the
+    slit-base corners Re z +- 2N asin(delta), and the same points at the images
+    +-2 pi N, inside [a, b].  Above the axis a corner is a smoothed kink of width
+    about Im z rather than an endpoint singularity, so each piece is also cut at
+    1e-2 .. 1e-8 of its length from both ends, where tanh-sinh would otherwise
+    misjudge it.
     """
-    edges = [a, *sorted(set(verify._feature_splits(p, z, a, b))), b]
+    corner = 2.0 * p.radius_n * math.asin(p.delta)
+    features = {z.real + image + side for image in (-p.period, 0.0, p.period)
+                for side in (-corner, 0.0, corner)}
+    edges = [a, *sorted(x for x in features if a < x < b), b]
     cuts = set(edges)
     for lo, hi in zip(edges, edges[1:]) if z.imag else ():
         for k in (2, 4, 6, 8):
@@ -344,8 +350,8 @@ class TestGradedMesh:
     @pytest.mark.parametrize("n", [2.0, 32.0])
     @pytest.mark.parametrize("y", [1e-3, 1e-2, 0.3])
     def test_squared_shift_matches_tanh_sinh(self, n, y):
-        # the oracle cuts at the same mesh: with cuts at Re z alone, tanh-sinh itself
-        # misjudges N = 2, Im z = 1e-3 by 2.6e-4
+        # the oracle cuts at Re z and the corners: with cuts at Re z alone, tanh-sinh
+        # itself misjudges N = 2, Im z = 1e-3 by 2.6e-4
         p = CylinderParams(n, 1.0)
         hp = p.half_period
         z = complex(0.3, y)
