@@ -1,4 +1,4 @@
-"""Reference artifacts: the numeric fields of twelve small CLI runs, held across commits.
+"""Reference artifacts: the numeric fields of fourteen small CLI runs, held across commits.
 
 ``tests/reference/`` holds one file per artifact of ``RUNS``, named by the
 artifact, and by the run too where the run is not named after its command
@@ -52,6 +52,10 @@ RUNS = {
     # CI's quadrature reports at tol 1e-12
     **{check: (["verify", "--only", check, "--tol", "1e-12"], ["report.json"])
        for check in ("quad_mean_shift", "quad_squared_shift", "quad_squared_deriv")},
+    # CI's second-derivative reports, at the default tol 1e-10 and at 1e-12
+    "second_deriv_decay": (["verify", "--only", "second_deriv_decay"], ["report.json"]),
+    "second_deriv_decay_12": (["verify", "--only", "second_deriv_decay", "--tol", "1e-12"],
+                              ["report.json"]),
     "simulate": (["simulate", "--n", "10", "--t", "3", "--seed", "7", "--probe", "0+1i",
                   "--trajectory"], ["trajectory.csv"]),
     # real probes: the axis path of the slit map
