@@ -14,16 +14,11 @@ A panel carries its two half values, which become its children's
 whole-panel values when it is bisected: each K15 panel is evaluated once.
 
 The integrand maps a float64 array of nodes to a complex array of the same
-shape, and each call evaluates many panels.  The initial pieces, each whole
-panel with its halves, take one call.  After that the bisections run one at
-a time, worst first, but their children are evaluated ahead in passes: when
-the worst panel's children are not yet known, one call evaluates those of
-the worst panel and of every other panel whose estimate is above ``tol``.
-Worst-first bisects each of these before it can stop, since the summed
-estimate is at least theirs; a pass takes no more of them than the panel cap
-and the next stall checkpoint leave room for.  Each panel's Kronrod and
-Gauss sums run in one fixed order, centre node first, so the panels, the
-values and the estimates are those of evaluating one node at a time.
+shape.  The initial pieces, each whole panel with its halves, take one call;
+after that each bisection takes one, for the halves of the worst panel's two
+children.  Each panel's Kronrod and Gauss sums run in one fixed order, centre
+node first, so the panels, the values and the estimates are those of
+evaluating one node at a time.
 
 The node and weight constants are the 15-point Kronrod values written out in
 full, so each double is the correctly rounded constant; the test suite
@@ -92,7 +87,7 @@ class QuadratureResult:
     abs_error_estimate: float
     subdivisions: int
     converged: bool
-    evals: int  # 15 per K15 panel, with children evaluated ahead but never bisected
+    evals: int  # 15 per K15 panel
 
 
 def _kronrod(f: Callable[[np.ndarray], np.ndarray], lo: list, hi: list) -> tuple[list, list]:
@@ -154,31 +149,6 @@ def _verified(f: Callable[[np.ndarray], np.ndarray], pieces: list) -> list:
     return out
 
 
-def _evaluate_ahead(f: Callable, heap: list, tol: float, ahead: dict, room: int) -> None:
-    """Children of the worst panel and of every other one above ``tol`` into ``ahead``, one call.
-
-    ``ahead`` maps a queued panel's counter to its children's (value, error,
-    halves); panels already there are skipped.  The panels above ``tol`` sit
-    at the top of the heap, so the walk visits only them and their children.
-    At most ``room`` panels are evaluated, the worst ones.
-    """
-    due, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        if i < len(heap) and (i == 0 or heap[i][0] < -tol):
-            stack += (2 * i + 1, 2 * i + 2)
-            if heap[i][1] not in ahead:
-                due.append(heap[i])
-    due = heapq.nsmallest(room, due)
-    children = []
-    for _, _, lo, hi, _, halves in due:
-        mid = 0.5 * (lo + hi)
-        children += ((lo, mid, halves[0]), (mid, hi, halves[1]))
-    done = _verified(f, children)
-    for k, panel in enumerate(due):
-        ahead[panel[1]] = done[2 * k:2 * k + 2]
-
-
 def adaptive_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -217,16 +187,13 @@ def adaptive_quadrature(
     heapq.heapify(heap)
     panels = len(heap)
     checkpoint, checkpoint_err = _STALL_FROM, math.inf
-    ahead = {}  # the children of queued panels, evaluated ahead of their bisection
     # a worst panel without halves has error 0, and so has every panel: only rounding is left
     while total_err > tol and panels < max_panels and heap[0][5] is not None:
-        if heap[0][1] not in ahead:
-            _evaluate_ahead(counted, heap, tol, ahead, max(1, min(max_panels, checkpoint) - panels))
-        neg_err, key, lo, hi, _, _ = heapq.heappop(heap)
+        neg_err, _, lo, hi, _, halves = heapq.heappop(heap)
         total_err += neg_err
         mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi, (sub_val, sub_err, sub_halves) in zip((lo, mid), (mid, hi),
-                                                                  ahead.pop(key)):
+        children = _verified(counted, [(lo, mid, halves[0]), (mid, hi, halves[1])])
+        for sub_lo, sub_hi, (sub_val, sub_err, sub_halves) in zip((lo, mid), (mid, hi), children):
             heapq.heappush(heap, (-sub_err, count, sub_lo, sub_hi, sub_val, sub_halves))
             total_err += sub_err
             count += 1

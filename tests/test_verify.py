@@ -308,9 +308,14 @@ class TestGradedMesh:
                 for x in (base, base - corner, base + corner) if -hp < x < hp]
         assert verify._feature_splits(p, z, -hp, hp) == want
 
-    def test_one_call_per_integral(self, monkeypatch):
-        # quad-sweep's interior and high bands: worst-first bisection from cuts at Re z alone
-        # walked down to the peaks one look-ahead pass per level, 3.3 calls per integral
+    @pytest.mark.parametrize("band, quads, bound", [
+        ("interior-high", (quad_mean_shift, quad_squared_shift, quad_squared_deriv), 1.5),
+        ("boundary", (quad_mean_shift, quad_squared_shift), 3.0),
+    ], ids=["interior-high", "boundary"])
+    def test_one_call_per_integral(self, monkeypatch, band, quads, bound):
+        # quad-sweep's bands.  Interior and high: from cuts at Re z alone, worst-first
+        # bisection walked down to the peaks a level at a time, 3.3 calls per integral.
+        # Boundary: graded pieces of one panel each took 7.6 calls, of four panels 2.4
         calls, results = [], []
         quadrature = verify.adaptive_quadrature
 
@@ -328,21 +333,23 @@ class TestGradedMesh:
             p = CylinderParams(n, 1.0)
             for _ in range(6):
                 x = p.half_period * (2.0 * rng.random() - 1.0)
-                for y in (0.05 + (n - 0.05) * rng.random(), n * (1.0 + 3.0 * rng.random())):
-                    for quad in (quad_mean_shift, quad_squared_shift, quad_squared_deriv):
+                ys = (0.0,) if band == "boundary" else (
+                    0.05 + (n - 0.05) * rng.random(), n * (1.0 + 3.0 * rng.random()))
+                for y in ys:
+                    for quad in quads:
                         quad(p, complex(x, y), tol=1e-12)
-        assert len(results) == 180 and all(r.converged for r in results)
-        assert len(calls) <= 1.5 * len(results)
+        assert len(results) == 30 * len(ys) * len(quads) and all(r.converged for r in results)
+        assert len(calls) <= bound * len(results)
 
     def test_mean_shift_is_drift_at_every_height(self):
         # Im z log-uniform from the band's edge to 4N, where the corner points serve below
-        # about 1 and the points around Re z above it
+        # about 1 and the points around Re z above it, and Im z = 0 in the graded variable
         rng = random.Random("graded-mesh-drift")
         for n in (2.0, 4.0, 8.0, 16.0, 32.0):
             p = CylinderParams(n, 1.0)
             want = drift(p, 1.0)
-            for _ in range(64):
-                y = 1e-3 * (4000.0 * n) ** rng.random()
+            for k in range(80):
+                y = 1e-3 * (4000.0 * n) ** rng.random() if k < 64 else 0.0
                 z = complex(p.half_period * (2.0 * rng.random() - 1.0), y)
                 res = quad_mean_shift(p, z, tol=1e-12)
                 assert res.converged and abs(res.value - want) <= 2e-12, (n, z)
