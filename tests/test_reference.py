@@ -1,4 +1,4 @@
-"""Reference artifacts: the numeric fields of fourteen small CLI runs, held across commits.
+"""Reference artifacts: the numeric fields of eighteen small CLI runs, held across commits.
 
 ``tests/reference/`` holds one file per artifact of ``RUNS``, named by the
 artifact, and by the run too where the run is not named after its command
@@ -39,9 +39,14 @@ REFERENCE = Path(__file__).parent / "reference"
 
 # name: (command line, artifacts kept); converge runs at the default seed, with CHL_SEED unset
 RUNS = {
-    "verify": (["verify"], ["report.json"]),
+    "verify": (["verify"], ["report.json", "rate_farfield_expansion.csv",
+                            "rate_quad_squared_shift.csv", "rate_second_deriv_decay.csv"]),
     "converge": (["converge", "--n-list", "4,8", "--replicas", "64"],
                  ["converge.json", "coupling.csv"]),
+    "converge_128": (["converge", "--n-list", "4,8,16,32,64,128", "--replicas", "200"],
+                     ["converge.json", "coupling.csv"]),
+    "converge_5000": (["converge", "--n-list", "4,8,16,32", "--replicas", "5000", "--t", "0.5"],
+                      ["converge.json", "coupling.csv"]),
     # the masked column steps: the SHL's window columns, and a boundary probe's points,
     # which enter disk coordinates at different maps
     "converge_window": (["converge", "--n-list", "4,8,16", "--replicas", "200", "--window", "2"],
@@ -62,13 +67,20 @@ RUNS = {
     "simulate_axis": (["simulate", "--n", "10", "--t", "3", "--seed", "7", "--probe", "0.5+0i",
                        "--probe", "3", "--trajectory"], ["trajectory.csv"]),
     "render": (["render", "--n", "10", "--t", "3", "--seed", "1234"], ["cluster.csv"]),
+    "render_n1": (["render", "--n", "1", "--lambda", "1", "--t", "3", "--seed", "5"],
+                  ["cluster.csv"]),
+    # the forward cluster of the events that _EVENTS simulates
+    "render_forward": (["render", "--input", "{events}", "--forward"], ["cluster.csv"]),
     # a tall cluster on a thin cylinder: heights near 110, where the render guard bites
     "render_tall": (["render", "--n", "0.1", "--lambda", "1", "--t", "200", "--seed", "1"],
                     ["cluster.csv"]),
 }
+# the run whose events.jsonl an argv's "{events}" reads
+_EVENTS = ["simulate", "--n", "10", "--lambda", "1", "--t", "3", "--seed", "7"]
 # CSV rows kept by run and artifact: every k-th; an odd k over cluster.csv's 16 points a
 # particle keeps points of every index
 _STRIDE = {("render", "cluster.csv"): 16, ("render_tall", "cluster.csv"): 37,
+           ("render_n1", "cluster.csv"): 7, ("render_forward", "cluster.csv"): 37,
            ("simulate_axis", "trajectory.csv"): 7}
 
 # fields that measure rounding error, near 0, so only an absolute bound means anything;
@@ -77,7 +89,7 @@ _RESIDUALS = {"max_abs_error", "max_cylinder_distance", "max_rel_error", "small_
               "offset", "fixed_z_slope"}
 # a coupling mean moves by up to 4.5e-15 between CPUs (README): 1e-12 of a mean of 5e-3
 _WIDE = {"means": 1e-11, "mean_square_distance": 1e-11}
-_RADIUS = {"render_tall": 0.1}  # the cylinder of a run's points, where it is not N = 10
+_RADIUS = {"render_tall": 0.1, "render_n1": 1.0}  # the cylinder of a run's points, where it is not N = 10
 
 
 def _flat(value, path: str = ""):
@@ -147,6 +159,9 @@ def _deviations(artifact: str, want: dict, got: dict, points: CylinderParams) ->
 
 def _run(name: str, out: Path) -> Path:
     argv, _ = RUNS[name]
+    if "{events}" in argv:
+        assert main(_EVENTS + ["--out", str(out / "events")]) == 0
+        argv = [str(out / "events" / "events.jsonl") if a == "{events}" else a for a in argv]
     assert main(argv + ["--out", str(out)]) == 0, f"chl {' '.join(argv)} failed"
     return out
 
@@ -162,7 +177,7 @@ def test_artifacts_match_reference(name, tmp_path, monkeypatch):
 
 
 def test_reference_set_is_small():
-    assert sum(p.stat().st_size for p in REFERENCE.iterdir()) < 50_000
+    assert sum(p.stat().st_size for p in REFERENCE.iterdir()) < 64_000
 
 
 def _write_references() -> None:
