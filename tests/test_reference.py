@@ -1,7 +1,7 @@
-"""Reference artifacts: the numeric fields of eighteen small CLI runs, held across commits.
+"""Reference artifacts: the numeric fields of the CLI's runs, held across commits.
 
-``tests/reference/`` holds one file per artifact of ``RUNS``, named by the
-artifact, and by the run too where the run is not named after its command
+``tests/reference/`` holds one file per held artifact of ``runs.RUNS``, named
+by the artifact, and by the run too where the run is not named after its command
 (``converge_window_coupling.csv``): its first line is the command that made
 it, then a table of its numbers at 17 significant digits, one ``field,value``
 row per number of a JSON file, or a CSV file's rows (every k-th, by
@@ -34,49 +34,10 @@ import pytest
 
 from chl.cli import main
 from chl.conformal import CylinderParams, cylinder_dist
+from runs import RUNS, command
 
 REFERENCE = Path(__file__).parent / "reference"
 
-# name: (command line, artifacts kept); converge runs at the default seed, with CHL_SEED unset
-RUNS = {
-    "verify": (["verify"], ["report.json", "rate_farfield_expansion.csv",
-                            "rate_quad_squared_shift.csv", "rate_second_deriv_decay.csv"]),
-    "converge": (["converge", "--n-list", "4,8", "--replicas", "64"],
-                 ["converge.json", "coupling.csv"]),
-    "converge_128": (["converge", "--n-list", "4,8,16,32,64,128", "--replicas", "200"],
-                     ["converge.json", "coupling.csv"]),
-    "converge_5000": (["converge", "--n-list", "4,8,16,32", "--replicas", "5000", "--t", "0.5"],
-                      ["converge.json", "coupling.csv"]),
-    # the masked column steps: the SHL's window columns, and a boundary probe's points,
-    # which enter disk coordinates at different maps
-    "converge_window": (["converge", "--n-list", "4,8,16", "--replicas", "200", "--window", "2"],
-                        ["converge.json", "coupling.csv"]),
-    "converge_boundary": (["converge", "--n-list", "4,8,16", "--replicas", "200",
-                           "--probe", "0.5+0i"], ["converge.json", "coupling.csv"]),
-    "coupling_decay": (["verify", "--only", "coupling_decay"], ["report.json"]),
-    # CI's quadrature reports at tol 1e-12
-    **{check: (["verify", "--only", check, "--tol", "1e-12"], ["report.json"])
-       for check in ("quad_mean_shift", "quad_squared_shift", "quad_squared_deriv")},
-    # CI's second-derivative reports, at the default tol 1e-10 and at 1e-12
-    "second_deriv_decay": (["verify", "--only", "second_deriv_decay"], ["report.json"]),
-    "second_deriv_decay_12": (["verify", "--only", "second_deriv_decay", "--tol", "1e-12"],
-                              ["report.json"]),
-    "simulate": (["simulate", "--n", "10", "--t", "3", "--seed", "7", "--probe", "0+1i",
-                  "--trajectory"], ["trajectory.csv"]),
-    # real probes: the axis path of the slit map
-    "simulate_axis": (["simulate", "--n", "10", "--t", "3", "--seed", "7", "--probe", "0.5+0i",
-                       "--probe", "3", "--trajectory"], ["trajectory.csv"]),
-    "render": (["render", "--n", "10", "--t", "3", "--seed", "1234"], ["cluster.csv"]),
-    "render_n1": (["render", "--n", "1", "--lambda", "1", "--t", "3", "--seed", "5"],
-                  ["cluster.csv"]),
-    # the forward cluster of the events that _EVENTS simulates
-    "render_forward": (["render", "--input", "{events}", "--forward"], ["cluster.csv"]),
-    # a tall cluster on a thin cylinder: heights near 110, where the render guard bites
-    "render_tall": (["render", "--n", "0.1", "--lambda", "1", "--t", "200", "--seed", "1"],
-                    ["cluster.csv"]),
-}
-# the run whose events.jsonl an argv's "{events}" reads
-_EVENTS = ["simulate", "--n", "10", "--lambda", "1", "--t", "3", "--seed", "7"]
 # CSV rows kept by run and artifact: every k-th; an odd k over cluster.csv's 16 points a
 # particle keeps points of every index
 _STRIDE = {("render", "cluster.csv"): 16, ("render_tall", "cluster.csv"): 37,
@@ -158,15 +119,15 @@ def _deviations(artifact: str, want: dict, got: dict, points: CylinderParams) ->
 
 
 def _run(name: str, out: Path) -> Path:
-    argv, _ = RUNS[name]
-    if "{events}" in argv:
-        assert main(_EVENTS + ["--out", str(out / "events")]) == 0
-        argv = [str(out / "events" / "events.jsonl") if a == "{events}" else a for a in argv]
-    assert main(argv + ["--out", str(out)]) == 0, f"chl {' '.join(argv)} failed"
-    return out
+    """Run ``name`` in process into ``out/name``, after the ``events`` run if it reads that log."""
+    if "{events}" in RUNS[name][0]:
+        _run("events", out)
+    argv = command(name, out)
+    assert main(argv) == 0, f"chl {' '.join(argv)} failed"
+    return out / name
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(name for name, (_, held) in RUNS.items() if held))
 def test_artifacts_match_reference(name, tmp_path, monkeypatch):
     monkeypatch.delenv("CHL_SEED", raising=False)
     out, points = _run(name, tmp_path), CylinderParams(_RADIUS.get(name, 10.0), 1.0)
@@ -180,12 +141,20 @@ def test_reference_set_is_small():
     assert sum(p.stat().st_size for p in REFERENCE.iterdir()) < 64_000
 
 
+def test_reference_set_is_the_held_artifacts():
+    # no orphan file, and no held artifact without its file or sharing one
+    held = [_reference_file(name, artifact).name
+            for name, (_, artifacts) in RUNS.items() for artifact in artifacts]
+    assert len(set(held)) == len(held)
+    assert sorted(p.name for p in REFERENCE.iterdir()) == sorted(held)
+
+
 def _write_references() -> None:
     """Rerun every command of ``RUNS`` and rewrite its reference files."""
     REFERENCE.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, artifacts) in RUNS.items():
-            out = _run(name, Path(tmp) / name)
+            out = _run(name, Path(tmp))
             for artifact in artifacts:
                 header, rows = _table(out / artifact, _STRIDE.get((name, artifact), 1))
                 lines = [f"# chl {' '.join(argv)}: {artifact}", ",".join(header)]
