@@ -22,7 +22,6 @@ from .process import (
     Event,
     EventLog,
     backward_chl_trajectory,
-    compose,
     drift,
     orbit,
     restrict_log,

@@ -16,14 +16,14 @@ The same log drives every process variant, each a function of ``(log, z, s)``:
   disk-process conjugation.  Pointwise it is the same map as
   ``eval_backward_chl``, which makes it the sharpest available oracle.
 
-Each variant is :func:`compose` over a selection of the log's abscissae in
-one of two orders.  Evaluation at time ``s`` is cadlag: an event at exactly
-``s`` is included.  Batched, many points go through one map per call, by one
+Each variant is the last point of :func:`orbit` over a selection of the log's
+abscissae in one of two orders.  Evaluation at time ``s`` is cadlag: an event at
+exactly ``s`` is included.  Batched, many points go through one map per call, by one
 column step ``_live`` in which a ``+inf`` abscissa applies no map (rows longest
-first move a prefix, as a slice): over the padded rows of :func:`orbit_many`,
-with any batched kernel, and in the lock-step engine ``_LockStep`` of Monte
-Carlo and the cluster trace, which holds a cylinder point in disk coordinates
-``exp(-iz/N)`` in a band of heights, once a map moves it there.
+first move a prefix, as a slice): over the padded rows of :func:`orbit_many`, with
+any batched kernel, and in the lock-step engine ``_LockStep`` of Monte Carlo and the
+cluster trace, which holds a cylinder point in disk coordinates ``exp(-iz/N)`` in a
+band of heights, once a map moves it there.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "sample_events",
     "sample_many",
     "restrict_log",
-    "compose",
     "orbit",
     "orbit_many",
     "backward_chl_trajectory",
@@ -252,18 +251,9 @@ def _restrict_many(xs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) -> complex:
-    """Apply ``slit(first, x, .)`` for each ``x`` of ``xs`` in order: ``xs[0]`` innermost.
-
-    ``slit`` is ``cyl_slit`` with ``first`` the cylinder params, or
-    ``halfplane_slit`` with ``first`` the slit length.  Every process variant runs
-    this loop, the scalar reference of :func:`orbit_many` and ``_LockStep``.
-    """
-    return orbit(slit, first, xs, z)[-1]
-
-
 def orbit(slit: Callable[..., complex], first, xs: Iterable[float], z: complex) -> list[complex]:
-    """Trajectory form of :func:`compose`: ``z``, then the image after each map."""
+    """``z``, then its image after each ``slit(first, x, .)``, ``xs[0]`` innermost: the loop of
+    every process variant, and the scalar reference of :func:`orbit_many` and ``_LockStep``."""
     out = [complex(z)]
     for x in xs:
         out.append(slit(first, x, out[-1]))
@@ -391,22 +381,22 @@ def _xs_up_to(log: EventLog, s: float, window: float | None = None) -> list[floa
 
 def eval_forward_chl(log: EventLog, z: complex, s: float) -> complex:
     """Forward cylinder process: S_{x_1} o ... o S_{x_n}(z), earliest outermost."""
-    return compose(cyl_slit, log.params, _xs_up_to(log, s)[::-1], z)
+    return orbit(cyl_slit, log.params, _xs_up_to(log, s)[::-1], z)[-1]
 
 
 def eval_backward_chl(log: EventLog, z: complex, s: float) -> complex:
     """Backward cylinder process: S_{x_n} o ... o S_{x_1}(z), newest outermost."""
-    return compose(cyl_slit, log.params, _xs_up_to(log, s), z)
+    return orbit(cyl_slit, log.params, _xs_up_to(log, s), z)[-1]
 
 
 def eval_backward_shl(log: EventLog, z: complex, s: float, window: float) -> complex:
     """Backward half-plane process over events with ``|x| <= window``, newest outermost."""
-    return compose(halfplane_slit, log.params.lam, _xs_up_to(log, s, window), z)
+    return orbit(halfplane_slit, log.params.lam, _xs_up_to(log, s, window), z)[-1]
 
 
 def eval_forward_shl(log: EventLog, z: complex, s: float, window: float) -> complex:
     """Forward half-plane process over events with ``|x| <= window``, earliest outermost."""
-    return compose(halfplane_slit, log.params.lam, _xs_up_to(log, s, window)[::-1], z)
+    return orbit(halfplane_slit, log.params.lam, _xs_up_to(log, s, window)[::-1], z)[-1]
 
 
 def eval_disk_hl(log: EventLog, z: complex, s: float) -> complex:
@@ -418,7 +408,7 @@ def eval_disk_hl(log: EventLog, z: complex, s: float) -> complex:
     point the result equals ``eval_backward_chl``; the representative may
     differ by a period when the orbit crosses the seam, since the final
     principal log cannot see the winding of the lifted composition.  Its loop
-    stays separate from :func:`compose`, so it remains an independent oracle.
+    stays separate from :func:`orbit`, so it remains an independent oracle.
     """
     p = log.params
     n = p.radius_n
@@ -429,15 +419,9 @@ def eval_disk_hl(log: EventLog, z: complex, s: float) -> complex:
     return 1j * n * cmath.log(zeta)
 
 
-# Nothing in chl reads this table: it stays only because benchmarks/tracer.py
-# binds it (and the functions above) to time them, until the tracer reads counters.
-_EVALUATORS = {
-    "forward-chl": eval_forward_chl,
-    "backward-chl": eval_backward_chl,
-    "forward-shl": eval_forward_shl,
-    "backward-shl": eval_backward_shl,
-    "disk-hl": eval_disk_hl,
-}
+# Nothing in chl reads this table, so it keeps no entries; it stays only because
+# benchmarks/tracer.py binds it (and the functions above) to time them, until it reads counters.
+_EVALUATORS = {}
 
 
 def backward_chl_trajectory(log: EventLog, z: complex) -> list[tuple[float, complex]]:

@@ -37,7 +37,6 @@ from chl.process import (
     _from_zeta,
     _LockStep,
     backward_chl_trajectory,
-    compose,
     drift,
     eval_backward_chl,
     eval_backward_shl,
@@ -378,13 +377,13 @@ class TestCompose:
         p = CylinderParams(2.0, 1.0)
         xs = [-1.2, 0.4, 2.8]
         z = 0.5 + 1.5j
-        assert compose(cyl_slit, p, xs, z) == cyl_slit(
+        assert orbit(cyl_slit, p, xs, z)[-1] == cyl_slit(
             p, xs[2], cyl_slit(p, xs[1], cyl_slit(p, xs[0], z))
         )
-        assert compose(halfplane_slit, 1.0, xs, z) == halfplane_slit(
+        assert orbit(halfplane_slit, 1.0, xs, z)[-1] == halfplane_slit(
             1.0, xs[2], halfplane_slit(1.0, xs[1], halfplane_slit(1.0, xs[0], z))
         )
-        assert compose(cyl_slit, p, [], 2) == 2 + 0j
+        assert orbit(cyl_slit, p, [], 2) == [2 + 0j]
 
     def test_orbit_lists_every_partial_composition(self):
         p = CylinderParams(3.0, 0.8)

@@ -24,7 +24,6 @@ from chl.process import (
     _LockStep,
     _restrict_many,
     _restricted_params,
-    compose,
     drift,
     eval_backward_chl,
     eval_disk_hl,
@@ -906,8 +905,8 @@ class TestCompositionChecks:
         k = 0
         for params, xs, y, z_grid in configs:
             for z in z_grid:
-                a = compose(cyl_slit, params, xs[::-1], z - y) + y
-                b = compose(cyl_slit, params, [x + y for x in xs[::-1]], z)
+                a = orbit(cyl_slit, params, xs[::-1], z - y)[-1] + y
+                b = orbit(cyl_slit, params, [x + y for x in xs[::-1]], z)[-1]
                 budget = _lockstep_budget(len(xs), params.radius_n, max(abs(a), abs(b)) + abs(y))
                 assert abs(conjugated[k] - a) <= budget and abs(shifted[k] - b) <= budget, k
                 k += 1
@@ -951,9 +950,9 @@ def test_lockstep_growth_matches_compose(case):
              (halfplane_slit, lam, shl, lambda a, b: abs(a - b)))
     for slit, first, got, dist in cases:
         for r, row in enumerate(rows):
-            big = max(abs(w) for w in orbit(slit, first, row, z))
-            want = compose(slit, first, row, z)
-            assert dist(got[r], want) <= _lockstep_budget(len(row), n, big), (slit, r)
+            path = orbit(slit, first, row, z)
+            big = max(map(abs, path))
+            assert dist(got[r], path[-1]) <= _lockstep_budget(len(row), n, big), (slit, r)
             assert row or got[r] == z
 
 
