@@ -50,7 +50,8 @@ _RESIDUALS = {"max_abs_error", "max_cylinder_distance", "max_rel_error", "small_
               "offset", "fixed_z_slope"}
 # a coupling mean moves by up to 4.5e-15 between CPUs (README): 1e-12 of a mean of 5e-3
 _WIDE = {"means": 1e-11, "mean_square_distance": 1e-11}
-_RADIUS = {"render_tall": 0.1, "render_n1": 1.0}  # the cylinder of a run's points, where it is not N = 10
+# the cylinder of a run's points, where it is not N = 10
+_RADIUS = {"render_tall": 0.1, "render_n1": 1.0}
 
 
 def _flat(value, path: str = ""):
