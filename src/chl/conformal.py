@@ -321,8 +321,8 @@ def _disk_slit_many(params: CylinderParams, zeta: np.ndarray, rho=1.0) -> np.nda
     array, its square root in real arithmetic.  The domain is ``|xi| < 1e130``:
     the scalar map's tail expansion beyond it has no mask here, and the
     squares overflow from about ``|xi| = 1e154``.  The callers stay far below:
-    ``cyl_slit_many`` passes ``|zeta| < e^30`` (heights under 30 N), and
-    ``_LockStep`` moves a point to the cylinder once ``|zeta| >= e^30``.
+    ``cyl_slit_many`` and ``verify._shift_many`` pass ``|zeta| < e^30`` (heights
+    under 30 N), and ``_LockStep`` moves a point to the cylinder once ``|zeta| >= e^30``.
     ``params`` may be ``_PerPoint``, an element per point: delta is read at the near-tip mask.
     """
     d = params.delta
@@ -434,7 +434,10 @@ def cyl_slit_many(params: CylinderParams, x, z: np.ndarray) -> np.ndarray:
     one; the transcendental functions are numpy's, so results may differ
     from ``cyl_slit`` in the last bits.  The disk form is
     ``_disk_slit_many`` at ``e <= |zeta| < e^30``, inside its domain and, as
-    ``|zeta - 1| > 0.5 delta`` there, off its near-tip root.
+    ``|zeta - 1| > 0.5 delta`` there, off its near-tip root.  The quadratures
+    of the shift S_x(z) - z call this map only in the boundary band above the
+    axis (0 < Im z < 1e-3) and at the far field: elsewhere they take one chart
+    per integral (``verify._shift_many``).
     """
     z = np.asarray(z, dtype=complex)
     n = params.radius_n

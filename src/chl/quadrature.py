@@ -101,10 +101,20 @@ def _kronrod(f: Callable[[np.ndarray], np.ndarray], lo: list, hi: list) -> tuple
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = _XGK_OFF[:, None] * half
     # row 0 the centres, rows 1..7 mid - x_i and rows 8..14 mid + x_i
-    fx = f(np.concatenate((mid[None], mid - x, mid + x)).ravel()).reshape(15, len(mid))
+    nodes = np.empty((15, len(mid)))
+    nodes[0] = mid
+    np.subtract(mid, x, out=nodes[1:8])
+    np.add(mid, x, out=nodes[8:])
+    fx = f(nodes.ravel()).reshape(nodes.shape)
     fs = fx[1:8] + fx[8:]
-    kron = np.add.accumulate(np.concatenate((_WGK[7] * fx[:1], _WGK_OFF[:, None] * fs)))[-1]
-    gauss = np.add.accumulate(np.concatenate((_WG[3] * fx[:1], _WG_OFF[:, None] * fs[1::2])))[-1]
+    # each rule's weighted terms, centre first, in one array that accumulate sums in order
+    terms = np.empty((8, len(mid)), dtype=complex)
+    np.multiply(_WGK[7], fx[0], out=terms[0])
+    np.multiply(_WGK_OFF[:, None], fs, out=terms[1:])
+    kron = np.add.accumulate(terms)[-1]
+    np.multiply(_WG[3], fx[0], out=terms[0])
+    np.multiply(_WG_OFF[:, None], fs[1::2], out=terms[1:4])
+    gauss = np.add.accumulate(terms[:4])[-1]
     gap = half * (kron - gauss)
     # np.hypot is C's hypot, as Python's abs of a complex; np.abs may differ in the last bit
     return (half * kron).tolist(), np.hypot(gap.real, gap.imag).tolist()

@@ -24,9 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import (
+    _FAR_FIELD_RATIO,
     CylinderParams,
+    _axis_slit_many,
+    _disk_slit_many,
     _far_field,
     _PerPoint,
+    _reduce_many,
     cyl_slit,
     cyl_slit_deriv,
     cyl_slit_deriv2,
@@ -38,6 +42,7 @@ from .conformal import (
 from .process import (
     _horizon,
     _disk_step,
+    _from_zeta,
     _LockStep,
     _restrict_many,
     _restricted_params,
@@ -167,6 +172,8 @@ def _quad_over_x(params, z, integrand, tol, domain=None) -> QuadratureResult:
     """Integral of ``integrand(x)`` over ``domain`` (default one period), split at z's features.
 
     ``integrand`` maps an array of abscissae x to a complex array, as ``adaptive_quadrature``'s.
+    The shift integrals evaluate it in one chart per integral (``_shift_many``); the
+    derivative integrals in the tan chart (``cyl_slit_deriv``, ``cyl_slit_deriv2``).
 
     Boundary z (Im z < 1e-3) integrate in a graded variable s in [0, k] over the k
     pieces [e_i, e_{i+1}] between splits: x = e_i + h_i t^2 (3 - 2t), t = s - i, so a
@@ -193,15 +200,43 @@ def _quad_over_x(params, z, integrand, tol, domain=None) -> QuadratureResult:
                                presplit=[i / 4 for i in range(1, 4 * k)])
 
 
+def _shift_many(params: CylinderParams, z: complex, x: np.ndarray) -> np.ndarray:
+    """S_x(z) - z at every abscissa of the array ``x``, in one chart chosen once by Im z.
+
+    * Im z = 0: ``cyl_slit_many``'s real-axis path (``_reduce_many``,
+      ``_axis_slit_many``), bit for bit.
+    * 1e-3 <= Im z < 30 N: the disk form ``i N Log(D(xi)/xi)``, with
+      ``xi = e^{Im z/N} e^{i(x - Re z)/N}``, D from ``_disk_slit_many`` (the kernel
+      that the Monte Carlo composes) and the log in real arithmetic
+      (``_from_zeta``).  The shift moves Re z by less than pi N, so the principal
+      log needs no lift.
+    * Otherwise, in the boundary band above the axis and from 30 N up:
+      ``cyl_slit_many``; in the band its tan chart is the more accurate one.
+    """
+    n, y = params.radius_n, z.imag
+    if y == 0.0:
+        u = z.real - x
+        u_red = _reduce_many(u, params.period)
+        return (x + (u - u_red)) + _axis_slit_many(params, u_red) - z
+    if not _BOUNDARY_BAND <= y < _FAR_FIELD_RATIO * n:
+        return cyl_slit_many(params, x, np.full(x.shape, z)) - z
+    theta = (x - z.real) / n
+    r = math.exp(y / n)
+    xi = np.empty(x.shape, dtype=complex)
+    xi.real, xi.imag = r * np.cos(theta), r * np.sin(theta)
+    return _from_zeta(n, _disk_slit_many(params, xi) / xi)
+
+
 def quad_mean_shift(params: CylinderParams, z: complex, tol: float = 1e-10) -> QuadratureResult:
     """Integral of S_x(z) - z over one period of attachment points x.
 
     Equals ``drift(params, 1.0)`` for every z on the cylinder; this
-    z-independence is itself part of what the callers assert.
+    z-independence is itself part of what the callers assert.  The shift is
+    ``_shift_many``'s: above the boundary band, the disk form that the Monte
+    Carlo composes.
     """
     z = complex(z)
-    return _quad_over_x(params, z, lambda x: cyl_slit_many(params, x, np.full(x.shape, z)) - z,
-                        tol)
+    return _quad_over_x(params, z, lambda x: _shift_many(params, z, x), tol)
 
 
 def quad_squared_shift(
@@ -213,12 +248,11 @@ def quad_squared_shift(
     """Integral of |S_x(z) - z|^2 over attachment points x in ``domain``.
 
     The full-period value is bounded uniformly in N; the tail over
-    [xi, pi*N] decays like 1/xi.
+    [xi, pi*N] decays like 1/xi.  The shift is ``_shift_many``'s.
     """
     z = complex(z)
-    return _quad_over_x(
-        params, z, lambda x: np.abs(cyl_slit_many(params, x, np.full(x.shape, z)) - z) ** 2 + 0j,
-        tol, domain)
+    return _quad_over_x(params, z, lambda x: np.abs(_shift_many(params, z, x)) ** 2 + 0j,
+                        tol, domain)
 
 
 def quad_squared_deriv(params: CylinderParams, z: complex, tol: float = 1e-10) -> QuadratureResult:

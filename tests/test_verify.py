@@ -35,6 +35,7 @@ from chl.process import (
 )
 from chl import verify
 from chl.rng import SplitMix64, mix_seed, poisson_many
+from test_conformal import oracle_cyl_slit
 from chl.verify import (
     coupling_sup_distances,
     farfield_expansion_check,
@@ -365,6 +366,61 @@ class TestGradedMesh:
         gap = abs(res.value - _mp_squared_shift(p, z, -hp, hp))
         assert res.converged and gap <= 1e-12
         assert res.abs_error_estimate >= gap - 1e-13
+
+
+def _shift_points(p, rng):
+    """Re z - x a third each inside the slit-base corners, within 1e-3 of the seam +-pi N,
+    and far from the slit."""
+    corner, hp = 2.0 * p.radius_n * math.asin(p.delta), p.half_period
+    return np.concatenate([corner * rng.uniform(-1.0, 1.0, 3),
+                           [-1.0, 1.0, 1.0] * (hp - 1e-3 * rng.random(3)),
+                           [-1.0, 1.0, -1.0] * rng.uniform(2.0 * corner, hp - 0.1, 3)])
+
+
+class TestOneChartShift:
+    """The shift S_x(z) - z of the x-integrals, evaluated in one chart per integral."""
+
+    @pytest.mark.parametrize("n", [2.0, 32.0, 128.0])
+    def test_within_budget_of_the_chain(self, n):
+        # the disk form from the band's edge 1e-3 to 4N, and the far field at 30N, against
+        # the literal five-map chain in mpmath
+        p = CylinderParams(n, 1.0)
+        rng = np.random.default_rng(int(n))
+        heights = [1e-3, *(1e-3 * (4000.0 * n) ** rng.random(10)), 4.0 * n, 30.0 * n]
+        for y in heights:
+            z = complex(p.half_period * rng.uniform(-1.0, 1.0), y)
+            x = z.real - _shift_points(p, rng)
+            got = verify._shift_many(p, z, x)
+            for xk, g in zip(x.tolist(), got.tolist()):
+                with mpmath.workdps(40):
+                    gap = abs(mpmath.mpc(g) - (oracle_cyl_slit(p, xk, z) - mpmath.mpc(z)))
+                assert gap <= 16.0 * n * _EPS, (y, z.real - xk)
+
+    @pytest.mark.parametrize("y", [0.0, 1e-9, 9.9e-4, 100.0])
+    def test_tan_chart_and_axis_bit_for_bit(self, y):
+        # on the axis, in the boundary band and at the far field, the map's own values
+        p = CylinderParams(2.0, 1.0)
+        rng = np.random.default_rng(7)
+        z = complex(0.3, y)
+        x = z.real - _shift_points(p, rng)
+        want = verify.cyl_slit_many(p, x, np.full(x.shape, z)) - z
+        assert verify._shift_many(p, z, x).tobytes() == want.tobytes()
+
+    def test_routing(self, monkeypatch):
+        # the axis and the disk form do not call cyl_slit_many; the band above the
+        # axis and the far field do
+        def refused(*args):
+            raise AssertionError("cyl_slit_many called")
+
+        monkeypatch.setattr(verify, "cyl_slit_many", refused)
+        for n in (2.0, 16.0):
+            p = CylinderParams(n, 1.0)
+            for y in (0.0, 1e-3, n, 4.0 * n):
+                for quad in (quad_mean_shift, quad_squared_shift):
+                    assert quad(p, complex(0.3, y), tol=1e-12).converged, (n, y)
+            for y in (5e-4, 30.0 * n):
+                with pytest.raises(AssertionError, match="cyl_slit_many called"):
+                    quad_mean_shift(p, complex(0.3, y))
 
 
 class TestSlitConvergenceRate:
